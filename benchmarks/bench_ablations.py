@@ -130,36 +130,52 @@ def test_ablation_concurrent_schedules(benchmark):
 
     A sender that creates and closes a socket restores every counter
     before the receiver runs — two-phase execution sees nothing.  The
-    schedule-exploring detector witnesses the interference on exactly
-    the interleavings where the receiver samples mid-sender.
+    schedule-exploring detector (systematic schedules over the sender's
+    syscall boundaries) witnesses the interference on exactly the
+    interleavings where the receiver samples mid-sender.
     """
-    from repro.core import ConcurrentDetector, sequential_schedule
+    from repro.core import NondetAnalyzer
+    from repro.core.schedule import (
+        GRANULARITY_SYSCALL,
+        SEQUENTIAL,
+        STRATEGY_SYSTEMATIC,
+        ScheduleExplorer,
+        SchedulePolicy,
+    )
     from repro.corpus import prog
 
     transient = prog(("socket", 2, 1, 6), ("close", "r0"))
     probe = prog(("open", "/proc/net/sockstat", 0),
                  ("pread64", "r0", 512, 0),
                  ("pread64", "r0", 512, 0))
+    case = TestCase(0, 1, transient, probe)
+    spec = default_specification()
 
-    sequential = Detector(Machine(MC(bugs=linux_5_13())),
-                          default_specification())
-    baseline = sequential.check_case(TestCase(0, 1, transient, probe))
+    sequential = Detector(Machine(MC(bugs=linux_5_13())), spec)
+    baseline = sequential.check_case(case)
 
-    concurrent = ConcurrentDetector(Machine(MC(bugs=linux_5_13())),
-                                    default_specification())
-    report = benchmark(concurrent.check_case, transient, probe)
+    machine = Machine(MC(bugs=linux_5_13()))
+    nondet = NondetAnalyzer(machine)
+    explorer = ScheduleExplorer(
+        machine, spec, nondet,
+        SchedulePolicy(strategy=STRATEGY_SYSTEMATIC,
+                       granularity=GRANULARITY_SYSCALL))
+    interleaved = Detector(machine, spec, nondet, explorer=explorer)
+    result = benchmark(interleaved.check_case, case)
+    witnesses = sorted(result.report.witnesses) if result.report else []
 
     lines = [f"{'detector':<28} {'outcome'}",
              "-" * 56,
              f"{'two-phase (paper baseline)':<28} {baseline.outcome.value}",
              f"{'interleaved schedules (§7)':<28} "
-             f"witnessed on {report.schedules}"]
+             f"witnessed on {witnesses} "
+             f"({result.schedules_run} schedules run)"]
     lines.append("")
-    lines.append("the two-phase order "
-                 f"{sequential_schedule(2, 3)!r} is not a witness: the "
+    lines.append(f"the two-phase order {SEQUENTIAL!r} is not a witness: the "
                  "interference is transient")
     emit_table("ablation_concurrent", "Ablation: concurrency extension "
                                       "(transient interference)", lines)
 
     assert baseline.outcome is Outcome.PASS
-    assert report is not None and report.transient_only
+    assert result.outcome is Outcome.REPORT
+    assert result.report.culprit_schedule is not None

@@ -6,8 +6,8 @@ and Fonseca.  The package splits the same way the system does:
 * :mod:`repro.kernel` — the system under test: a simulated Linux kernel
   with namespaces, an instrumented memory arena, and the paper's bugs
   injected behind version presets.
-* :mod:`repro.vm` — machines, snapshots, executors, and the distributed
-  test cluster.
+* :mod:`repro.vm` — machines, snapshots, executors, and the process
+  shard pool.
 * :mod:`repro.corpus` — syzkaller-style test programs, seeds, and the
   random generator.
 * :mod:`repro.core` — KIT itself: data-flow-guided test case generation,

@@ -2,7 +2,8 @@
 
 The pipeline shares a handful of mutable structures across threads —
 the baseline cache, the non-determinism store, the profiling pool's
-profiler list, the campaign journal, the shared-memory segment store.
+profiler list, the campaign journal, a shard's heartbeat pipe, the
+shared-memory segment store.
 Each is guarded by a ``threading.Lock``/``RLock``, and every access to a
 guarded structure must hold one of its guard locks.
 :func:`check_lock_discipline` is the entry point.  The lint keeps the
@@ -726,7 +727,6 @@ DEFAULT_LOCK_MODULES = (
     os.path.join("repro", "core", "execution.py"),
     os.path.join("repro", "core", "nondet.py"),
     os.path.join("repro", "core", "profile.py"),
-    os.path.join("repro", "core", "concurrent.py"),
     os.path.join("repro", "vm", "shardpool.py"),
     os.path.join("repro", "vm", "shm.py"),
 )

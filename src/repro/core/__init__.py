@@ -6,13 +6,6 @@ Generation (§4.1) → execution (§4.2) → detection (§4.3) → aggregation
 
 from .aggregation import ReportGroups, aggregate, call_signature
 from .bounds import BoundsDetector, BoundViolation, PathProfile
-from .concurrent import (
-    ConcurrentDetector,
-    ConcurrentReport,
-    default_schedules,
-    round_robin_schedule,
-    sequential_schedule,
-)
 from .coverage import CoverageReport, coverage_of_profiles
 from .persist import (
     campaign_from_dict,
@@ -91,12 +84,7 @@ __all__ = [
     "campaign_markdown",
     "machine_fingerprint",
     "save_campaign_markdown",
-    "ConcurrentDetector",
-    "ConcurrentReport",
     "CoverageReport",
-    "default_schedules",
-    "round_robin_schedule",
-    "sequential_schedule",
     "campaign_from_dict",
     "campaign_to_dict",
     "coverage_of_profiles",

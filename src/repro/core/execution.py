@@ -44,10 +44,10 @@ DEFAULT_SENDER_CACHE_BYTES = 64 * 1024 * 1024
 class BaselineCache:
     """Thread-safe receiver-alone result cache, shareable across workers.
 
-    Execution results are immutable once produced, so one worker's
-    baseline serves every test case with the same receiver program —
-    including cases scheduled on *other* workers, since all cluster
-    machines restore the same snapshot.  The lock only guards the dict;
+    Execution results are immutable once produced, so one baseline
+    serves every test case with the same receiver program, on any
+    machine, since all machines restore the same snapshot (each process
+    shard works on its forked copy).  The lock only guards the dict;
     two workers may still race to compute the same baseline (both miss,
     both run), which is wasteful but harmless: ``put`` keeps the first.
     """

@@ -113,7 +113,9 @@ class NondetStore:
             if self._directory is None:
                 return
             file_path = self._file_for(program_hash, offsets_key)
-            tmp_path = f"{file_path}.tmp.{threading.get_ident()}"
+            # Forked shards share the directory and their main threads
+            # share an ident, so the pid keeps their temp files apart.
+            tmp_path = f"{file_path}.tmp.{os.getpid()}.{threading.get_ident()}"
             with open(tmp_path, "w") as handle:
                 json.dump(sorted(list(path) for path in marks), handle)
             os.replace(tmp_path, file_path)

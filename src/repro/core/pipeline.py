@@ -49,8 +49,8 @@ from .nondet import DEFAULT_OFFSET_SECONDS, NondetAnalyzer, NondetStore
 from .oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from .accessindex import ColumnarAccessIndex
 from .profile import (
+    ProgramProfile,
     Profiler,
-    _FaultRetryProfiler,
     iter_profiles_batched,
     profile_corpus_distributed,
 )
@@ -357,6 +357,12 @@ class CampaignStats:
         elif stage == "diagnosis":
             self.diagnosis_restore_seconds += machine_stats.restore_seconds
 
+    def absorb_execution(self, telemetry: Dict[str, Any]) -> None:
+        """Fold one :class:`_CaseRunner`'s telemetry into the totals."""
+        self.absorb_machine(telemetry["machine"], stage="execution")
+        self.cases_executed += telemetry["cases_executed"]
+        self.nondet_runs += telemetry["nondet_runs"]
+
     def absorb_profile_store(self, store) -> None:
         """Fold one :class:`ProfileStore`'s counters into the totals."""
         self.profile_store_hits += store.hits
@@ -392,6 +398,93 @@ class CampaignResult:
         return {
             label for label in self.labels()
             if label not in (FALSE_POSITIVE, UNDER_INVESTIGATION)
+        }
+
+
+@dataclass
+class _Caches:
+    """The caches every detector of one campaign shares.
+
+    The in-process detector, each shard's forked copy and the diagnosis
+    detector all read and fill them.  Every cache is keyed by
+    snapshot-relative program state, so a result computed on any
+    machine is valid on all of them.
+    """
+
+    baselines: BaselineCache
+    nondet: NondetStore
+    sender_states: Optional[SenderStateCache]
+
+    #: The counters a shard ships back at retirement, per cache.
+    _COUNTERS = {"baselines": ("hits", "misses"),
+                 "nondet": ("hits", "misses"),
+                 "sender_states": ("hits", "misses", "shared_hits",
+                                   "evictions")}
+
+    def by_name(self) -> Dict[str, Any]:
+        caches: Dict[str, Any] = dict(baselines=self.baselines,
+                                      nondet=self.nondet)
+        if self.sender_states is not None:
+            caches["sender_states"] = self.sender_states
+        return caches
+
+    def purge_stale(self) -> None:
+        """Drop mis-tagged entries (each purge resolves its injection)."""
+        for cache in self.by_name().values():
+            cache.purge_stale()
+
+    def invalidate_owner(self, worker_id: int) -> None:
+        for cache in self.by_name().values():
+            cache.invalidate_owner(worker_id)
+
+    def counters(self) -> Dict[str, tuple]:
+        return {name: tuple(getattr(cache, key)
+                            for key in self._COUNTERS[name])
+                for name, cache in self.by_name().items()}
+
+    def merge_counters(self, counters: Dict[str, tuple]) -> None:
+        """Add a shard's :meth:`counters` into these (parent) caches."""
+        for name, cache in self.by_name().items():
+            for key, value in zip(self._COUNTERS[name],
+                                  counters.get(name, ())):
+                setattr(cache, key, getattr(cache, key) + value)
+
+
+class _CaseRunner:
+    """Checks test cases: the one case runner of the execution stage.
+
+    The in-process loop calls it with the campaign's machine, and every
+    forked shard calls its own inherited copy with the shard's machine.
+    The detector is built on the first case, against the machine that
+    case runs on.  Every check is a pure function of (case, snapshot),
+    so a faulted attempt is abandoned and re-run from a fresh restore;
+    exhausted retries degrade to an ``infra_failed`` outcome — the case
+    carries no verdict, but the campaign completes.
+    """
+
+    def __init__(self, kit: "Kit", caches: _Caches):
+        self._kit = kit
+        self._caches = caches
+        self._detector: Optional[Detector] = None
+
+    def __call__(self, machine: Machine, case: TestCase) -> DetectionResult:
+        if self._detector is None:
+            self._detector = self._kit._make_detector(machine, self._caches)
+        try:
+            return call_with_fault_retries(self._kit.config.faults,
+                                           self._detector.check_case, case)
+        except FaultRetriesExhausted:
+            return DetectionResult(case, Outcome.INFRA_FAILED)
+
+    def telemetry(self, machine_stats: MachineStats) -> Dict[str, Any]:
+        """What :meth:`CampaignStats.absorb_execution` folds in."""
+        detector = self._detector
+        return {
+            "machine": machine_stats,
+            "cases_executed": (detector.runner.cases_executed
+                               if detector is not None else 0),
+            "nondet_runs": (detector.nondet.runs_executed
+                            if detector is not None else 0),
         }
 
 
@@ -445,15 +538,11 @@ class Kit:
                     stats: CampaignStats, corpus: List[TestProgram],
                     say: Progress) -> CampaignResult:
         machine = Machine(config.machine)
-        # Caches shared by every detector this campaign builds — the
-        # sequential one, each shard's forked copy, and the diagnosis
-        # one.  All are keyed by snapshot-relative program state, so a
-        # result computed on any machine is valid on all of them.
-        baselines = BaselineCache(faults=plan)
-        nondet_store = NondetStore(config.nondet_dir, faults=plan)
-        sender_states = SenderStateCache(
-            max_bytes=config.sender_cache_bytes,
-            faults=plan) if config.sender_cache else None
+        caches = _Caches(
+            BaselineCache(faults=plan),
+            NondetStore(config.nondet_dir, faults=plan),
+            SenderStateCache(max_bytes=config.sender_cache_bytes,
+                             faults=plan) if config.sender_cache else None)
 
         generation = self._generate(machine, corpus, stats, say)
         cases = generation.test_cases
@@ -462,8 +551,7 @@ class Kit:
         stats.cases_total = len(cases)
 
         say(f"executing {len(cases)} test cases ({generation.strategy})")
-        results = self._execute(machine, cases, stats, baselines,
-                                nondet_store, sender_states)
+        results = self._execute(machine, cases, stats, caches)
 
         reports = [r.report for r in results if r.report is not None]
         stats.initial_reports = sum(
@@ -487,38 +575,30 @@ class Kit:
             # hide an entry published by a shard that later died, and
             # diagnosis must never consume results owner-invalidation
             # could not reach.
-            baselines.purge_stale()
-            nondet_store.purge_stale()
-            if sender_states is not None:
-                sender_states.purge_stale()
+            caches.purge_stale()
 
         if config.diagnose and reports:
             say(f"diagnosing {len(reports)} reports (Algorithm 2)")
-            self._diagnose(machine, reports, stats, baselines, nondet_store,
-                           sender_states)
+            self._diagnose(machine, reports, stats, caches)
 
-        stats.baseline_hits = baselines.hits
-        stats.baseline_misses = baselines.misses
-        stats.nondet_cache_hits = nondet_store.hits
-        stats.nondet_cache_misses = nondet_store.misses
+        stats.baseline_hits = caches.baselines.hits
+        stats.baseline_misses = caches.baselines.misses
+        stats.nondet_cache_hits = caches.nondet.hits
+        stats.nondet_cache_misses = caches.nondet.misses
 
         if plan is not None:
             # Repair sweep + audit: purge mis-tagged cache entries (each
             # purge resolves its stale-owner injection), then prove no
             # live entry is owned by a retired shard or a stale tag.
-            baselines.purge_stale()
-            nondet_store.purge_stale()
-            caches = dict(baselines=baselines, nondet=nondet_store)
-            if sender_states is not None:
-                sender_states.purge_stale()
-                caches["sender_states"] = sender_states
-            verify_owner_invariant(self._retired_owners, **caches)
+            caches.purge_stale()
+            verify_owner_invariant(self._retired_owners, **caches.by_name())
             (stats.faults_injected, stats.faults_recovered,
              stats.faults_infra,
              stats.faults_poisoned) = plan.stats.snapshot()
             stats.infra_failed_cases = stats.outcomes.get(
                 Outcome.INFRA_FAILED.value, 0)
 
+        sender_states = caches.sender_states
         if sender_states is not None:
             # Captured after the repair sweep so the byte/entry figures
             # describe the cache's settled end-of-campaign state, added
@@ -729,22 +809,29 @@ class Kit:
                 profiler = CachingProfiler(machine, config.profile_dir)
             else:
                 profiler = Profiler(machine)
-            # Profiles feed generation, so a fault mid-profile retries
-            # the whole (pure) profiling run rather than degrading —
-            # a skipped profile would change the generated case set.
-            retrying = _FaultRetryProfiler(profiler, config.faults)
+
+            def profile(program: TestProgram,
+                        position: int) -> ProgramProfile:
+                # Profiles feed generation, so a fault mid-profile
+                # retries the whole (pure) profiling run rather than
+                # degrading — a skipped profile would change the
+                # generated case set.
+                return call_with_fault_retries(
+                    config.faults, profiler.profile, program, position,
+                    context=f"profile {position}")
+
             if columnar:
                 # Streaming path: profiles flow batch-wise (hash-ordered
                 # inside a batch for cache affinity) straight into the
                 # on-disk index — the profile list is never materialized.
                 profiles = None
                 index = ColumnarAccessIndex.build(
-                    iter_profiles_batched(retrying, corpus,
+                    iter_profiles_batched(profile, corpus,
                                           batch_size=config.profile_batch),
                     config.spec, directory=config.index_dir)
             else:
-                profiles = [retrying.profile(program, i)
-                            for i, program in enumerate(corpus)]
+                profiles = [profile(program, position)
+                            for position, program in enumerate(corpus)]
             stats.profile_runs = profiler.runs_executed
             store = getattr(profiler, "store", None)
             if store is not None:
@@ -786,38 +873,32 @@ class Kit:
         return result
 
     def _execute(self, machine: Machine, cases: List[TestCase],
-                 stats: CampaignStats, baselines: BaselineCache,
-                 nondet_store: NondetStore,
-                 sender_states: Optional[SenderStateCache]
+                 stats: CampaignStats, caches: _Caches
                  ) -> List[DetectionResult]:
         config = self.config
         start = time.monotonic()
         before = machine.stats.copy()
         results, todo_map, todo = self._partition_resume(cases, stats)
+        runner = _CaseRunner(self, caches)
+        fresh: List[DetectionResult] = []
         if config.workers > 0 and fork_available():
             stats.shard_mode = "process"
             stats.execution_workers = min(config.workers, max(1, len(todo)))
-            fresh: List[DetectionResult] = []
             if todo:
-                fresh = self._execute_process(machine, todo, stats,
-                                              baselines, nondet_store,
-                                              sender_states)
+                fresh = self._execute_process(machine, todo, stats, caches,
+                                              runner)
         else:
-            # workers=0, or no fork on this platform: one in-process
-            # loop, identical verdicts (the shard merge is order-free).
-            detector = self._make_detector(machine, nondet_store, baselines,
-                                           sender_states)
-            fresh = []
-            for index, case in enumerate(todo):
-                outcome = self._check_with_recovery(detector, case, index)
+            # workers=0, or no fork on this platform: the same runner in
+            # one in-process loop, identical verdicts (the shard merge
+            # is order-free).
+            for case in todo:
+                outcome = runner(machine, case)
                 # Commit as it lands: a crash after this append never
                 # re-executes the pair.
                 self._journal_detection(outcome)
                 fresh.append(outcome)
-            stats.cases_executed = detector.runner.cases_executed
-            stats.nondet_runs = detector.nondet.runs_executed
-            stats.absorb_machine(machine.stats.since(before),
-                                 stage="execution")
+            stats.absorb_execution(
+                runner.telemetry(machine.stats.since(before)))
         for position, outcome in zip(todo_map, fresh):
             results[position] = outcome
         if self._store_handle is not None:
@@ -830,22 +911,6 @@ class Kit:
                     self._journal_detection(outcome)
         stats.execution_seconds = time.monotonic() - start
         return results
-
-    def _check_with_recovery(self, detector: Detector, case: TestCase,
-                             index: int) -> DetectionResult:
-        """Check one case, absorbing injected faults within the budget.
-
-        Every check is a pure function of (case, snapshot): a faulted
-        attempt is abandoned and re-run from a fresh restore.  Exhausted
-        retries degrade to an ``infra_failed`` outcome — the case
-        carries no verdict, but the campaign completes.
-        """
-        try:
-            return call_with_fault_retries(self.config.faults,
-                                           detector.check_case, case,
-                                           context=f"case {index}")
-        except FaultRetriesExhausted:
-            return DetectionResult(case, Outcome.INFRA_FAILED)
 
     def _merge_job_results(self, job_results, order: List[int],
                            scheduled: List[TestCase],
@@ -878,27 +943,24 @@ class Kit:
         return results  # type: ignore[return-value]
 
     def _execute_process(self, machine: Machine, cases: List[TestCase],
-                         stats: CampaignStats, baselines: BaselineCache,
-                         nondet_store: NondetStore,
-                         sender_states: Optional[SenderStateCache]
-                         ) -> List[DetectionResult]:
+                         stats: CampaignStats, caches: _Caches,
+                         runner: _CaseRunner) -> List[DetectionResult]:
         """Execution on shared-nothing process shards.
 
         The parent publishes the base snapshot into a shared-memory
         segment; every forked shard boots its machine straight from the
-        mapped bytes and runs its granted (and stolen) job ranges.  The
-        forked copies of the campaign caches become each shard's local
-        tier — the sender cache additionally reads through to the
-        shared :class:`DeltaStore`, so one shard's post-sender delta
-        serves every sibling.  Telemetry and fault-counter deltas
-        travel back in the shard protocol's retirement messages; the
-        segment store is swept clean no matter how shards die.
+        mapped bytes and runs its granted (and stolen) job ranges
+        through its inherited copy of *runner*.  The forked copies of
+        the campaign caches become each shard's local tier — the sender
+        cache additionally reads through to the shared
+        :class:`DeltaStore`, so one shard's post-sender delta serves
+        every sibling.  Telemetry and fault-counter deltas travel back
+        in the shard protocol's retirement messages; the segment store
+        is swept clean no matter how shards die.
         """
         config = self.config
         plan = config.faults
-        # The shard's detector, built on its first case.  Each forked
-        # shard mutates its own copy; the parent's stays empty.
-        detectors: List[Detector] = []
+        sender_states = caches.sender_states
         store = SegmentStore()
         delta_store = DeltaStore(store) if sender_states is not None else None
         if sender_states is not None:
@@ -909,56 +971,24 @@ class Kit:
             # Runs inside the freshly forked shard process.
             return Machine(config.machine, shared_snapshot=shared.attach())
 
-        def case_runner(worker_machine: Machine,
-                        case: TestCase) -> DetectionResult:
-            if not detectors:
-                detectors.append(self._make_detector(
-                    worker_machine, nondet_store, baselines, sender_states))
-            try:
-                return call_with_fault_retries(plan, detectors[0].check_case,
-                                               case, context="sharded case")
-            except FaultRetriesExhausted:
-                return DetectionResult(case, Outcome.INFRA_FAILED)
-
-        def settle_books() -> None:
-            # Shard-local stale-owner repairs must land before the final
-            # stats delta ships, or a crashed shard's books arrive
-            # unbalanced.
-            baselines.purge_stale()
-            nondet_store.purge_stale()
-            if sender_states is not None:
-                sender_states.purge_stale()
-
         def shard_telemetry(worker_machine: Machine) -> Dict[str, Any]:
             # Runs in the shard at clean retirement.  Every counter here
             # started at the parent's pre-fork value (all zero during
             # execution), so the values ship as absolute and merge by
             # addition.
-            data: Dict[str, Any] = {
-                "worker": worker_machine.cluster_worker_id,
-                "machine": worker_machine.stats,
-                "cases_executed": sum(d.runner.cases_executed
-                                      for d in detectors),
-                "nondet_runs": sum(d.nondet.runs_executed for d in detectors),
-                "baselines": (baselines.hits, baselines.misses),
-                "nondet": (nondet_store.hits, nondet_store.misses),
-            }
+            data = {**runner.telemetry(worker_machine.stats),
+                    "worker": worker_machine.cluster_worker_id,
+                    "caches": caches.counters()}
             if sender_states is not None:
-                data["sender"] = (sender_states.hits, sender_states.misses,
-                                  sender_states.shared_hits,
-                                  sender_states.evictions,
-                                  len(sender_states),
-                                  sender_states.bytes_held)
+                data["sender_held"] = (len(sender_states),
+                                       sender_states.bytes_held)
             return data
 
         def release_dead_worker(worker_id: int) -> None:
             # The audit set and the parent caches (used later by
             # diagnosis) must never retain a dead shard's entries.
             self._retired_owners.add(worker_id)
-            baselines.invalidate_owner(worker_id)
-            nondet_store.invalidate_owner(worker_id)
-            if sender_states is not None:
-                sender_states.invalidate_owner(worker_id)
+            caches.invalidate_owner(worker_id)
 
         def retire_segments(names: List[str]) -> None:
             # The shared-tier owner invalidation: a dead shard's
@@ -983,7 +1013,7 @@ class Kit:
         stored = self._store_handle is not None
         try:
             report = run_sharded(
-                config.machine, scheduled, case_runner,
+                config.machine, scheduled, runner,
                 workers=config.workers, boot=boot, faults=plan,
                 max_job_retries=(plan.max_job_retries if plan else 0),
                 strict=(plan is None),
@@ -992,7 +1022,10 @@ class Kit:
                 telemetry_hook=shard_telemetry,
                 published_names=(delta_store.take_published
                                  if delta_store is not None else None),
-                flush_hook=settle_books,
+                # Shard-local stale-owner repairs must land before the
+                # final stats delta ships, or a crashed shard's books
+                # arrive unbalanced.
+                flush_hook=caches.purge_stale,
                 retry_policy=self._effective_retry_policy(),
                 hang_timeout=config.hang_timeout,
                 on_result=(self._journal_job_result if stored else None),
@@ -1017,22 +1050,12 @@ class Kit:
             # Counters a killed shard never shipped are lost with it —
             # telemetry only, never correctness (its jobs re-ran
             # elsewhere and their results merged above).
-            stats.absorb_machine(data["machine"], stage="execution")
-            stats.cases_executed += data["cases_executed"]
-            stats.nondet_runs += data["nondet_runs"]
-            baselines.hits += data["baselines"][0]
-            baselines.misses += data["baselines"][1]
-            nondet_store.hits += data["nondet"][0]
-            nondet_store.misses += data["nondet"][1]
-            if sender_states is not None and "sender" in data:
-                (hits, misses, shared_hits, evictions, entries,
-                 held) = data["sender"]
-                sender_states.hits += hits
-                sender_states.misses += misses
-                sender_states.shared_hits += shared_hits
-                sender_states.evictions += evictions
-                # What the shard's cache held at retirement; _run_stages
-                # adds the parent's end-of-campaign holdings.
+            stats.absorb_execution(data)
+            caches.merge_counters(data["caches"])
+            if "sender_held" in data:
+                # What the shard's sender cache held at retirement;
+                # _run_stages adds the parent's end-of-campaign holdings.
+                entries, held = data["sender_held"]
                 stats.sender_cache_entries += entries
                 stats.sender_cache_bytes += held
                 stats.sender_cache_bytes_by_owner[
@@ -1040,13 +1063,10 @@ class Kit:
         return results
 
     def _diagnose(self, machine: Machine, reports: List[TestReport],
-                  stats: CampaignStats, baselines: BaselineCache,
-                  nondet_store: NondetStore,
-                  sender_states: Optional[SenderStateCache]) -> None:
+                  stats: CampaignStats, caches: _Caches) -> None:
         start = time.monotonic()
         before = machine.stats.copy()
-        detector = self._make_detector(machine, nondet_store, baselines,
-                                       sender_states)
+        detector = self._make_detector(machine, caches)
         # The prefix memo rides on the same segmented-delta machinery as
         # the sender cache, so the sender_cache switch governs both.
         diagnoser = Diagnoser(detector,
@@ -1090,19 +1110,15 @@ class Kit:
                               granularity=config.schedule_points,
                               pair_names=pair_names)
 
-    def _make_detector(self, machine: Machine,
-                       store: Optional[NondetStore] = None,
-                       baselines: Optional[BaselineCache] = None,
-                       sender_states: Optional[SenderStateCache] = None
-                       ) -> Detector:
+    def _make_detector(self, machine: Machine, caches: _Caches) -> Detector:
         config = self.config
-        if store is None:
-            store = NondetStore(config.nondet_dir)
-        analyzer = NondetAnalyzer(machine, store=store,
+        analyzer = NondetAnalyzer(machine, store=caches.nondet,
                                   offsets=config.nondet_offsets)
         explorer = None
         if self._sched_policy is not None:
             explorer = ScheduleExplorer(machine, config.spec, analyzer,
                                         self._sched_policy)
-        return Detector(machine, config.spec, analyzer, baselines=baselines,
-                        sender_states=sender_states, explorer=explorer)
+        return Detector(machine, config.spec, analyzer,
+                        baselines=caches.baselines,
+                        sender_states=caches.sender_states,
+                        explorer=explorer)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..corpus.program import TestProgram
 from ..faults.plan import FaultPlan, call_with_fault_retries
@@ -81,11 +81,14 @@ class Profiler:
         return [self.profile(program, index) for index, program in enumerate(corpus)]
 
 
-def iter_profiles_batched(profiler: Any, corpus: Iterable[TestProgram],
-                          batch_size: int = 64) -> Iterator[ProgramProfile]:
+def iter_profiles_batched(
+        profile: Callable[[TestProgram, int], ProgramProfile],
+        corpus: Iterable[TestProgram],
+        batch_size: int = 64) -> Iterator[ProgramProfile]:
     """Profile a program stream batch-wise, executions ordered by hash.
 
-    Yields profiles in corpus order while, inside each batch, the actual
+    *profile* is called as ``profile(program, corpus_index)``.  Yields
+    profiles in corpus order while, inside each batch, the actual
     profiling runs happen in ascending program-hash order — consecutive
     executions of hash-adjacent programs ride the sender-state cache and
     land in the same :class:`~repro.core.profile_store.ProfileStore`
@@ -105,7 +108,7 @@ def iter_profiles_batched(profiler: Any, corpus: Iterable[TestProgram],
                        key=lambda slot: batch[slot][1].hash_hex)
         for slot in order:
             index, program = batch[slot]
-            by_slot[slot] = profiler.profile(program, index)
+            by_slot[slot] = profile(program, index)
         for slot in range(len(batch)):
             yield by_slot[slot]
         batch.clear()
@@ -116,23 +119,6 @@ def iter_profiles_batched(profiler: Any, corpus: Iterable[TestProgram],
             yield from drain()
     if batch:
         yield from drain()
-
-
-class _FaultRetryProfiler:
-    """Profiler adapter retrying each (pure) profiling run under faults."""
-
-    def __init__(self, profiler, faults: Optional[FaultPlan]):
-        self._profiler = profiler
-        self._faults = faults
-
-    @property
-    def runs_executed(self) -> int:
-        return self._profiler.runs_executed
-
-    def profile(self, program: TestProgram, index: int = 0):
-        return call_with_fault_retries(self._faults, self._profiler.profile,
-                                       program, index,
-                                       context=f"profile {index}")
 
 
 def profile_corpus_distributed(
@@ -165,20 +151,21 @@ def profile_corpus_distributed(
     lock = threading.Lock()
 
     def profile(index: int, program: TestProgram) -> ProgramProfile:
-        retrying = getattr(local, "profiler", None)
-        if retrying is None:
+        profiler = getattr(local, "profiler", None)
+        if profiler is None:
             machine = Machine(machine_config)
             if profile_dir is not None:
                 from .profile_store import CachingProfiler
 
-                profiler: Any = CachingProfiler(machine, profile_dir)
+                profiler = CachingProfiler(machine, profile_dir)
             else:
                 profiler = Profiler(machine)
-            retrying = local.profiler = _FaultRetryProfiler(profiler, faults)
+            local.profiler = profiler
             with lock:
                 profilers.append(profiler)
                 machines.append(machine)
-        return retrying.profile(program, index)
+        return call_with_fault_retries(faults, profiler.profile, program,
+                                       index, context=f"profile {index}")
 
     pool_size = max(1, min(workers, len(corpus)))
     with ThreadPoolExecutor(max_workers=pool_size,

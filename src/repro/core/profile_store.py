@@ -82,11 +82,13 @@ class ProfileStore:
         return profile
 
     def put(self, profile: ProgramProfile) -> None:
-        # Atomic publish: parallel profiling workers share this
-        # directory, and a reader must never see a torn pickle.
+        # Atomic publish: parallel profiling workers and campaigns
+        # running side by side share this directory, and a reader must
+        # never see a torn pickle.  The temp name carries the pid, since
+        # thread idents repeat across processes.
         path = self._path(profile.program)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp_path = f"{path}.tmp.{threading.get_ident()}"
+        tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp_path, "wb") as handle:
             pickle.dump(profile, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp_path, path)

@@ -4,10 +4,9 @@ KIT's two-phase execution (sender fully, then receiver) structurally
 cannot witness *transient* interference: a sender syscall that perturbs
 shared kernel state and restores it before returning — charge a global
 counter, deliver, release it — leaves nothing behind for the receiver.
-The paper's §7 points at combining KIT with concurrency testing tools;
-:mod:`repro.core.concurrent` prototyped that at whole-syscall
-granularity.  This module is the production form, preempting *inside*
-syscalls at the instrumentation points §5.1 already provides:
+The paper's §7 points at combining KIT with concurrency testing tools.
+This module does so by preempting at syscall boundaries and *inside*
+syscalls, at the instrumentation points §5.1 already provides:
 
 * A **schedule** is a set of *preemption points* ``P ⊆ [1, H]`` over the
   sender's instrumentation-event stream: one boundary event before each

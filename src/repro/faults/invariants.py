@@ -1,18 +1,18 @@
 """Cross-cutting invariants the fault-injection campaign must uphold.
 
 The shared caches (``BaselineCache``, ``NondetStore``) tag entries with
-the cluster worker that computed them so a dead worker's possibly
+the shard worker that computed them so a dead worker's possibly
 corrupt results can be dropped.  Two things can break that protocol:
 
 * a worker dies between its baseline insert and its nondet insert, and
   the death hook is not wired — the baseline entry then outlives its
-  owner (the leak of ISSUE 4's second satellite);
+  owner;
 * a :data:`~repro.faults.plan.SITE_CACHE_STALE_OWNER` injection tags an
   entry with an owner id invalidation can never match.
 
 :func:`verify_owner_invariant` audits any set of owner-tagged caches
-after the cluster has retired workers; the pipeline runs it after every
-distributed stage and at campaign end.
+after the shard pool has retired workers; the pipeline runs it at
+campaign end.
 """
 
 from __future__ import annotations

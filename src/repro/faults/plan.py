@@ -8,10 +8,10 @@ reproducible half: a :class:`FaultPlan` decides, for every registered
 injection *site*, whether its *k*-th occurrence fires — as a pure
 function of ``(seed, site, k)``.  No global RNG stream is consumed, so
 the decision for one site is independent of how occurrences of other
-sites interleave; a single-threaded campaign is bit-reproducible, and a
-multi-worker campaign keeps deterministic per-``(site, k)`` decisions
-(only the *attribution* of a firing to a particular job can vary with
-thread scheduling).
+sites interleave; an in-process campaign is bit-reproducible, and a
+sharded campaign keeps deterministic per-``(site, k)`` decisions (only
+the *attribution* of a firing to a particular job can vary with shard
+scheduling).
 
 Every injection must eventually be accounted for: a recovery path either
 absorbs it (``recovered``) or gives up after bounded retries

@@ -195,9 +195,9 @@ class Executor:
 class SteppedExecution:
     """One program's execution, advanced one syscall at a time.
 
-    The concurrency extension (:mod:`repro.core.concurrent`) interleaves
-    two of these — a sender's and a receiver's — under an explicit
-    schedule; :meth:`Executor.run` is simply the all-at-once schedule.
+    Controlled interleaving (:mod:`repro.core.schedule`) interleaves two
+    of these — a sender's and a receiver's — under an explicit schedule;
+    :meth:`Executor.run` is simply the all-at-once schedule.
     """
 
     def __init__(self, executor: Executor, program: TestProgram,

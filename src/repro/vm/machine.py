@@ -68,7 +68,7 @@ class ContainerConfig:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Everything needed to boot identical machines (cluster distribution)."""
+    """Everything needed to boot identical machines (one per shard)."""
 
     kernel: KernelConfig = field(default_factory=KernelConfig)
     bugs: BugFlags = field(default_factory=BugFlags)
@@ -107,7 +107,7 @@ class MachineStats:
         return self.full_restores + self.segmented_restores
 
     def merge(self, other: "MachineStats") -> None:
-        """Fold another machine's counters into this one (cluster sum)."""
+        """Fold another machine's counters into this one."""
         self.full_restores += other.full_restores
         self.segmented_restores += other.segmented_restores
         self.segments_restored += other.segments_restored

@@ -882,7 +882,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             f"last cause {failed[job_id].last_fault_site or 'unknown'}"
             for job_id in missing)
         raise RuntimeError(
-            f"cluster finished with {len(missing)} unfinished job(s) "
+            f"shard pool finished with {len(missing)} unfinished job(s) "
             f"{missing} ({boot_errors}) [{details}]")
     merged = {**completed, **failed}
     report.results = [merged[job_id] for job_id in sorted(merged)]

@@ -13,9 +13,10 @@ also decomposed into per-root payloads by
 snapshot was taken from.  :class:`~repro.vm.machine.Machine` uses the
 image to restore **in place**, reloading only the segments a run
 dirtied — the fast path behind the §6.5 throughput numbers.  The full
-blob is always kept: it serves independent-copy restores (cluster
-workers, tests) and is the byte-identity reference for the segmented
-consistency check.
+blob is always kept: it serves independent-copy restores (process
+shards boot from it, and so do tests), is the byte-identity reference
+for the segmented consistency check, and its digest is the snapshot's
+content id.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Snapshot:
         hash seed), hence the same content id and the same segmented
         group layout — which is exactly the compatibility a
         :class:`~repro.vm.segments.StateDelta` needs to move between
-        cluster workers.
+        process shards.
         """
         if self._content_id is None:
             self._content_id = hashlib.sha256(self.blob).hexdigest()

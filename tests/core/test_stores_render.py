@@ -1,9 +1,11 @@
-"""Tests for the profile cache, markdown rendering, and surface docs."""
+"""Tests for the profile cache, on-disk cache writers, markdown rendering,
+and surface docs."""
 
 import os
 
 import pytest
 
+from repro.core.nondet import NondetStore
 from repro.core.pipeline import CampaignConfig, Kit
 from repro.core.profile_store import (
     CachingProfiler,
@@ -85,6 +87,51 @@ class TestProfileStore:
         assert first.stats.profile_runs > 0
         assert second.stats.profile_runs == 0
         assert first.bugs_found() == second.bugs_found()
+
+
+def _profile_store_put(directory):
+    profiler = CachingProfiler(Machine(MachineConfig(bugs=linux_5_13())),
+                               directory)
+    profile = profiler.profile(seed_programs()["tcp_socket"])
+    return lambda: profiler.store.put(profile)
+
+
+def _nondet_store_put(directory):
+    store = NondetStore(directory)
+    return lambda: store.put("prog-hash", frozenset({("pread64", 0)}))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("make_put", [_profile_store_put, _nondet_store_put],
+                         ids=["profile-store", "nondet-store"])
+def test_forked_writers_use_distinct_temp_files(tmp_path, monkeypatch,
+                                                make_put):
+    # Forked shards and side-by-side campaigns share one cache
+    # directory, and a forked process keeps its parent's thread ident:
+    # the temp name must still tell the two writers apart.
+    put = make_put(str(tmp_path))
+    temps = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        temps.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports via the pipe
+        try:
+            put()
+            os.write(write_fd, temps[-1].encode())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd) as pipe:
+        child_temp = pipe.read()
+    os.waitpid(pid, 0)
+    put()
+    assert child_temp and child_temp != temps[-1]
 
 
 class TestCampaignMarkdown:

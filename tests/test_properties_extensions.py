@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import PathProfile
-from repro.core.concurrent import (
-    default_schedules,
-    round_robin_schedule,
-    sequential_schedule,
-)
 from repro.core.minimize import dependency_closure, prefix_through, reduce_to
+from repro.core.schedule import (
+    ALL_STRATEGIES,
+    GRANULARITY_KFUNC,
+    GRANULARITY_SYSCALL,
+    SEQUENTIAL,
+    STRATEGY_RANDOM,
+    STRATEGY_SYSTEMATIC,
+    ScheduleId,
+    SchedulePolicy,
+    schedule_points,
+)
 from repro.core.trace_ast import TraceNode
 from repro.corpus.program import Call, ConstArg, ResultArg, TestProgram
 
@@ -119,24 +125,42 @@ class TestBoundsProperties:
 
 
 class TestScheduleProperties:
-    @given(st.integers(0, 8), st.integers(0, 8))
-    def test_sequential_counts(self, senders, receivers):
-        schedule = sequential_schedule(senders, receivers)
-        assert schedule.count("S") == senders
-        assert schedule.count("R") == receivers
+    _ids = st.builds(ScheduleId, strategy=st.sampled_from(ALL_STRATEGIES),
+                     granularity=st.sampled_from(
+                         (GRANULARITY_KFUNC, GRANULARITY_SYSCALL)),
+                     seed=st.integers(0, 99), depth=st.integers(1, 4),
+                     index=st.integers(0, 40))
 
-    @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
-    def test_round_robin_counts(self, senders, receivers, lead):
-        schedule = round_robin_schedule(senders, receivers, lead)
-        assert schedule.count("S") == senders
-        assert schedule.count("R") == receivers
+    @given(st.integers(0, 50))
+    def test_sequential_counts(self, horizon):
+        sequential = ScheduleId.parse(SEQUENTIAL)
+        assert sequential.encode() == SEQUENTIAL
+        assert schedule_points(sequential, horizon) == frozenset()
 
-    @given(st.integers(1, 6), st.integers(1, 6))
-    def test_default_set_valid_and_unique(self, senders, receivers):
-        schedules = default_schedules(senders, receivers)
-        assert len(set(schedules)) == len(schedules)
-        assert schedules[0] == sequential_schedule(senders, receivers)
-        for schedule in schedules:
-            assert schedule.count("S") == senders
-            assert schedule.count("R") == receivers
-            assert set(schedule) <= {"S", "R"}
+    @given(_ids, st.integers(1, 12))
+    def test_round_robin_counts(self, schedule, horizon):
+        assert ScheduleId.parse(schedule.encode()) == schedule
+        points = schedule_points(schedule, horizon)
+        if points is None:  # past the systematic enumeration
+            assert schedule.strategy == STRATEGY_SYSTEMATIC
+            return
+        assert points <= frozenset(range(1, horizon + 1))
+        assert points == schedule_points(schedule, horizon)
+        if schedule.strategy != STRATEGY_RANDOM:
+            assert 1 <= len(points) <= schedule.depth
+
+    @given(st.sampled_from(ALL_STRATEGIES), st.integers(1, 30),
+           st.integers(1, 4), st.integers(1, 12))
+    def test_default_set_valid_and_unique(self, strategy, budget, depth,
+                                          horizon):
+        policy = SchedulePolicy(strategy=strategy, budget=budget,
+                                depth=depth)
+        chosen = policy.schedule_ids(horizon)
+        point_sets = [points for __, points in chosen]
+        assert len(chosen) <= budget
+        assert len(set(point_sets)) == len(point_sets)
+        assert frozenset() not in point_sets
+        for schedule, points in chosen:
+            # The replay contract: the id alone re-derives the points.
+            assert schedule_points(schedule, horizon) == points
+            assert points <= frozenset(range(1, horizon + 1))
