@@ -14,10 +14,6 @@ paper compares:
 The benchmark times the clustering stage itself (DF-IA over the full
 profiled corpus), which §6.5 bounds at "30 minutes on one machine" for
 the real corpus.
-
-A DF-IA+SF row runs DF-IA behind the static candidate-pair pre-filter
-(docs/ANALYSIS.md): it must prune at least 20% of the candidate pairs
-while leaving the detected-bug set untouched.
 """
 
 from repro import MachineConfig, linux_5_13
@@ -71,26 +67,12 @@ def test_table4_generation_strategies(bench_corpus, benchmark):
     rows.append(("RAND", rand_budget, rand_found))
     rows.append(("DF", generation.flow_count, None))
 
-    # DF-IA again, behind the static candidate-pair pre-filter.
-    from repro.analysis.prefilter import StaticPreFilter
-    filtered_gen = TestCaseGenerator(
-        bench_corpus, profiles, spec,
-        prefilter=StaticPreFilter(bugs=linux_5_13()))
-    filtered = filtered_gen.generate(strategy_by_name("df-ia"))
-    sf_detector = Detector(Machine(MachineConfig(bugs=linux_5_13())), spec)
-    sf_found = _bugs_found(sf_detector, filtered.test_cases)
-    rows.append(("DF-IA+SF", filtered.cluster_count, sf_found))
-    sf_stats = filtered.prefilter
-
     lines = [f"{'Gen':<9} {'Test cases':>11} {'Effectiveness':>14}",
              "-" * 38]
     for name, count, found in rows:
         effectiveness = f"{len(found)}/9" if found is not None else "(not run)"
         lines.append(f"{name:<9} {count:>11} {effectiveness:>14}")
     lines.append("")
-    lines.append(f"static pre-filter: {sf_stats.pairs_pruned}/"
-                 f"{sf_stats.pairs_total} candidate pairs pruned "
-                 f"({sf_stats.pruned_rate():.0%})")
     lines.append("paper: DF-IA 1.13M / DF-ST-1 3.32M / DF-ST-2 6.61M / "
                  "RAND 8.66M / DF 234.63M; DF-* 9/9, RAND 5/9")
     emit_table("table4", "Table 4: generation & clustering strategies", lines)
@@ -102,8 +84,3 @@ def test_table4_generation_strategies(bench_corpus, benchmark):
     for name, __, found in rows[:3]:
         assert found == _NUMBERED, f"{name} must find all nine bugs"
     assert rand_found < _NUMBERED, "RAND must find a strict subset"
-    # The static pre-filter gate: >=20% pruned, detected-bug set intact.
-    assert sf_stats.pruned_rate() >= 0.2, \
-        f"pre-filter pruned only {sf_stats.pruned_rate():.0%}"
-    assert sf_found == _NUMBERED, \
-        "the static pre-filter must not lose any bug"

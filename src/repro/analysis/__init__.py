@@ -11,9 +11,6 @@ On top of the access maps sit three consumers:
 * :mod:`repro.analysis.escape` — the namespace-escape lint, which flags
   handlers touching global state without a namespace guard and
   statically rediscovers the injected bugs of :mod:`repro.kernel.bugs`;
-* :mod:`repro.analysis.prefilter` — a candidate-pair prior for
-  :class:`repro.core.generation.TestCaseGenerator`, pruning program
-  pairs whose static access sets are provably disjoint;
 * :mod:`repro.analysis.races` — the lockset race analyzer, joining
   held-lockset-annotated access maps across syscall pairs into ranked
   static race-pair candidates;
@@ -39,7 +36,6 @@ from .locations import (
     StateLocation,
 )
 from .locksets import LockFinding, check_lock_discipline
-from .prefilter import PrefilterStats, StaticPreFilter
 from .races import (
     RaceCandidate,
     RaceRediscoveryReport,
@@ -61,11 +57,9 @@ __all__ = [
     "INIT",
     "LockFinding",
     "NAMESPACE",
-    "PrefilterStats",
     "RaceCandidate",
     "RaceRediscoveryReport",
     "StateLocation",
-    "StaticPreFilter",
     "SyscallSummary",
     "TASK",
     "check_lock_discipline",

@@ -31,8 +31,7 @@ class SyscallSummary:
     name: str
     accesses: Tuple[Access, ...] = ()
     #: The walk hit procfs dispatch with a non-constant key; the entry
-    #: may additionally perform any proc-file accesses (resolved
-    #: per-program by the pre-filter).
+    #: may additionally perform any proc-file accesses.
     proc_wildcard: bool = False
 
     def reads(self) -> List[Access]:

@@ -92,8 +92,7 @@ class Access:
         Whether the *value* read can flow into the syscall's result.
         A read-modify-write whose result is discarded (a bare
         ``cell.add(n)`` statement) reads memory but can never surface
-        in a trace divergence, so the pre-filter ignores it.  Always
-        True for writes.
+        in a trace divergence.  Always True for writes.
     ``guarded``
         Whether the enclosing function applies a namespace guard
         (an ``is``/``is not`` comparison against a namespace value, a
@@ -156,8 +155,8 @@ class FunctionSummary:
     #: A namespace guard was seen while walking (after flag folding).
     guarded: bool = False
     #: The walk hit a /proc render with a non-constant key: the
-    #: function may read any proc file (resolved per-program by the
-    #: pre-filter, treated as a boundary by the lint).
+    #: function may read any proc file (treated as a boundary by the
+    #: lint).
     proc_wildcard: bool = False
 
 

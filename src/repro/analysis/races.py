@@ -14,8 +14,8 @@ Must-held is exact for the model (``with`` is lexical), so a non-empty
 intersection is a proof of mutual exclusion and the pair is dropped;
 an empty intersection is only a *candidate* — the runtime may still
 serialize the pair some other way, which is exactly why the output
-feeds the dynamic layers (the candidate-pair pre-filter and, per
-ROADMAP item 2, interleaved campaigns) rather than a verdict.
+feeds the dynamic layers (interleaved campaigns) rather than a
+verdict.
 
 Candidates are ranked by how interesting the location is for
 *namespace isolation*:

@@ -125,12 +125,6 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
         print(f"pairing index: columnar, {stats.index_run_segments} "
               f"run segment(s) / {stats.index_bytes} bytes, "
               f"{stats.index_points} access points")
-    if stats.prefilter_pairs_total:
-        print(f"prefilter: {stats.prefilter_pairs_pruned}/"
-              f"{stats.prefilter_pairs_total} pairs pruned "
-              f"({stats.prefilter_pruned_rate():.0%}), static-vs-dynamic "
-              f"precision {stats.prefilter_precision:.0%} / "
-              f"recall {stats.prefilter_recall:.0%}")
     if stats.restore_count:
         print(f"restores: {stats.restore_count} "
               f"({stats.segmented_restores} segmented / "
@@ -257,7 +251,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         profile_dir=args.profile_cache,
         index_backend=args.index_backend,
         index_dir=args.index_dir,
-        static_prefilter=args.prefilter,
         faults=args.faults,
         sender_cache=not args.no_sender_cache,
         store_dir=args.store,
@@ -709,9 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--index-dir", metavar="DIR",
                      help="keep columnar index run segments under DIR "
                           "instead of a private temp directory")
-    run.add_argument("--prefilter", action="store_true",
-                     help="prune statically disjoint candidate pairs "
-                          "before clustering (repro.analysis)")
     run.add_argument("--faults", metavar="SEED[:RATE[:SITES]]",
                      type=FaultPlan.parse,
                      help="chaos fault injection, e.g. 7:0.2 or "

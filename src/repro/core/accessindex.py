@@ -21,8 +21,8 @@ Peak memory is proportional to one spill buffer plus one address group
   index would have used — generation's reservoir sampling consumes its
   RNG identically and the resulting pair set is byte-identical;
 * call stacks are interned through a stable 64-bit digest into one
-  sidecar table (distinct stacks grow with kernel code paths, not with
-  corpus size).
+  in-memory table (distinct stacks grow with kernel code paths, not
+  with corpus size); run segments store only the digest.
 
 The index is re-iterable: runs persist under the index directory until
 :meth:`close`, so generation can stream the join once for clustering
@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-import pickle
 import shutil
 import struct
 import tempfile
@@ -64,7 +63,7 @@ _CHUNK_ROWS = 1024
 
 
 def stack_key(stack: Stack) -> int:
-    """Stable 64-bit digest of a call stack (sidecar interning key)."""
+    """Stable 64-bit digest of a call stack (stack-table interning key)."""
     payload = b",".join(str(fid).encode() for fid in stack)
     return int.from_bytes(hashlib.sha1(payload).digest()[:8], "big")
 
@@ -187,15 +186,11 @@ class ColumnarAccessIndex:
             self._seq += 1
 
     def seal(self) -> None:
-        """Flush buffered points and persist the stack sidecar."""
+        """Flush buffered points; the index is then queryable."""
         if self._sealed:
             return
         self._writes.spill()
         self._reads.spill()
-        with open(os.path.join(self._directory, "stacks.pkl"),
-                  "wb") as handle:
-            pickle.dump(self._stacks, handle,
-                        protocol=pickle.HIGHEST_PROTOCOL)
         self._sealed = True
 
     # -- telemetry -----------------------------------------------------------

@@ -4,8 +4,8 @@ Turns a profiled corpus into executable test cases:
 
 1. build the data-flow index (write/read points per kernel address),
 2. enumerate candidate flows at each overlapping address,
-3. cluster them under the chosen strategy, keeping the first flow seen
-   as each cluster's representative test case,
+3. cluster them under the chosen strategy, reservoir-sampling each
+   cluster's representative test case toward short programs,
 4. deduplicate representatives by (sender, receiver) program pair for
    execution — one execution covers every cluster the pair represents.
 
@@ -17,17 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..corpus.program import TestProgram
 from .clustering import ClusteringStrategy
 from .dataflow import AccessPoint, DataFlowIndex
 from .profile import ProgramProfile
 from .spec import Specification
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..analysis.prefilter import PrefilterStats, StaticPreFilter
 
 
 @dataclass
@@ -61,8 +57,6 @@ class GenerationResult:
     flow_count: int
     #: Kernel addresses with write/read overlap.
     overlap_addresses: int
-    #: Static pre-filter telemetry, when a filter was installed.
-    prefilter: Optional["PrefilterStats"] = None
 
 
 class TestCaseGenerator:
@@ -73,14 +67,12 @@ class TestCaseGenerator:
     def __init__(self, corpus: Sequence[TestProgram],
                  profiles: Optional[Sequence[ProgramProfile]],
                  spec: Specification,
-                 prefilter: Optional["StaticPreFilter"] = None,
                  index=None):
         if profiles is not None and len(corpus) != len(profiles):
             raise ValueError("corpus and profiles must align")
         self._corpus = list(corpus)
         self._profiles = list(profiles) if profiles is not None else None
         self._spec = spec
-        self._prefilter = prefilter
         #: Any object with the DataFlowIndex query surface
         #: (iter_overlaps/overlap_addresses/total_flow_count) — the
         #: in-memory index by default, a ColumnarAccessIndex when the
@@ -121,8 +113,6 @@ class TestCaseGenerator:
         rng = random.Random(rep_seed)
         clusters: Dict[Hashable, Tuple[AccessPoint, AccessPoint]] = {}
         best_key: Dict[Hashable, float] = {}
-        # Pair verdicts from the static pre-filter (None = keep all).
-        verdicts: Dict[Tuple[int, int], bool] = {}
         overlap_count = 0
         # Stream join rows: with the columnar backend only one address's
         # points are resident at a time.
@@ -132,9 +122,6 @@ class TestCaseGenerator:
             read_groups = self._group(readers, strategy.read_key, rng)
             for write_key, write_point in write_groups.items():
                 for read_key, read_point in read_groups.items():
-                    if not self._pair_allowed(write_point, read_point,
-                                              verdicts):
-                        continue
                     key = (write_key, read_key)
                     weight = self._pair_weight(write_point, read_point)
                     # Weighted reservoir sampling (A-Res): keep the max
@@ -145,36 +132,13 @@ class TestCaseGenerator:
                         clusters[key] = (write_point, read_point)
         cluster_count = len(clusters)
         cases = self._materialize(clusters, max_clusters)
-        stats = None
-        if self._prefilter is not None:
-            from ..analysis.prefilter import PrefilterStats
-
-            stats = PrefilterStats(
-                pairs_total=len(verdicts),
-                pairs_pruned=sum(1 for kept in verdicts.values() if not kept),
-            )
         return GenerationResult(
             strategy=strategy.name,
             test_cases=cases,
             cluster_count=cluster_count,
             flow_count=index.total_flow_count(),
             overlap_addresses=overlap_count,
-            prefilter=stats,
         )
-
-    def _pair_allowed(self, write_point: AccessPoint,
-                      read_point: AccessPoint,
-                      verdicts: Dict[Tuple[int, int], bool]) -> bool:
-        """Apply the static pre-filter to a candidate pair (memoized)."""
-        if self._prefilter is None:
-            return True
-        pair = (write_point.prog_index, read_point.prog_index)
-        verdict = verdicts.get(pair)
-        if verdict is None:
-            verdict = self._prefilter.may_interfere(self._corpus[pair[0]],
-                                                    self._corpus[pair[1]])
-            verdicts[pair] = verdict
-        return verdict
 
     def _pair_weight(self, write_point: AccessPoint,
                      read_point: AccessPoint) -> float:

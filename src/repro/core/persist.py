@@ -72,7 +72,12 @@ def campaign_from_dict(data: Dict[str, Any]) -> CampaignResult:
     if data.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported campaign format "
                          f"{data.get('format_version')!r}")
-    stats = CampaignStats(**data["stats"])
+    # Decode only the fields CampaignStats still defines: documents
+    # saved before a counter was retired keep loading.
+    known = {stat.name for stat in dataclasses.fields(CampaignStats)}
+    stats = CampaignStats(**{name: value
+                             for name, value in data["stats"].items()
+                             if name in known})
     reports = [_decode_report(r) for r in data["reports"]]
     generation = GenerationResult(
         strategy=data["generation"]["strategy"],

@@ -119,9 +119,6 @@ class CampaignConfig:
     #: snapshot, with a work-stealing dispatcher and a two-tier sender
     #: cache (docs/SHARDING.md).
     shard_mode: str = "process"
-    #: Prune candidate pairs the static analyzer proves disjoint
-    #: (see repro.analysis.prefilter) before clustering.
-    static_prefilter: bool = False
     #: Memoize post-sender machine state (segmented delta per sender)
     #: so test cases sharing a sender restore it instead of re-running
     #: it; off falls back to re-executing every sender.
@@ -257,11 +254,6 @@ class CampaignStats:
     index_run_segments: int = 0
     index_bytes: int = 0
     index_points: int = 0
-    #: Static pre-filter telemetry (zero unless static_prefilter is on).
-    prefilter_pairs_total: int = 0
-    prefilter_pairs_pruned: int = 0
-    prefilter_precision: float = 0.0
-    prefilter_recall: float = 0.0
     #: Chaos telemetry (all zero/empty unless a fault plan was set):
     #: per-site injected/recovered/infra-failed counts, the number of
     #: test cases that degraded to ``infra_failed``, and how many resets
@@ -287,11 +279,6 @@ class CampaignStats:
     #: reports were witnessed only under interleaving.
     schedules_executed: int = 0
     interleaved_reports: int = 0
-
-    def prefilter_pruned_rate(self) -> float:
-        if not self.prefilter_pairs_total:
-            return 0.0
-        return self.prefilter_pairs_pruned / self.prefilter_pairs_total
 
     def executions_per_second(self) -> float:
         if self.execution_seconds <= 0:
@@ -844,15 +831,8 @@ class Kit:
             stats.index_points = index.write_points + index.read_points
 
         start = time.monotonic()
-        prefilter = None
-        if config.static_prefilter:
-            from ..analysis.prefilter import StaticPreFilter
-
-            say("building static pre-filter (access-map extraction)")
-            prefilter = StaticPreFilter(bugs=config.machine.bugs,
-                                        spec=config.spec)
         generator = TestCaseGenerator(corpus, profiles, config.spec,
-                                      prefilter=prefilter, index=index)
+                                      index=index)
         try:
             result = generator.generate(strategy_by_name(config.strategy),
                                         max_clusters=config.max_test_cases,
@@ -861,12 +841,6 @@ class Kit:
             stats.flow_count = result.flow_count
             stats.cluster_count = result.cluster_count
             stats.overlap_addresses = result.overlap_addresses
-            if result.prefilter is not None:
-                stats.prefilter_pairs_total = result.prefilter.pairs_total
-                stats.prefilter_pairs_pruned = result.prefilter.pairs_pruned
-                evaluation = prefilter.evaluate(corpus, generator.index)
-                stats.prefilter_precision = evaluation.precision()
-                stats.prefilter_recall = evaluation.recall()
         finally:
             if index is not None and config.index_dir is None:
                 index.close()  # temp-owned run segments

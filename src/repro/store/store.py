@@ -86,7 +86,8 @@ def summarize_config(config: Any) -> Dict[str, Any]:
         "rep_seed": config.rep_seed,
         "max_test_cases": config.max_test_cases,
         "nondet_offsets": list(config.nondet_offsets),
-        "static_prefilter": config.static_prefilter,
+        # Retired option, kept constant so existing journals resume.
+        "static_prefilter": False,
         "diagnose": config.diagnose,
         "faults": faults.signature() if faults is not None else None,
     }

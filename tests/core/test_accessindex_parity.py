@@ -91,6 +91,16 @@ class TestIndexParity:
         col.close()
         assert not os.path.exists(directory)
 
+    def test_close_empties_a_caller_directory(self, profiled_513, tmp_path):
+        __, profiles = profiled_513
+        directory = str(tmp_path / "index")
+        col = ColumnarAccessIndex.build(iter(profiles),
+                                        default_specification(),
+                                        directory=directory, run_points=64)
+        assert os.listdir(directory)
+        col.close()
+        assert os.listdir(directory) == []
+
 
 class TestPairSetParity:
     @pytest.mark.parametrize("strategy", ["df-ia", "df-st-1", "df-st-2", "df"])

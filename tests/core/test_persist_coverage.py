@@ -77,6 +77,18 @@ class TestPersistence:
         assert data["format_version"] == 1
         assert data["config"]["bugs_enabled"]
 
+    def test_retired_prefilter_stats_still_load(self, campaign):
+        # A document saved while the static pre-filter existed carries
+        # its four counters; they are dropped, everything else loads.
+        data = json.loads(json.dumps(campaign_to_dict(campaign)))
+        data["stats"].update(prefilter_pairs_total=64,
+                             prefilter_pairs_pruned=28,
+                             prefilter_precision=0.8,
+                             prefilter_recall=0.8)
+        loaded = campaign_from_dict(data)
+        assert loaded.stats == campaign.stats
+        assert loaded.bugs_found() == campaign.bugs_found()
+
     def test_unknown_version_rejected(self, campaign):
         data = campaign_to_dict(campaign)
         data["format_version"] = 99

@@ -224,6 +224,12 @@ class TestFingerprint:
                 summarize_config(self._config(**overrides)))
             assert other != base, overrides
 
+    def test_default_fingerprint_is_stable(self):
+        # Journals written before the static pre-filter was retired must
+        # keep resuming: the default campaign's identity is pinned.
+        assert campaign_fingerprint(summarize_config(CampaignConfig())) == (
+            "c27dfb014e4256d4a42e245c09e71af47841114707131d9929f4814518b8bb29")
+
 
 class TestCampaignStore:
     def _open(self, root, **overrides):
