@@ -41,11 +41,9 @@ from .core import (
 from .corpus import TestProgram, build_corpus, prog, seed_programs
 from .faults import (
     ALL_SITES,
-    CacheOwnerLeakError,
     FaultPlan,
     FaultRetriesExhausted,
     FaultStats,
-    verify_owner_invariant,
 )
 from .kernel import (
     BugFlags,
@@ -62,7 +60,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_SITES",
     "BugFlags",
-    "CacheOwnerLeakError",
     "CampaignConfig",
     "CampaignResult",
     "CampaignStats",
@@ -89,5 +86,4 @@ __all__ = [
     "linux_5_13",
     "prog",
     "seed_programs",
-    "verify_owner_invariant",
 ]

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..corpus.program import TestProgram
-from ..faults.plan import (
-    SITE_CACHE_EVICT,
-    SITE_CACHE_STALE_OWNER,
-    SITE_SENDER_CACHE_EVICT,
-    SITE_SENDER_CACHE_STALE_OWNER,
-    STALE_OWNER,
-    FaultPlan,
-)
+from ..faults.plan import SITE_CACHE_EVICT, SITE_SENDER_CACHE_EVICT, FaultPlan
 from ..vm.executor import ExecutionResult, SyscallRecord
 from ..vm.machine import RECEIVER, SENDER, Machine
 from ..vm.segments import StateDelta
@@ -42,26 +35,22 @@ DEFAULT_SENDER_CACHE_BYTES = 64 * 1024 * 1024
 
 
 class BaselineCache:
-    """Thread-safe receiver-alone result cache, shareable across workers.
+    """Receiver-alone result cache, shared by a campaign's detectors.
 
     Execution results are immutable once produced, so one baseline
     serves every test case with the same receiver program, on any
-    machine, since all machines restore the same snapshot (each process
-    shard works on its forked copy).  The lock only guards the dict;
-    two workers may still race to compute the same baseline (both miss,
-    both run), which is wasteful but harmless: ``put`` keeps the first.
+    machine, since all machines restore the same snapshot.  Each
+    process shard works on its own forked copy, whose entries die with
+    the shard.  ``put`` keeps the first result stored for a receiver.
     """
 
     def __init__(self, faults: Optional[FaultPlan] = None) -> None:
-        # Reentrant so _remove can take it lexically under get/purge
+        # Reentrant so _remove can take it lexically under get
         # (the lock-discipline checker reasons purely lexically).
         self._lock = threading.RLock()
         self._results: Dict[str, ExecutionResult] = {}
-        #: receiver hash -> owner tag of the worker that computed it
-        #: (None for entries from the in-process runner).
-        self._owners: Dict[str, Optional[int]] = {}
-        #: Chaos plan; registers the ``cache.evict`` and
-        #: ``cache.stale_owner`` injection sites on this cache.
+        #: Chaos plan; registers the ``cache.evict`` injection site on
+        #: this cache.
         self._faults = faults
         self.hits = 0
         self.misses = 0
@@ -83,68 +72,17 @@ class BaselineCache:
                 self.hits += 1
             return result
 
-    def put(self, receiver_hash: str, result: ExecutionResult,
-            owner: Optional[int] = None) -> None:
-        faults = self._faults
+    def put(self, receiver_hash: str, result: ExecutionResult) -> None:
         with self._lock:
-            if faults is not None \
-                    and faults.should_inject(SITE_CACHE_STALE_OWNER):
-                if receiver_hash in self._results:
-                    # Lost the first-put race: the stale tag was never
-                    # stored, the injection is a no-op.
-                    faults.record_recovered([SITE_CACHE_STALE_OWNER])
-                    return
-                # Mis-tagged insert: owner-based invalidation can no
-                # longer find this entry; only the end-of-campaign
-                # sweep (purge_stale) repairs it.
-                owner = STALE_OWNER
-            if receiver_hash not in self._results:
-                self._results[receiver_hash] = result
-                self._owners[receiver_hash] = owner
+            self._results.setdefault(receiver_hash, result)
 
     def _remove(self, key: str) -> None:
-        """Drop one entry, resolving a stale tag if it carried one."""
         with self._lock:
-            owner = self._owners.pop(key, None)
             del self._results[key]
-        if owner == STALE_OWNER and self._faults is not None:
-            self._faults.record_recovered([SITE_CACHE_STALE_OWNER])
-
-    def owner_tags(self) -> List[Optional[int]]:
-        """The owner tag of every live entry (invariant auditing)."""
-        with self._lock:
-            return list(self._owners.values())
-
-    def purge_stale(self) -> int:
-        """Sweep entries whose owner tag a stale-owner fault corrupted.
-
-        The repair half of the owner invariant: a mis-tagged entry can
-        never be released by ``invalidate_owner``, so the pipeline
-        sweeps the caches after every campaign stage that could have
-        planted one.  Each purge resolves its injection as recovered.
-        """
-        with self._lock:
-            stale = [key for key, tag in self._owners.items()
-                     if tag == STALE_OWNER]
-            for key in stale:
-                self._remove(key)
-            return len(stale)
-
-    def invalidate_owner(self, owner: int) -> int:
-        """Drop every entry computed by *owner* (a dead shard
-        may have published results from a corrupted machine)."""
-        with self._lock:
-            stale = [key for key, tag in self._owners.items()
-                     if tag == owner]
-            for key in stale:
-                del self._results[key]
-                del self._owners[key]
-            return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._results.clear()
-            self._owners.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -198,7 +136,7 @@ class PreparedSenderState:
 
 
 class SenderStateCache:
-    """Thread-safe post-sender state cache, shareable across workers.
+    """Post-sender state cache, shared by a campaign's detectors.
 
     After a sender runs once from the base snapshot, its post-execution
     machine state is kept as a segmented :class:`StateDelta` keyed by
@@ -210,22 +148,20 @@ class SenderStateCache:
     Entries are LRU-ordered under a byte budget (``max_bytes``); an
     eviction only costs the next user one sender re-execution, so the
     ``sender_cache.evict`` chaos site is absorbed by construction.
-    Owner tags mirror :class:`BaselineCache`: entries published by a
-    worker that later dies are dropped (``invalidate_owner``), and a
-    ``sender_cache.stale_owner`` injection mis-tags an insert so only
-    the end-of-campaign ``purge_stale`` sweep can reclaim it.
+    Each process shard works on its own forked copy, whose entries die
+    with the shard; what it wrote through to the shared tier is
+    unlinked by the supervisor when the shard dies.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_SENDER_CACHE_BYTES,
                  faults: Optional[FaultPlan] = None) -> None:
         # Reentrant for the same reason as BaselineCache: _remove is
-        # called lexically under get/put/purge, and the lock-discipline
+        # called lexically under get/_admit, and the lock-discipline
         # checker reasons purely lexically.
         self._lock = threading.RLock()
         #: (snapshot id, sender hash) -> entry, LRU order (oldest first).
         self._entries: "OrderedDict[Tuple[str, str], SenderState]" \
             = OrderedDict()
-        self._owners: Dict[Tuple[str, str], Optional[int]] = {}
         self._faults = faults
         self.max_bytes = max_bytes
         #: Optional shared tier (a :class:`~repro.vm.shm.DeltaStore`-like
@@ -240,7 +176,7 @@ class SenderStateCache:
         #: Hits served by deserializing a shared-tier blob (a subset of
         #: ``hits``): another shard executed this sender first.
         self.shared_hits = 0
-        #: Entries dropped by the byte budget (not by faults or owners).
+        #: Entries dropped by the byte budget (not by faults).
         self.evictions = 0
         self._bytes = 0
 
@@ -269,36 +205,21 @@ class SenderStateCache:
                 payload = self.backing.fetch(key)
                 if payload is not None:
                     entry = pickle.loads(payload)
-                    # Admitted ownerless: the publishing shard's death
-                    # is handled by the supervisor unlinking its shared
-                    # blobs, not by local owner invalidation.
-                    self._admit(key, entry, None)
+                    self._admit(key, entry)
                     self.hits += 1
                     self.shared_hits += 1
                     return entry
             self.misses += 1
             return None
 
-    def put(self, snapshot_id: str, sender_hash: str, entry: SenderState,
-            owner: Optional[int] = None) -> None:
-        faults = self._faults
+    def put(self, snapshot_id: str, sender_hash: str,
+            entry: SenderState) -> None:
         key = (snapshot_id, sender_hash)
         with self._lock:
-            if entry.size_bytes > self.max_bytes:
-                # Never admitted: callers keep re-executing this sender,
-                # which is correct (just slower) by construction.
-                return
-            if faults is not None \
-                    and faults.should_inject(SITE_SENDER_CACHE_STALE_OWNER):
-                if key in self._entries:
-                    # Lost the first-put race: the stale tag was never
-                    # stored, the injection is a no-op.
-                    faults.record_recovered([SITE_SENDER_CACHE_STALE_OWNER])
-                    return
-                # Mis-tagged insert: owner-based invalidation can no
-                # longer find this entry; only purge_stale repairs it.
-                owner = STALE_OWNER
-            if not self._admit(key, entry, owner):
+            # An oversized entry is never admitted: callers keep
+            # re-executing this sender, which is correct (just slower)
+            # by construction.
+            if not self._admit(key, entry):
                 return
             if self.backing is not None:
                 # Write-through on fresh inserts only; the shared tier
@@ -308,14 +229,12 @@ class SenderStateCache:
                     key, pickle.dumps(entry,
                                       protocol=pickle.HIGHEST_PROTOCOL))
 
-    def _admit(self, key: Tuple[str, str], entry: SenderState,
-               owner: Optional[int]) -> bool:
+    def _admit(self, key: Tuple[str, str], entry: SenderState) -> bool:
         """Insert under the byte budget; False if present or oversized."""
         with self._lock:
             if entry.size_bytes > self.max_bytes or key in self._entries:
                 return False
             self._entries[key] = entry
-            self._owners[key] = owner
             self._bytes += entry.size_bytes
             while self._bytes > self.max_bytes and len(self._entries) > 1:
                 oldest = next(iter(self._entries))
@@ -324,47 +243,13 @@ class SenderStateCache:
             return True
 
     def _remove(self, key: Tuple[str, str]) -> None:
-        """Drop one entry, resolving a stale tag if it carried one."""
         with self._lock:
-            owner = self._owners.pop(key, None)
             entry = self._entries.pop(key)
             self._bytes -= entry.size_bytes
-        if owner == STALE_OWNER and self._faults is not None:
-            self._faults.record_recovered([SITE_SENDER_CACHE_STALE_OWNER])
-
-    def owner_tags(self) -> List[Optional[int]]:
-        """The owner tag of every live entry (invariant auditing)."""
-        with self._lock:
-            return list(self._owners.values())
-
-    def purge_stale(self) -> int:
-        """Sweep entries whose owner tag a stale-owner fault corrupted.
-
-        Same repair contract as ``BaselineCache.purge_stale``: each
-        purge resolves its injection as recovered, and the pipeline
-        sweeps after every stage that could have planted a stale tag.
-        """
-        with self._lock:
-            stale = [key for key, tag in self._owners.items()
-                     if tag == STALE_OWNER]
-            for key in stale:
-                self._remove(key)
-            return len(stale)
-
-    def invalidate_owner(self, owner: int) -> int:
-        """Drop every entry published by *owner* (a dead shard
-        may have captured a delta from a corrupted machine)."""
-        with self._lock:
-            stale = [key for key, tag in self._owners.items()
-                     if tag == owner]
-            for key in stale:
-                self._remove(key)
-            return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._owners.clear()
             self._bytes = 0
 
     def __len__(self) -> int:
@@ -375,15 +260,6 @@ class SenderStateCache:
     def bytes_held(self) -> int:
         with self._lock:
             return self._bytes
-
-    def bytes_by_owner(self) -> Dict[Optional[int], int]:
-        """Bytes held per publishing owner (the --cache-report view)."""
-        with self._lock:
-            held: Dict[Optional[int], int] = {}
-            for key, entry in self._entries.items():
-                owner = self._owners[key]
-                held[owner] = held.get(owner, 0) + entry.size_bytes
-            return held
 
     @property
     def hit_rate(self) -> float:
@@ -435,8 +311,7 @@ class TestCaseRunner:
         if cache is not None:
             cache.put(machine.snapshot_id, sender.hash_hex,
                       SenderState(machine.capture_state_delta(),
-                                  sender_result),
-                      owner=machine.cluster_worker_id)
+                                  sender_result))
         receiver_result = machine.run(RECEIVER, receiver)
         self.cases_executed += 1
         return sender_result, receiver_result
@@ -470,8 +345,7 @@ class TestCaseRunner:
         machine = self._machine
         machine.reset()
         result = machine.run(RECEIVER, receiver)
-        self._baselines.put(receiver.hash_hex, result,
-                            owner=machine.cluster_worker_id)
+        self._baselines.put(receiver.hash_hex, result)
         return result
 
     @property

@@ -18,15 +18,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..corpus.program import TestProgram
-from ..faults.plan import (
-    SITE_CACHE_EVICT,
-    SITE_CACHE_STALE_OWNER,
-    STALE_OWNER,
-    FaultPlan,
-)
+from ..faults.plan import SITE_CACHE_EVICT, FaultPlan
 from ..kernel.clock import DEFAULT_BOOT_NS
 from ..vm.machine import RECEIVER, Machine
 from .trace_ast import Path, build_trace_ast, nondet_paths_from_runs
@@ -44,25 +39,25 @@ def offsets_to_boot_ns(offsets: Sequence[int]) -> Tuple[int, ...]:
 class NondetStore:
     """Cache of non-determinism marks, keyed by program hash + offsets.
 
-    Thread-safe, so one store can be shared by every worker of a
-    distributed campaign: a verdict computed on any machine is valid for
-    all of them (they restore the same snapshot).  Verdicts are keyed by
+    One store serves every detector of a campaign: a verdict computed
+    on any machine is valid for all of them (they restore the same
+    snapshot).  Each process shard works on its own forked copy, whose
+    memory entries die with the shard.  Verdicts are keyed by
     the boot-offset schedule as well as the program hash — marks
     computed under one offset set say nothing about another.  The empty
     offsets key (the default) keeps the single-key API and on-disk
     layout backward compatible.  Disk writes go through a temp file +
-    ``os.replace`` so concurrent writers can never expose a torn file.
+    ``os.replace`` so concurrent writers can never expose a torn file;
+    a damaged file (a crash mid-write, a foreign file) reads as a miss,
+    and the recomputed verdict's ``put`` rewrites it.
     """
 
     def __init__(self, directory: Optional[str] = None,
                  faults: Optional[FaultPlan] = None):
         self._directory = directory
         self._memory: Dict[Tuple[str, str], FrozenSet[Path]] = {}
-        #: cache key -> owner tag of the worker that computed the marks
-        #: (None for entries loaded from disk or computed in-process).
-        self._owners: Dict[Tuple[str, str], Optional[int]] = {}
-        #: Chaos plan; registers the ``cache.evict`` and
-        #: ``cache.stale_owner`` injection sites on this store.
+        #: Chaos plan; registers the ``cache.evict`` injection site on
+        #: this store.
         self._faults = faults
         self._lock = threading.RLock()
         self.hits = 0
@@ -94,22 +89,10 @@ class NondetStore:
             return marks
 
     def put(self, program_hash: str, marks: FrozenSet[Path],
-            offsets_key: str = "", owner: Optional[int] = None) -> None:
+            offsets_key: str = "") -> None:
         key = (program_hash, offsets_key)
-        faults = self._faults
         with self._lock:
-            if faults is not None \
-                    and faults.should_inject(SITE_CACHE_STALE_OWNER):
-                # Mis-tagged insert: only the purge_stale sweep can
-                # release it (owner invalidation will never match).
-                owner = STALE_OWNER
-            if self._owners.get(key) == STALE_OWNER and faults is not None:
-                # Overwriting a stale-tagged entry resolves *that* tag in
-                # passing (even if the overwrite is itself mis-tagged —
-                # the new injection gets its own pending resolution).
-                faults.record_recovered([SITE_CACHE_STALE_OWNER])
             self._memory[key] = marks
-            self._owners[key] = owner
             if self._directory is None:
                 return
             file_path = self._file_for(program_hash, offsets_key)
@@ -121,59 +104,33 @@ class NondetStore:
             os.replace(tmp_path, file_path)
 
     def _remove(self, key: Tuple[str, str]) -> None:
-        """Drop one entry everywhere, resolving a stale tag if present."""
+        """Drop one entry everywhere: memory and disk."""
         with self._lock:
-            owner = self._owners.pop(key, None)
             self._memory.pop(key, None)
         if self._directory is not None:
             file_path = self._file_for(*key)
             if os.path.exists(file_path):
                 os.remove(file_path)
-        if owner == STALE_OWNER and self._faults is not None:
-            self._faults.record_recovered([SITE_CACHE_STALE_OWNER])
-
-    def owner_tags(self) -> List[Optional[int]]:
-        """The owner tag of every live entry (invariant auditing)."""
-        with self._lock:
-            return list(self._owners.values())
-
-    def purge_stale(self) -> int:
-        """Sweep entries whose owner tag a stale-owner fault corrupted."""
-        with self._lock:
-            stale = [key for key, tag in self._owners.items()
-                     if tag == STALE_OWNER]
-            for key in stale:
-                self._remove(key)
-            return len(stale)
-
-    def invalidate_owner(self, owner: int) -> int:
-        """Drop every verdict computed by *owner* — memory and disk.
-
-        A worker that died mid-queue may have published marks from a
-        machine in an undefined state; those verdicts cannot be trusted
-        by the surviving workers.
-        """
-        with self._lock:
-            stale = [key for key, tag in self._owners.items()
-                     if tag == owner]
-            for key in stale:
-                del self._memory[key]
-                del self._owners[key]
-                if self._directory is not None:
-                    file_path = self._file_for(*key)
-                    if os.path.exists(file_path):
-                        os.remove(file_path)
-            return len(stale)
 
     def _load(self, program_hash: str,
               offsets_key: str) -> Optional[FrozenSet[Path]]:
+        """The marks on disk, or None when absent or not a list of
+        int lists (a torn or foreign file is a miss, never a verdict)."""
         if self._directory is None:
             return None
         file_path = self._file_for(program_hash, offsets_key)
         if not os.path.exists(file_path):
             return None
-        with open(file_path) as handle:
-            raw = json.load(handle)
+        try:
+            with open(file_path) as handle:
+                raw = json.load(handle)
+        except ValueError:
+            return None
+        if not isinstance(raw, list) or not all(
+                isinstance(path, list)
+                and all(type(step) is int for step in path)
+                for path in raw):
+            return None
         return frozenset(tuple(path) for path in raw)
 
     def _file_for(self, program_hash: str, offsets_key: str = "") -> str:
@@ -223,6 +180,5 @@ class NondetAnalyzer:
             trees.append(build_trace_ast(result.records))
             self.runs_executed += 1
         marks = nondet_paths_from_runs(trees)
-        self._store.put(program.hash_hex, marks, self._offsets_key,
-                        owner=self._machine.cluster_worker_id)
+        self._store.put(program.hash_hex, marks, self._offsets_key)
         return marks

@@ -4,11 +4,9 @@ See :mod:`repro.faults.plan` for the injection model and
 ``docs/FAULTS.md`` for the site catalogue and recovery semantics.
 """
 
-from .invariants import CacheOwnerLeakError, verify_owner_invariant
 from .plan import (
     ALL_SITES,
     SITE_CACHE_EVICT,
-    SITE_CACHE_STALE_OWNER,
     SITE_EXEC_TIMEOUT,
     SITE_JOURNAL_TORN,
     SITE_RESTORE_FAIL,
@@ -17,7 +15,6 @@ from .plan import (
     SITE_STORE_FSYNC_FAIL,
     SITE_WORKER_CRASH,
     SITE_WORKER_SLOW,
-    STALE_OWNER,
     ExecTimeoutInjected,
     FaultInjectedError,
     FaultPlan,
@@ -36,7 +33,6 @@ __all__ = [
     "ALL_SITES",
     "CAUSE_TRANSIT",
     "CAUSE_WORKER_DEATH",
-    "CacheOwnerLeakError",
     "ExecTimeoutInjected",
     "FaultInjectedError",
     "FaultPlan",
@@ -46,7 +42,6 @@ __all__ = [
     "RestoreFaultInjected",
     "RetryPolicy",
     "SITE_CACHE_EVICT",
-    "SITE_CACHE_STALE_OWNER",
     "SITE_EXEC_TIMEOUT",
     "SITE_JOURNAL_TORN",
     "SITE_RESTORE_FAIL",
@@ -55,10 +50,8 @@ __all__ = [
     "SITE_STORE_FSYNC_FAIL",
     "SITE_WORKER_CRASH",
     "SITE_WORKER_SLOW",
-    "STALE_OWNER",
     "StoreFsyncInjected",
     "WorkerCrashInjected",
     "call_with_fault_retries",
     "decision",
-    "verify_owner_invariant",
 ]

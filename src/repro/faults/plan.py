@@ -14,9 +14,11 @@ the *attribution* of a firing to a particular job can vary with shard
 scheduling).
 
 Every injection must eventually be accounted for: a recovery path either
-absorbs it (``recovered``) or gives up after bounded retries
-(``infra_failed``).  :meth:`FaultStats.accounted` checks the books:
-``injected == recovered + infra_failed``, per site and in total.
+absorbs it (``recovered``), gives up after bounded retries
+(``infra_failed``), or quarantines the job that kept killing its
+shards (``poisoned``).  :meth:`FaultStats.accounted` checks the books:
+``injected == recovered + infra_failed + poisoned``, per site and in
+total.
 """
 
 from __future__ import annotations
@@ -46,16 +48,10 @@ SITE_WORKER_KILL = "worker.kill"
 SITE_EXEC_TIMEOUT = "exec.timeout"
 #: A shared-cache entry is spuriously evicted (BaselineCache/NondetStore).
 SITE_CACHE_EVICT = "cache.evict"
-#: A shared-cache insert is tagged with a stale owner id, so owner-based
-#: invalidation can no longer find it (BaselineCache/NondetStore).
-SITE_CACHE_STALE_OWNER = "cache.stale_owner"
 #: A memoized post-sender state delta is spuriously evicted
 #: (SenderStateCache); the caller re-executes the sender from the base
 #: snapshot, so the fault is absorbed by construction.
 SITE_SENDER_CACHE_EVICT = "sender_cache.evict"
-#: A sender-state insert is tagged with a stale owner id, so owner-based
-#: invalidation can no longer find it (SenderStateCache).
-SITE_SENDER_CACHE_STALE_OWNER = "sender_cache.stale_owner"
 #: A campaign-journal append is torn mid-record — only a prefix of the
 #: line reaches the file, simulating a crash between ``write`` and the
 #: trailing newline; the journal's tail-repair path must truncate the
@@ -80,18 +76,11 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_WORKER_KILL,
     SITE_EXEC_TIMEOUT,
     SITE_CACHE_EVICT,
-    SITE_CACHE_STALE_OWNER,
     SITE_SENDER_CACHE_EVICT,
-    SITE_SENDER_CACHE_STALE_OWNER,
     SITE_JOURNAL_TORN,
     SITE_STORE_FSYNC_FAIL,
     SITE_SCHED_PREEMPT,
 )
-
-#: Owner tag written by a :data:`SITE_CACHE_STALE_OWNER` injection —
-#: never a real shard worker id, so owner-based invalidation misses
-#: the entry until the end-of-campaign sweep repairs it.
-STALE_OWNER = -1
 
 #: Occurrence-frequency compensation applied to the blanket campaign
 #: rate.  ``exec.timeout`` fires per *syscall* — orders of magnitude
@@ -237,7 +226,7 @@ class FaultStats:
     def merge_delta(self, injected: Mapping[str, int],
                     recovered: Mapping[str, int],
                     infra_failed: Mapping[str, int],
-                    poisoned: Optional[Mapping[str, int]] = None) -> None:
+                    poisoned: Mapping[str, int]) -> None:
         """Fold another process's counter growth into these books.
 
         Shard processes each carry a forked copy of the plan; they ship
@@ -253,7 +242,7 @@ class FaultStats:
             for site, count in infra_failed.items():
                 self.infra_failed[site] = \
                     self.infra_failed.get(site, 0) + count
-            for site, count in (poisoned or {}).items():
+            for site, count in poisoned.items():
                 self.poisoned[site] = self.poisoned.get(site, 0) + count
 
 

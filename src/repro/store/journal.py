@@ -139,10 +139,11 @@ def scan(path: str) -> JournalReplay:
 class CampaignJournal:
     """Append-only write-ahead journal for one campaign.
 
-    Thread-safe: execution workers commit results concurrently.  Opening
-    an existing journal repairs its tail (truncating torn bytes) before
-    the first append, so a journal is always in its longest-valid-prefix
-    state while a writer owns it.
+    Each process shard inherits a forked copy but never appends to it:
+    the supervisor, in the campaign process, commits every result as it
+    lands.  Opening an existing journal repairs its tail (truncating
+    torn bytes) before the first append, so a journal is always in its
+    longest-valid-prefix state while a writer owns it.
     """
 
     def __init__(self, path: str, faults: Optional[FaultPlan] = None,

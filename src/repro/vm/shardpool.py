@@ -35,13 +35,15 @@ Supervision
 The supervisor runs in *rounds*: shards run until they exit, the
 supervisor settles the round (a dead shard's *held* job is charged a
 failed attempt, the rest of its range re-queued uncharged), and fresh
-worker ids are spawned for whatever remains, so cache-owner tags never
-alias across a death.  Only a job that exhausts its retry budget fails
-the run: loudly (a ``RuntimeError`` naming every unfinished job) under
-``strict``, or gracefully (a ``JobResult`` carrying the error, for the
-pipeline to record as ``infra_failed``) otherwise.  Jobs are pure
-functions of (payload, snapshot), so a re-run on a fresh machine is
-equivalent to the first attempt.
+worker ids are spawned for whatever remains, so no two shards ever
+share an id.  A dead shard's local caches die with its process; the
+shared-memory names it announced are handed to the caller to unlink.
+Only a job that exhausts its retry budget fails the run: loudly (a
+``RuntimeError`` naming every unfinished job) under ``strict``, or
+gracefully (a ``JobResult`` carrying the error, for the pipeline to
+record as ``infra_failed``) otherwise.  Jobs are pure functions of
+(payload, snapshot), so a re-run on a fresh machine is equivalent to
+the first attempt.
 
 Process death is observed via ``multiprocessing.connection.wait`` on
 the process sentinels, so a SIGKILLed shard — the ``worker.kill`` chaos
@@ -205,12 +207,7 @@ def _merge_stats_delta(faults: Optional[FaultPlan],
                        delta: Optional[Tuple[Dict[str, int], ...]]) -> None:
     if faults is None or delta is None:
         return
-    if len(delta) == 4:
-        injected, recovered, infra, poisoned = delta
-    else:  # a 3-column delta from an older shard snapshot shape
-        injected, recovered, infra = delta
-        poisoned = None
-    faults.stats.merge_delta(injected, recovered, infra, poisoned)
+    faults.stats.merge_delta(*delta)
 
 
 def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
@@ -219,7 +216,6 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 faults: Optional[FaultPlan],
                 telemetry_hook: Optional[Callable[[Machine], Any]],
                 published_names: Optional[Callable[[], List[str]]],
-                flush_hook: Optional[Callable[[], None]],
                 start: int, end: int,
                 heartbeat_interval: Optional[float] = None) -> None:
     """One shard process: run ranges, answer steals, report, retire.
@@ -227,10 +223,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
     All messages go child -> parent on *out*; the parent commands via
     *ctrl* (``("steal", id)``, ``("range", start, end)``, ``("stop",)``).
     Ranges index into *round_jobs*, the round-local job list inherited
-    through fork.  *flush_hook* runs before the final stats delta is
-    computed on every messaged exit (done and fatal alike), so
-    shard-local recovery paths — e.g. purging stale-tagged cache
-    entries — settle their books before they are shipped.
+    through fork.
 
     With a *heartbeat_interval*, a background thread sends
     ``("hb", worker_id, held_index)`` on that cadence after boot — the
@@ -246,12 +239,6 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
         with send_lock:
             out.send(message)
 
-    def flush() -> None:
-        if flush_hook is not None:
-            try:
-                flush_hook()
-            except Exception:  # pragma: no cover - best-effort settle
-                pass
     try:
         machine = boot()
     except Exception as error:
@@ -325,7 +312,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                         f"injected crash on shard {worker_id} "
                         f"holding job {job_id}")
                 if faults.fires_at(SITE_WORKER_KILL, occurrence):
-                    # Announce, flush, die: the supervisor accounts the
+                    # Announce, then die: the supervisor accounts the
                     # injection (this process's counters die with it)
                     # and charges exactly the announced job.
                     send(("killing", worker_id, index, names()))
@@ -340,18 +327,15 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
             held = None
             cursor += 1
     except WorkerCrashInjected as error:
-        flush()
         send(("fatal", worker_id, held,
               f"{type(error).__name__}: {error}", [SITE_WORKER_CRASH],
               _stats_delta(faults, base), names()))
         return
     except BaseException as error:  # genuine shard death
-        flush()
         send(("fatal", worker_id, held,
               f"{type(error).__name__}: {error}", [],
               _stats_delta(faults, base), names()))
         return
-    flush()
     telemetry = telemetry_hook(machine) if telemetry_hook is not None else None
     send(("done", worker_id, telemetry,
           _stats_delta(faults, base), names()))
@@ -396,7 +380,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 telemetry_hook: Optional[Callable[[Machine], Any]] = None,
                 published_names: Optional[Callable[[],
                                                    List[str]]] = None,
-                flush_hook: Optional[Callable[[], None]] = None,
                 retry_policy: Optional[RetryPolicy] = None,
                 hang_timeout: Optional[float] = None,
                 on_result: Optional[Callable[[Job, JobResult],
@@ -412,8 +395,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     When shards die before their ranges drain, the held jobs are
     charged a failed attempt and re-queued up to *max_job_retries*
     times on replacement shards with fresh ids.  *on_worker_death* is
-    called with each dead shard's id as soon as its round settles —
-    the hook for invalidating cache entries the dead shard owned.  Only
+    called with each dead shard's id as soon as its round settles.  Only
     a job whose retries are exhausted fails the run: with *strict* (the
     default) a ``RuntimeError`` names every unfinished job with its
     attempt count and last cause; with ``strict=False`` the job's
@@ -426,8 +408,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
       (picklable) return value lands in ``report.telemetry``.
     * *published_names* is polled in the shard for shared-segment names
       it published since last poll; *on_owner_segments* receives a dead
-      shard's announced names so the caller can unlink them (the
-      shared-tier owner invalidation).
+      shard's announced names so the caller can unlink them.
 
     Self-healing extensions: *retry_policy* (per-cause budgets,
     backoff, poison quarantine; see
@@ -490,7 +471,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 target=_shard_main,
                 args=(worker_id, ctrl_recv, out_send, boot, round_jobs,
                       case_runner, faults, telemetry_hook, published_names,
-                      flush_hook, start, end, heartbeat_interval),
+                      start, end, heartbeat_interval),
                 name=f"kit-shard-{worker_id}", daemon=True)
             proc.start()
             # The parent's copies of the child-side ends must close so

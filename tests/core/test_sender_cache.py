@@ -1,17 +1,9 @@
-"""SenderStateCache unit behaviour: LRU budget, owners, chaos sites."""
+"""SenderStateCache unit behaviour: LRU budget, first put, chaos site."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.execution import SenderState, SenderStateCache
-from repro.faults.invariants import CacheOwnerLeakError, verify_owner_invariant
-from repro.faults.plan import (
-    SITE_SENDER_CACHE_EVICT,
-    SITE_SENDER_CACHE_STALE_OWNER,
-    STALE_OWNER,
-    FaultPlan,
-)
+from repro.faults.plan import SITE_SENDER_CACHE_EVICT, FaultPlan
 from repro.vm.executor import ExecutionResult
 from repro.vm.segments import StateDelta
 
@@ -80,38 +72,11 @@ class TestOwnership:
     def test_first_put_wins_and_keeps_its_owner(self):
         cache = SenderStateCache()
         first = entry(4)
-        cache.put(SNAP, "s", first, owner=0)
-        cache.put(SNAP, "s", entry(4), owner=1)  # lost the race: ignored
-        assert cache.invalidate_owner(1) == 0
+        cache.put(SNAP, "s", first)
+        cache.put(SNAP, "s", entry(8))  # lost the race: ignored
         assert cache.get(SNAP, "s") is first
-
-    def test_invalidate_owner_drops_only_owned_deltas(self):
-        cache = SenderStateCache()
-        cache.put(SNAP, "a", entry(10), owner=0)
-        cache.put(SNAP, "b", entry(10), owner=1)
-        cache.put(SNAP, "c", entry(10))  # in-process, unowned
-        assert cache.invalidate_owner(0) == 1
-        assert cache.get(SNAP, "a") is None
-        assert cache.get(SNAP, "b") is not None
-        assert cache.get(SNAP, "c") is not None
-        assert cache.bytes_held == 20
-
-    def test_bytes_by_owner_breakdown(self):
-        cache = SenderStateCache()
-        cache.put(SNAP, "a", entry(10), owner=0)
-        cache.put(SNAP, "b", entry(20), owner=0)
-        cache.put(SNAP, "c", entry(5), owner=1)
-        cache.put(SNAP, "d", entry(3))
-        assert cache.bytes_by_owner() == {0: 30, 1: 5, None: 3}
-
-    def test_owner_leak_trips_the_shared_invariant(self):
-        cache = SenderStateCache()
-        cache.put(SNAP, "a", entry(4), owner=7)
-        with pytest.raises(CacheOwnerLeakError) as leak:
-            verify_owner_invariant([7], sender_states=cache)
-        assert "sender_states" in str(leak.value)
-        cache.invalidate_owner(7)
-        verify_owner_invariant([7], sender_states=cache)  # clean now
+        assert len(cache) == 1
+        assert cache.bytes_held == 4
 
 
 class TestChaosSites:
@@ -124,36 +89,3 @@ class TestChaosSites:
         assert cache.misses == 2
         assert plan.stats.accounted()
         assert plan.stats.injected[SITE_SENDER_CACHE_EVICT] == 1
-
-    def test_stale_owner_injection_survives_invalidation(self):
-        plan = FaultPlan(seed=0,
-                         schedule={SITE_SENDER_CACHE_STALE_OWNER: [0]})
-        cache = SenderStateCache(faults=plan)
-        cache.put(SNAP, "s", entry(4), owner=3)
-        # The mis-tagged entry is unreachable by owner invalidation...
-        assert cache.invalidate_owner(3) == 0
-        assert STALE_OWNER in cache.owner_tags()
-        with pytest.raises(CacheOwnerLeakError):
-            verify_owner_invariant([], sender_states=cache)
-        # ...and the sweep both reclaims it and settles the accounting.
-        assert not plan.stats.accounted()
-        assert cache.purge_stale() == 1
-        assert len(cache) == 0
-        assert cache.bytes_held == 0
-        assert plan.stats.accounted()
-        verify_owner_invariant([], sender_states=cache)
-
-    def test_stale_owner_injection_on_lost_race_is_a_noop(self):
-        # The injection fires on the *second* put, which loses the
-        # first-put race anyway: no stale tag is stored, and the fault
-        # is recovered on the spot.
-        plan = FaultPlan(seed=0,
-                         schedule={SITE_SENDER_CACHE_STALE_OWNER: [1]})
-        cache = SenderStateCache(faults=plan)
-        first = entry(4)
-        cache.put(SNAP, "s", first, owner=0)
-        cache.put(SNAP, "s", entry(4), owner=1)
-        assert cache.get(SNAP, "s") is first
-        assert cache.owner_tags() == [0]
-        assert plan.stats.accounted()
-        assert plan.stats.injected[SITE_SENDER_CACHE_STALE_OWNER] == 1

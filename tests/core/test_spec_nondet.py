@@ -105,6 +105,22 @@ class TestNondetStore:
         store.put("abc", frozenset({(3, 4)}))
         assert (tmp_path / "abc.nondet.json").exists()
 
+    @pytest.mark.parametrize("content", [
+        '[[0, 1], [2',  # torn mid-write
+        '{"ab": 1}',
+        '"xy"',
+        '[[0, "2"]]',
+        '[[true]]',
+    ], ids=["torn", "object", "string", "string-step", "bool-step"])
+    def test_damaged_disk_file_is_a_miss(self, tmp_path, content):
+        (tmp_path / "abc.nondet.json").write_text(content)
+        store = NondetStore(str(tmp_path))
+        assert store.get("abc") is None
+        assert store.misses == 1
+        # The recomputed verdict's put rewrites the damaged file.
+        store.put("abc", frozenset({(0, 1)}))
+        assert NondetStore(str(tmp_path)).get("abc") == frozenset({(0, 1)})
+
 
 class TestNondetAnalyzer:
     def test_timestamp_results_flagged(self, machine_513):

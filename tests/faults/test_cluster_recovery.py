@@ -1,17 +1,22 @@
-"""Shard supervision: job re-queue, shard death, the owner-tag leak.
+"""Shard supervision: job re-queue, shard death, the shared-tier leak.
 
 Multi-shard forms of the recovery contracts whose single-shard forms
 live in ``tests/vm/test_shardpool.py``, plus the shared-tier leak a
-dead shard leaves behind when the death hook is not wired.
+dead shard leaves behind when the death hook is not wired, and the
+isolation that keeps a dead shard's local cache entries out of the
+campaign process.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import pipeline
+from repro.core.pipeline import CampaignConfig, Kit
 from repro.faults.plan import (
     SITE_RESULT_DROP,
     SITE_WORKER_CRASH,
+    SITE_WORKER_KILL,
     FaultPlan,
 )
 from repro.kernel import linux_5_13
@@ -34,8 +39,7 @@ def test_single_worker_death_then_recovery():
                          on_worker_death=dead.append)
     assert [r.outcome for r in report.results] == [100, 101, 102, 103]
     assert dead == [0]
-    # The replacement got a fresh id — dead ids are never recycled, so
-    # cache owner tags cannot alias across the death.
+    # The replacement got a fresh id — dead ids are never recycled.
     assert all(r.worker != 0 for r in report.results)
     assert plan.stats.recovered.get(SITE_WORKER_CRASH) == 1
     assert plan.stats.accounted()
@@ -96,7 +100,7 @@ def test_genuine_job_exception_is_not_retried():
     assert [r.outcome for r in report.results] == [0, None, 2, 3]
 
 
-# -- the owner-tagged shared-tier leak -----------------------------------------
+# -- the shared-tier leak ------------------------------------------------------
 
 
 def _run_leak_scenario(with_death_hook: bool):
@@ -145,3 +149,34 @@ def test_death_hook_closes_the_leak():
     assert not published[0]
     # The replacement's delta is untouched.
     assert published[1]
+
+
+# -- shard-local caches --------------------------------------------------------
+
+
+def test_shard_cache_entries_never_reach_the_parent(monkeypatch):
+    """Shards fill forked copies of the campaign caches, so entries a
+    dead shard computed die with its process: the campaign's own caches
+    stay empty however many shards die."""
+    built = []
+    real_caches = pipeline._Caches
+
+    def capture(*args, **kwargs):
+        caches = real_caches(*args, **kwargs)
+        built.append(caches)
+        return caches
+
+    monkeypatch.setattr(pipeline, "_Caches", capture)
+    plan = FaultPlan(seed=0, rate=0.2,
+                     sites=(SITE_WORKER_CRASH, SITE_WORKER_KILL))
+    result = Kit(CampaignConfig(machine=CONFIG, corpus_size=30,
+                                corpus_seed=1, workers=2, diagnose=False,
+                                faults=plan)).run()
+    stats = result.stats
+    assert stats.shards_died > 0
+    assert sum(stats.outcomes.values()) == stats.cases_total
+    assert stats.faults_accounted(), plan.stats.snapshot()
+    [caches] = built
+    assert len(caches.baselines) == 0
+    assert len(caches.nondet) == 0
+    assert len(caches.sender_states) == 0

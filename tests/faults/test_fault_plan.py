@@ -7,6 +7,8 @@ identical single-threaded campaigns produce identical fault counters.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.pipeline import CampaignConfig, Kit
@@ -24,6 +26,9 @@ from repro.faults.plan import (
 )
 from repro.kernel import linux_5_13
 from repro.vm.machine import MachineConfig
+
+DOCS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(__file__))), "docs")
 
 
 def test_decision_is_pure_and_seed_sensitive():
@@ -77,6 +82,26 @@ def test_rate_shortcuts_and_site_scaling():
     assert not all(scaled.preview(SITE_EXEC_TIMEOUT, 50))
     exact = FaultPlan(seed=0, rates={SITE_EXEC_TIMEOUT: 1.0})
     assert all(exact.preview(SITE_EXEC_TIMEOUT, 50))
+
+
+def _table_sites(doc, heading):
+    """The first column of the site table under *heading* in *doc*."""
+    with open(os.path.join(DOCS, doc)) as handle:
+        section = handle.read().split(f"\n## {heading}\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [line.split("|")[1].strip().strip("`")
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_site_tables_in_docs_match_the_catalogue():
+    """The site tables in docs/FAULTS.md and docs/EXECUTION_CACHE.md
+    list exactly the sites the plan knows, each once."""
+    sites = _table_sites("FAULTS.md", "Injection sites")
+    assert len(sites) == len(set(sites))
+    assert set(sites) == set(ALL_SITES)
+    cache_sites = _table_sites("EXECUTION_CACHE.md", "Fault injection")
+    assert sorted(cache_sites) == sorted(
+        site for site in ALL_SITES if site.startswith("sender_cache."))
 
 
 def test_unknown_site_rejected():

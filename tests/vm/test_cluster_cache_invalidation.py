@@ -1,64 +1,27 @@
 """Worker death releases the dead worker's shared-cache entries.
 
-Owner-tagged caches drop a dead owner's entries on request; a dead
-shard's published shared-memory deltas are unlinked by the shard
-pool's death hooks.
+A dead shard's local cache entries die with its process; its published
+shared-memory deltas are unlinked by the shard pool's death hooks.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.execution import BaselineCache
-from repro.core.nondet import NondetStore
 from repro.vm.machine import MachineConfig
 from repro.vm.shardpool import fork_available, run_sharded
 from repro.vm.shm import DeltaStore, SegmentStore
 
 
 class TestBaselineCacheOwnership:
-    def test_invalidate_owner_drops_only_owned_entries(self):
-        cache = BaselineCache()
-        cache.put("a", object(), owner=0)
-        cache.put("b", object(), owner=1)
-        cache.put("c", object())  # in-process, unowned
-        assert cache.invalidate_owner(0) == 1
-        assert cache.get("a") is None
-        assert cache.get("b") is not None
-        assert cache.get("c") is not None
-
     def test_first_put_keeps_its_owner(self):
         cache = BaselineCache()
         first = object()
-        cache.put("a", first, owner=0)
-        cache.put("a", object(), owner=1)  # lost the race: ignored
-        assert cache.invalidate_owner(1) == 0
+        cache.put("a", first)
+        cache.put("a", object())  # lost the race: ignored
         assert cache.get("a") is first
-
-
-class TestNondetStoreOwnership:
-    def test_invalidate_owner_drops_memory_entries(self):
-        store = NondetStore()
-        store.put("p1", frozenset({("kernel", "x")}), owner=0)
-        store.put("p2", frozenset({("kernel", "y")}), owner=1)
-        assert store.invalidate_owner(0) == 1
-        assert store.get("p1") is None
-        assert store.get("p2") is not None
-
-    def test_invalidate_owner_removes_disk_files(self, tmp_path):
-        store = NondetStore(directory=str(tmp_path))
-        store.put("p1", frozenset({("kernel", "x")}), owner=0)
-        store.put("p2", frozenset({("kernel", "y")}), owner=1)
-        files_before = len(os.listdir(tmp_path))
-        assert files_before == 2
-        assert store.invalidate_owner(0) == 1
-        assert len(os.listdir(tmp_path)) == 1
-        # A fresh store over the same directory must not resurrect it.
-        fresh = NondetStore(directory=str(tmp_path))
-        assert fresh.get("p1") is None
-        assert fresh.get("p2") is not None
+        assert len(cache) == 1
 
 
 @pytest.mark.skipif(not fork_available(),
