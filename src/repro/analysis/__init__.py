@@ -15,7 +15,7 @@ On top of the access maps sit three consumers:
   held-lockset-annotated access maps across syscall pairs into ranked
   static race-pair candidates;
 * :mod:`repro.analysis.locksets` — the flow- and alias-aware
-  concurrency lint (L1/L2/S1) for the pipeline's shared structures.
+  concurrency lint (L1/L2) for the pipeline's shared structures.
 
 Results cache incrementally on disk via
 :class:`repro.analysis.cache.AnalysisCache`, keyed by source digests.

@@ -6,9 +6,9 @@ protocol: edit a file, its digest flips, and exactly the results that
 read it recompute.  Two grains are stored:
 
 per-module
-    The concurrency lint (L1/L2/S1) analyzes each module
+    The concurrency lint (L1/L2) analyzes each module
     independently, so its findings cache one file at a time — editing
-    ``vm/shm.py`` re-lints only ``vm/shm.py``.
+    ``vm/shardpool.py`` re-lints only ``vm/shardpool.py``.
 per-analysis
     The kernel-wide results (access maps joined into race-pair
     candidates) depend on every kernel source file at once; they cache

@@ -2,8 +2,7 @@
 
 The pipeline shares a handful of mutable structures across threads —
 the baseline cache, the non-determinism store, the profiling pool's
-profiler list, the campaign journal, a shard's heartbeat pipe, the
-shared-memory segment store.
+profiler list, the campaign journal, a shard's heartbeat pipe.
 Each is guarded by a ``threading.Lock``/``RLock``, and every access to a
 guarded structure must hold one of its guard locks.
 :func:`check_lock_discipline` is the entry point.  The lint keeps the
@@ -29,14 +28,6 @@ helper contexts (L2)
     guard — and an ``L2`` finding when some call path reaches it
     without the lock.  Public methods are assumed callable from
     anywhere and get an empty entry context, exactly the lexical rule.
-
-A separate pass checks the shared-memory segment lifecycle (S1):
-every ``SharedMemory(..., create=True)`` must be *settled* — closed or
-unlinked in an exception-proof position (a ``finally``/handler), or
-handed off (stored, returned, passed on) — before any statement that
-can raise runs while the fresh segment is still only held by a local.
-An unsettled or at-risk creation renders as ``S1``: the segment (and
-its ``/dev/shm`` name) may outlive the function on an exception path.
 """
 
 from __future__ import annotations
@@ -56,20 +47,16 @@ _MUTATING_METHODS = {
     "pop", "popleft", "popitem", "clear", "update", "setdefault", "sort",
 }
 
-#: Calls that settle a fresh shared-memory segment by releasing it.
-_SEGMENT_RELEASE = {"close", "unlink"}
-
-
 @dataclass(frozen=True)
 class LockFinding:
-    """One concurrency-lint finding (L1, L2, or S1)."""
+    """One concurrency-lint finding (L1 or L2)."""
 
     file: str
     line: int
     function: str
-    lock: str       #: the guarding lock ("self._lock"); "" for S1
-    name: str       #: the guarded structure / segment variable
-    kind: str       #: "read" | "write" | "leak"
+    lock: str       #: the guarding lock ("self._lock")
+    name: str       #: the guarded structure
+    kind: str       #: "read" | "write"
     message: str
     code: str = "L1"
 
@@ -79,10 +66,10 @@ class LockFinding:
 
 @dataclass(frozen=True)
 class LintSuppression:
-    """Silence one vetted false positive of the L1/L2/S1 lint."""
+    """Silence one vetted false positive of the L1/L2 lint."""
 
     file: str                      #: path suffix match
-    name: str                      #: the structure / segment variable
+    name: str                      #: the guarded structure
     function: Optional[str] = None
     code: Optional[str] = None
     reason: str = ""
@@ -491,168 +478,10 @@ def _check_scope(walker: _ScopeWalker, file: str,
         ))
 
 
-# -- S1: shared-memory segment lifecycle --------------------------------------
-
-def _shm_create_target(stmt: ast.stmt) -> Optional[str]:
-    """Name bound by ``X = SharedMemory(..., create=True, ...)``."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)):
-        return None
-    func = stmt.value.func
-    ctor = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None)
-    if ctor != "SharedMemory":
-        return None
-    for kw in stmt.value.keywords:
-        if kw.arg == "create" and isinstance(kw.value, ast.Constant) \
-                and kw.value.value is True:
-            return stmt.targets[0].id
-    return None
-
-
-def _settles(node: ast.AST, name: str) -> bool:
-    """Does *node* contain a statement that settles segment *name*?
-
-    Settling = releasing (``name.close()`` / ``name.unlink()``), or
-    handing off so another owner's lifecycle covers it: storing into a
-    subscript/attribute, returning it, or passing it to a call.
-    """
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            func = sub.func
-            if isinstance(func, ast.Attribute) \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id == name \
-                    and func.attr in _SEGMENT_RELEASE:
-                return True
-            for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
-                for part in ast.walk(arg):
-                    if isinstance(part, ast.Name) and part.id == name:
-                        return True
-        elif isinstance(sub, ast.Return) and sub.value is not None:
-            for part in ast.walk(sub.value):
-                if isinstance(part, ast.Name) and part.id == name:
-                    return True
-        elif isinstance(sub, ast.Assign):
-            if any(isinstance(t, (ast.Subscript, ast.Attribute))
-                   for t in sub.targets):
-                for part in ast.walk(sub.value):
-                    if isinstance(part, ast.Name) and part.id == name:
-                        return True
-    return False
-
-
-def _is_safe_stmt(stmt: ast.stmt) -> bool:
-    """Statements that cannot raise while a fresh segment is live."""
-    if isinstance(stmt, (ast.Pass, ast.Global, ast.Nonlocal, ast.Import,
-                         ast.ImportFrom, ast.Break, ast.Continue)):
-        return True
-    if isinstance(stmt, ast.Assign):
-        return all(isinstance(t, ast.Name) for t in stmt.targets) \
-            and isinstance(stmt.value, (ast.Constant, ast.Name))
-    return False
-
-
-def _check_s1_function(funcdef: ast.FunctionDef, file: str,
-                       findings: List[LockFinding]) -> None:
-    seen: Set[int] = set()
-    for body in _statement_lists(funcdef):
-        for i, stmt in enumerate(body):
-            found = _creation_in(stmt)
-            if found is None:
-                continue
-            name, assign = found
-            # A creation inside a try is claimed once, at the Try level
-            # (where the fall-through continuation is visible), not
-            # again when its own statement list is scanned.
-            if id(assign) in seen:
-                continue
-            seen.add(id(assign))
-            risk_line = _scan_after(body[i + 1:], name)
-            if risk_line is None:
-                continue
-            line = getattr(assign, "lineno", 0)
-            if risk_line < 0:
-                message = (f"{file}:{line}: shared-memory segment "
-                           f"'{name}' created here is never closed, "
-                           f"unlinked, or handed off on some path")
-            else:
-                message = (f"{file}:{line}: shared-memory segment "
-                           f"'{name}' may leak: line {risk_line} can "
-                           f"raise before the segment is closed, "
-                           f"unlinked, or handed off")
-            findings.append(LockFinding(
-                file=file, line=line, function=funcdef.name, lock="",
-                name=name, kind="leak", message=message, code="S1",
-            ))
-
-
-def _creation_in(stmt: ast.stmt) -> Optional[Tuple[str, ast.stmt]]:
-    """The (name, assignment) *stmt* creates and leaves live afterwards.
-
-    A bare creation assignment counts; so does a Try whose body creates
-    the segment without a finally/handler release (the idiomatic
-    ``try: X = SharedMemory(create=True) except FileExistsError:
-    return`` — on the fall-through path the segment is live).
-    """
-    direct = _shm_create_target(stmt)
-    if direct is not None:
-        return direct, stmt
-    if isinstance(stmt, ast.Try):
-        for inner in stmt.body:
-            name = _shm_create_target(inner)
-            if name is None:
-                continue
-            protected = any(_settles(f, name) for f in stmt.finalbody) or \
-                any(_settles(h, name) for h in stmt.handlers)
-            if not protected:
-                return name, inner
-    return None
-
-
-def _scan_after(rest: Sequence[ast.stmt], name: str) -> Optional[int]:
-    """Scan the statements after a live creation.
-
-    Returns None when the segment is settled exception-safely, the
-    line number of the first risky statement that can raise before a
-    settle, or -1 when nothing ever settles the segment.
-    """
-    for stmt in rest:
-        if isinstance(stmt, ast.Try):
-            caught = any(_settles(f, name) for f in stmt.finalbody) or \
-                any(_settles(h, name) for h in stmt.handlers)
-            if caught:
-                return None  # finally/handler runs on every path
-        if _settles(stmt, name):
-            # Settled — but only if nothing before this could raise,
-            # which the loop below guarantees (risky statements return
-            # early), and the settling statement's own prefix cannot
-            # fail before the release: accept.
-            return None
-        if not _is_safe_stmt(stmt):
-            return getattr(stmt, "lineno", 0)
-    return -1
-
-
-def _statement_lists(funcdef: ast.FunctionDef):
-    """Every statement list in the function, outermost first."""
-    out = [funcdef.body]
-    for node in ast.walk(funcdef):
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(node, field, None)
-            if node is not funcdef and isinstance(block, list) and block \
-                    and all(isinstance(s, ast.stmt) for s in block):
-                out.append(block)
-        for handler in getattr(node, "handlers", []) or []:
-            out.append(handler.body)
-    return out
-
-
 # -- module driver -------------------------------------------------------------
 
 def lint_module(path: str, rel: str) -> List[LockFinding]:
-    """All L1/L2/S1 findings for one module (unsuppressed and not)."""
+    """All L1/L2 findings for one module (unsuppressed and not)."""
     with open(path) as handle:
         tree = ast.parse(handle.read(), filename=path)
     findings: List[LockFinding] = []
@@ -665,7 +494,7 @@ def lint_module(path: str, rel: str) -> List[LockFinding]:
             _check_scope(walker, rel, findings)
         elif isinstance(node, ast.FunctionDef):
             # Function-local locks shared with nested closures
-            # (``detectors_lock`` in the distributed executor).
+            # (``send_lock`` in a shard's main function).
             locks = _collect_locks(
                 [stmt for stmt in node.body if isinstance(stmt, ast.Assign)],
                 self_attrs=False)
@@ -675,7 +504,6 @@ def lint_module(path: str, rel: str) -> List[LockFinding]:
                 for stmt in node.body:
                     walker.visit(stmt)
                 _check_scope(walker, rel, findings)
-            _check_s1_function(node, rel, findings)
     findings.sort(key=lambda f: (f.file, f.line, f.code, f.name))
     return findings
 
@@ -720,15 +548,14 @@ def lint_modules(src_dir: Optional[str] = None,
 
 
 #: Default scan set, relative to the source dir: the modules hosting the
-#: pipeline's cross-thread shared state (plus the shard-pool supervisor
-#: and the shared-memory store, which own the process-shared segments).
+#: pipeline's cross-thread shared state (plus the shard-pool supervisor,
+#: whose shards send on one pipe from two threads).
 DEFAULT_LOCK_MODULES = (
     os.path.join("repro", "core", "pipeline.py"),
     os.path.join("repro", "core", "execution.py"),
     os.path.join("repro", "core", "nondet.py"),
     os.path.join("repro", "core", "profile.py"),
     os.path.join("repro", "vm", "shardpool.py"),
-    os.path.join("repro", "vm", "shm.py"),
 )
 
 
@@ -737,7 +564,7 @@ def check_lock_discipline(src_dir: Optional[str] = None,
                           suppressions: Sequence[LintSuppression]
                           = DEFAULT_LINT_SUPPRESSIONS,
                           cache=None) -> List[LockFinding]:
-    """Check the lock discipline (L1/L2/S1) of the default scan set.
+    """Check the lock discipline (L1/L2) of the default scan set.
 
     The same as :func:`lint_modules`, defaulting *modules* to
     :data:`DEFAULT_LOCK_MODULES`.

@@ -111,9 +111,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
             line += (f", {stats.shards_spawned} shard(s) spawned"
                      f" ({stats.shards_died} died), "
                      f"{stats.steals_granted}/{stats.steals_attempted} "
-                     f"steals granted ({stats.jobs_stolen} jobs), "
-                     f"shm: {stats.shm_segments} segment(s) / "
-                     f"{stats.shm_bytes} bytes")
+                     f"steals granted ({stats.jobs_stolen} jobs)")
         print(line)
     if stats.profile_store_hits + stats.profile_store_misses:
         total = stats.profile_store_hits + stats.profile_store_misses
@@ -138,12 +136,9 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
               f"({stats.nondet_cache_hits}/"
               f"{stats.nondet_cache_hits + stats.nondet_cache_misses})")
     if stats.sender_cache_hits + stats.sender_cache_misses:
-        shared = (f" ({stats.sender_cache_shared_hits} from shared tier)"
-                  if stats.sender_cache_shared_hits else "")
         print(f"sender cache: {stats.sender_cache_hit_rate():.0%} hit "
               f"({stats.sender_cache_hits}/"
-              f"{stats.sender_cache_hits + stats.sender_cache_misses})"
-              f"{shared}, "
+              f"{stats.sender_cache_hits + stats.sender_cache_misses}), "
               f"{stats.sender_cache_entries} deltas / "
               f"{stats.sender_cache_bytes} bytes held, "
               f"{stats.sender_cache_evictions} evicted, "

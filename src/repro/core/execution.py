@@ -15,11 +15,10 @@ non-determinism cache.
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..corpus.program import TestProgram
 from ..faults.plan import SITE_CACHE_EVICT, SITE_SENDER_CACHE_EVICT, FaultPlan
@@ -149,14 +148,13 @@ class SenderStateCache:
     eviction only costs the next user one sender re-execution, so the
     ``sender_cache.evict`` chaos site is absorbed by construction.
     Each process shard works on its own forked copy, whose entries die
-    with the shard; what it wrote through to the shared tier is
-    unlinked by the supervisor when the shard dies.
+    with the shard.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_SENDER_CACHE_BYTES,
                  faults: Optional[FaultPlan] = None) -> None:
         # Reentrant for the same reason as BaselineCache: _remove is
-        # called lexically under get/_admit, and the lock-discipline
+        # called lexically under get/put, and the lock-discipline
         # checker reasons purely lexically.
         self._lock = threading.RLock()
         #: (snapshot id, sender hash) -> entry, LRU order (oldest first).
@@ -164,18 +162,8 @@ class SenderStateCache:
             = OrderedDict()
         self._faults = faults
         self.max_bytes = max_bytes
-        #: Optional shared tier (a :class:`~repro.vm.shm.DeltaStore`-like
-        #: object with ``fetch(key) -> bytes | None`` and
-        #: ``publish(key, payload)``).  When set, the cache becomes a
-        #: two-tier read-through: a local miss consults the shared tier
-        #: and admits the deserialized entry; a fresh local insert is
-        #: written through so sibling shard processes can hit it.
-        self.backing: Optional[Any] = None
         self.hits = 0
         self.misses = 0
-        #: Hits served by deserializing a shared-tier blob (a subset of
-        #: ``hits``): another shard executed this sender first.
-        self.shared_hits = 0
         #: Entries dropped by the byte budget (not by faults).
         self.evictions = 0
         self._bytes = 0
@@ -186,61 +174,37 @@ class SenderStateCache:
         key = (snapshot_id, sender_hash)
         with self._lock:
             entry = self._entries.get(key)
-            evicted = False
             if entry is not None and faults is not None \
                     and faults.should_inject(SITE_SENDER_CACHE_EVICT):
                 # Spurious eviction: the caller re-executes the sender
-                # from the base snapshot, absorbing the fault.  The
-                # shared tier is deliberately not consulted on this
-                # path, so the injected eviction keeps its real cost.
+                # from the base snapshot, absorbing the fault.
                 self._remove(key)
                 faults.record_recovered([SITE_SENDER_CACHE_EVICT])
                 entry = None
-                evicted = True
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry
-            if self.backing is not None and not evicted:
-                payload = self.backing.fetch(key)
-                if payload is not None:
-                    entry = pickle.loads(payload)
-                    self._admit(key, entry)
-                    self.hits += 1
-                    self.shared_hits += 1
-                    return entry
-            self.misses += 1
-            return None
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
 
     def put(self, snapshot_id: str, sender_hash: str,
             entry: SenderState) -> None:
+        """Insert under the byte budget; the first put of a key wins.
+
+        An oversized entry is never admitted: callers keep re-executing
+        this sender, which is correct (just slower) by construction.
+        """
         key = (snapshot_id, sender_hash)
         with self._lock:
-            # An oversized entry is never admitted: callers keep
-            # re-executing this sender, which is correct (just slower)
-            # by construction.
-            if not self._admit(key, entry):
-                return
-            if self.backing is not None:
-                # Write-through on fresh inserts only; the shared tier
-                # deduplicates by deterministic name, so a racing
-                # sibling's publish simply wins.
-                self.backing.publish(
-                    key, pickle.dumps(entry,
-                                      protocol=pickle.HIGHEST_PROTOCOL))
-
-    def _admit(self, key: Tuple[str, str], entry: SenderState) -> bool:
-        """Insert under the byte budget; False if present or oversized."""
-        with self._lock:
             if entry.size_bytes > self.max_bytes or key in self._entries:
-                return False
+                return
             self._entries[key] = entry
             self._bytes += entry.size_bytes
             while self._bytes > self.max_bytes and len(self._entries) > 1:
                 oldest = next(iter(self._entries))
                 self._remove(oldest)
                 self.evictions += 1
-            return True
 
     def _remove(self, key: Tuple[str, str]) -> None:
         with self._lock:

@@ -33,7 +33,6 @@ from ..store import (
 )
 from ..vm.machine import Machine, MachineConfig, MachineStats
 from ..vm.shardpool import affinity_order, fork_available, run_sharded
-from ..vm.shm import DeltaStore, SegmentStore, SharedSnapshot
 from .aggregation import ReportGroups, aggregate
 from .clustering import strategy_by_name
 from .detection import DetectionResult, Detector, Outcome
@@ -47,12 +46,7 @@ from .generation import GenerationResult, TestCase, TestCaseGenerator
 from .nondet import DEFAULT_OFFSET_SECONDS, NondetAnalyzer, NondetStore
 from .oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from .accessindex import ColumnarAccessIndex
-from .profile import (
-    ProgramProfile,
-    Profiler,
-    iter_profiles_batched,
-    profile_corpus_distributed,
-)
+from .profile import ProgramProfile, Profiler, profile_corpus_distributed
 from .report import TestReport
 from .reportcodec import decode_report, encode_report
 from .schedule import (
@@ -104,19 +98,16 @@ class CampaignConfig:
     #: Directory for columnar index run segments (None = private temp
     #: directory, deleted after generation).
     index_dir: Optional[str] = None
-    #: Programs profiled per batch on the streaming path; inside a batch
-    #: executions run in program-hash order for cache affinity.
-    profile_batch: int = 64
     #: Run Algorithm 2 on each report.
     diagnose: bool = True
     #: Parallel workers (0 = in-process).  Execution runs on that many
-    #: forked process shards (in-process where ``fork`` is missing);
+    #: forked process shards (in-process where ``fork`` is missing),
+    #: each on its forked copy of the campaign machine and caches;
     #: profiling runs on that many threads.
     workers: int = 0
     #: How distributed execution shards.  ``process`` is the only mode:
-    #: shared-nothing forked shards booting from a shared-memory
-    #: snapshot, with a work-stealing dispatcher and a two-tier sender
-    #: cache (docs/SHARDING.md).
+    #: forked shards that share nothing after the fork, with a
+    #: work-stealing dispatcher (docs/SHARDING.md).
     shard_mode: str = "process"
     #: Memoize post-sender machine state (segmented delta per sender)
     #: so test cases sharing a sender restore it instead of re-running
@@ -198,8 +189,7 @@ class CampaignStats:
     jobs_stolen: int = 0
     shards_spawned: int = 0
     shards_died: int = 0
-    #: Shared-memory segment store telemetry (process mode only).
-    shm_segments: int = 0
+    #: Always 0 (shards share no memory); e2e benchmark metrics read it.
     shm_bytes: int = 0
     #: Table 5 counters.
     initial_reports: int = 0
@@ -233,8 +223,7 @@ class CampaignStats:
     #: memoized sender prefix state (Algorithm 2).
     sender_cache_hits: int = 0
     sender_cache_misses: int = 0
-    #: Hits served from the shared shm tier (process mode): another
-    #: shard executed the sender first.  A subset of the hits above.
+    #: Always 0 (no shared sender tier); e2e benchmark metrics read it.
     sender_cache_shared_hits: int = 0
     sender_cache_evictions: int = 0
     sender_cache_bytes: int = 0
@@ -404,8 +393,7 @@ class _Caches:
     #: The counters a shard ships back at retirement, per cache.
     _COUNTERS = {"baselines": ("hits", "misses"),
                  "nondet": ("hits", "misses"),
-                 "sender_states": ("hits", "misses", "shared_hits",
-                                   "evictions")}
+                 "sender_states": ("hits", "misses", "evictions")}
 
     def by_name(self) -> Dict[str, Any]:
         caches: Dict[str, Any] = dict(baselines=self.baselines,
@@ -564,7 +552,6 @@ class Kit:
             # shard's cache held at retirement.
             stats.sender_cache_hits = sender_states.hits
             stats.sender_cache_misses = sender_states.misses
-            stats.sender_cache_shared_hits = sender_states.shared_hits
             stats.sender_cache_evictions = sender_states.evictions
             stats.sender_cache_bytes += sender_states.bytes_held
             stats.sender_cache_entries += len(sender_states)
@@ -778,13 +765,13 @@ class Kit:
                     context=f"profile {position}")
 
             if columnar:
-                # Streaming path: profiles flow batch-wise (hash-ordered
-                # inside a batch for cache affinity) straight into the
-                # on-disk index — the profile list is never materialized.
+                # Streaming path: profiles flow in corpus order straight
+                # into the on-disk index — the profile list is never
+                # materialized.
                 profiles = None
                 index = ColumnarAccessIndex.build(
-                    iter_profiles_batched(profile, corpus,
-                                          batch_size=config.profile_batch),
+                    (profile(program, position)
+                     for position, program in enumerate(corpus)),
                     config.spec, directory=config.index_dir)
             else:
                 profiles = [profile(program, position)
@@ -889,31 +876,24 @@ class Kit:
     def _execute_process(self, machine: Machine, cases: List[TestCase],
                          stats: CampaignStats, caches: _Caches,
                          runner: _CaseRunner) -> List[DetectionResult]:
-        """Execution on shared-nothing process shards.
+        """Execution on process shards that share only what fork gives.
 
-        The parent publishes the base snapshot into a shared-memory
-        segment; every forked shard boots its machine straight from the
-        mapped bytes and runs its granted (and stolen) job ranges
-        through its inherited copy of *runner*.  The forked copies of
-        the campaign caches become each shard's local tier — the sender
-        cache additionally reads through to the shared
-        :class:`DeltaStore`, so one shard's post-sender delta serves
-        every sibling.  Telemetry and fault-counter deltas travel back
-        in the shard protocol's retirement messages; the segment store
-        is swept clean no matter how shards die.
+        Every forked shard runs its granted (and stolen) job ranges on
+        its own copy of the campaign *machine*, through its own copy of
+        *runner*, filling its own copies of the campaign *caches*.
+        Nothing crosses between processes after the fork except the
+        shard protocol's pipe messages: results, and the telemetry and
+        fault-counter deltas of the retirement messages.
         """
         config = self.config
         plan = config.faults
         sender_states = caches.sender_states
-        store = SegmentStore()
-        delta_store = DeltaStore(store) if sender_states is not None else None
-        if sender_states is not None:
-            sender_states.backing = delta_store
-        shared = SharedSnapshot.publish(store, machine.snapshot)
 
         def boot() -> Machine:
-            # Runs inside the freshly forked shard process.
-            return Machine(config.machine, shared_snapshot=shared.attach())
+            # Runs inside the freshly forked shard: fresh counters, so
+            # shard telemetry counts only the shard's own resets.
+            machine.stats = MachineStats()
+            return machine
 
         def shard_telemetry(worker_machine: Machine) -> Dict[str, Any]:
             # Runs in the shard at clean retirement.  Every counter here
@@ -928,15 +908,6 @@ class Kit:
                                        sender_states.bytes_held)
             return data
 
-        def retire_segments(names: List[str]) -> None:
-            # A dead shard's local cache entries die with its process,
-            # but its published deltas may describe a corrupted
-            # machine, so their names are unlinked — survivors' open
-            # mappings stay valid (POSIX), but no shard can fetch them
-            # anew.
-            for suffix in names:
-                store.unlink(suffix)
-
         # Two-level affinity schedule: the sender-major level batches
         # every case sharing a sender consecutively (the first case of
         # a batch populates the sender-state cache, the rest restore
@@ -950,28 +921,18 @@ class Kit:
                                  case.receiver.hash_hex) for case in cases])
         scheduled = [cases[i] for i in order]
         stored = self._store_handle is not None
-        try:
-            report = run_sharded(
-                config.machine, scheduled, runner,
-                workers=config.workers, boot=boot, faults=plan,
-                max_job_retries=(plan.max_job_retries if plan else 0),
-                strict=(plan is None),
-                on_owner_segments=retire_segments,
-                telemetry_hook=shard_telemetry,
-                published_names=(delta_store.take_published
-                                 if delta_store is not None else None),
-                retry_policy=self._effective_retry_policy(),
-                hang_timeout=config.hang_timeout,
-                on_result=(self._journal_job_result if stored else None),
-                on_job_failure=(self._journal_job_failure
-                                if stored else None),
-                prior_deaths=self._prior_deaths(scheduled))
-        finally:
-            if sender_states is not None:
-                sender_states.backing = None
-            stats.shm_segments = store.created
-            stats.shm_bytes = store.created_bytes
-            store.cleanup()
+        report = run_sharded(
+            config.machine, scheduled, runner,
+            workers=config.workers, boot=boot, faults=plan,
+            max_job_retries=(plan.max_job_retries if plan else 0),
+            strict=(plan is None),
+            telemetry_hook=shard_telemetry,
+            retry_policy=self._effective_retry_policy(),
+            hang_timeout=config.hang_timeout,
+            on_result=(self._journal_job_result if stored else None),
+            on_job_failure=(self._journal_job_failure
+                            if stored else None),
+            prior_deaths=self._prior_deaths(scheduled))
         stats.steals_attempted = report.steals_attempted
         stats.steals_granted = report.steals_granted
         stats.jobs_stolen = report.jobs_stolen

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..corpus.program import TestProgram
 from ..faults.plan import FaultPlan, call_with_fault_retries
@@ -79,46 +78,6 @@ class Profiler:
 
     def profile_corpus(self, corpus: Sequence[TestProgram]) -> List[ProgramProfile]:
         return [self.profile(program, index) for index, program in enumerate(corpus)]
-
-
-def iter_profiles_batched(
-        profile: Callable[[TestProgram, int], ProgramProfile],
-        corpus: Iterable[TestProgram],
-        batch_size: int = 64) -> Iterator[ProgramProfile]:
-    """Profile a program stream batch-wise, executions ordered by hash.
-
-    *profile* is called as ``profile(program, corpus_index)``.  Yields
-    profiles in corpus order while, inside each batch, the actual
-    profiling runs happen in ascending program-hash order — consecutive
-    executions of hash-adjacent programs ride the sender-state cache and
-    land in the same :class:`~repro.core.profile_store.ProfileStore`
-    fan-out shard.  Safe because each profiling run restores the
-    snapshot first: a profile is a pure function of the program, so
-    execution order cannot change its content.  Peak memory is one
-    batch of profiles, which is what lets a streamed corpus feed the
-    columnar access index without materializing the profile list.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    batch: List[Tuple[int, TestProgram]] = []
-
-    def drain() -> Iterator[ProgramProfile]:
-        by_slot: Dict[int, ProgramProfile] = {}
-        order = sorted(range(len(batch)),
-                       key=lambda slot: batch[slot][1].hash_hex)
-        for slot in order:
-            index, program = batch[slot]
-            by_slot[slot] = profile(program, index)
-        for slot in range(len(batch)):
-            yield by_slot[slot]
-        batch.clear()
-
-    for index, program in enumerate(corpus):
-        batch.append((index, program))
-        if len(batch) >= batch_size:
-            yield from drain()
-    if batch:
-        yield from drain()
 
 
 def profile_corpus_distributed(

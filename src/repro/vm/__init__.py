@@ -23,21 +23,12 @@ from .shardpool import (
     fork_available,
     run_sharded,
 )
-from .shm import (
-    HAVE_SHM,
-    DeltaStore,
-    SegmentStore,
-    SharedSnapshot,
-    SharedSnapshotView,
-)
 from .snapshot import Snapshot
 
 __all__ = [
     "ContainerConfig",
-    "DeltaStore",
     "ExecutionResult",
     "Executor",
-    "HAVE_SHM",
     "Job",
     "JobResult",
     "Machine",
@@ -46,11 +37,8 @@ __all__ = [
     "RECEIVER",
     "RestoreConsistencyError",
     "SENDER",
-    "SegmentStore",
     "SegmentedImage",
     "ShardRunReport",
-    "SharedSnapshot",
-    "SharedSnapshotView",
     "Snapshot",
     "StateDelta",
     "SteppedExecution",

@@ -15,10 +15,9 @@ container's flags.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..corpus.program import TestProgram
 from ..faults.plan import (
@@ -38,7 +37,7 @@ from .executor import (
     SteppedExecution,
     SyscallRecord,
 )
-from .segments import RestoreConsistencyError, SegmentedImage, StateDelta
+from .segments import RestoreConsistencyError, StateDelta
 from .snapshot import Snapshot
 
 SENDER = "sender"
@@ -133,8 +132,7 @@ class MachineStats:
 class Machine:
     """One bootable, snapshottable test machine."""
 
-    def __init__(self, config: Optional[MachineConfig] = None,
-                 shared_snapshot: Optional[Any] = None):
+    def __init__(self, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
         self.kernel: Kernel = None  # type: ignore[assignment]
         self.sender_task: Task = None  # type: ignore[assignment]
@@ -144,14 +142,7 @@ class Machine:
         self.faults: Optional[FaultPlan] = self.config.fault_plan
         #: Set by the shard pool: which shard owns this machine.
         self.cluster_worker_id: Optional[int] = None
-        #: *shared_snapshot* (a :class:`~repro.vm.shm.SharedSnapshotView`)
-        #: boots from another process's published snapshot: the blob and
-        #: segmented group payloads are borrowed straight from shared
-        #: memory instead of being re-pickled — the shard-pool fast boot.
-        if shared_snapshot is not None:
-            self.snapshot = self._boot_from_shared(shared_snapshot)
-        else:
-            self.snapshot = self._boot_and_snapshot()
+        self.snapshot = self._boot_and_snapshot()
         if self.snapshot.image is not None:
             # The boot kernel stays live: segmented resets restore it in
             # place, so it must be the kernel the image is bound to.
@@ -174,25 +165,6 @@ class Machine:
                 kernel.vfs.install_standard_tree(mnt_ns)
         return Snapshot.take(kernel, description="post-container-setup",
                              segmented=not self.config.full_restore)
-
-    def _boot_from_shared(self, view: Any) -> Snapshot:
-        """Materialize a snapshot from a published shared-memory view.
-
-        The kernel is deserialized once from the shared blob; when the
-        view carries segmented payloads (and this machine wants the
-        segmented path), :meth:`SegmentedImage.build` re-derives the
-        grouping against the live kernel but *adopts* the shared
-        payload buffers, skipping the per-group pickling that dominates
-        a cold boot.  The publisher's content id is inherited verbatim,
-        so derived-state cache keys (baselines, sender deltas) agree
-        across every shard booted from the same view.
-        """
-        kernel: Kernel = pickle.loads(view.blob)
-        image = None
-        if view.payloads is not None and not self.config.full_restore:
-            image = SegmentedImage.build(kernel, payloads=view.payloads)
-        return Snapshot(view.blob, view.description, image,
-                        content_id=view.content_id)
 
     # -- state control -----------------------------------------------------
 

@@ -51,7 +51,7 @@ import enum
 import io
 import pickle
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..faults.plan import (
     SITE_RESTORE_FAIL,
@@ -459,18 +459,12 @@ class SegmentedImage:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(cls, kernel: Kernel,
-              payloads: Optional[Sequence[Any]] = None) -> "SegmentedImage":
-        """Segment *kernel*; with *payloads*, adopt pre-pickled groups.
+    def build(cls, kernel: Kernel) -> "SegmentedImage":
+        """Segment *kernel* into independently restorable groups.
 
-        *payloads* (one buffer per group, e.g. shared-memory views of
-        another process's identically-built image) skips the per-group
-        pickling pass — the single most expensive step of a boot.  The
-        probe pass still runs against the live kernel, so grouping is
-        recomputed locally and validated against the payload count;
-        group *order* is deterministic (roots enumerate in insertion
-        order, union-find components appear in first-member order), which
-        is also what makes cross-machine :class:`StateDelta` exchange
+        Group *order* is deterministic (roots enumerate in insertion
+        order, union-find components appear in first-member order),
+        which is what makes cross-machine :class:`StateDelta` exchange
         sound.
         """
         image = cls()
@@ -515,28 +509,15 @@ class SegmentedImage:
                 members.append([])
             members[group].append(index)
 
-        if payloads is not None:
-            if len(payloads) != len(members):
-                raise ValueError(
-                    f"shared image has {len(payloads)} group payload(s), "
-                    f"local grouping found {len(members)} — the snapshot "
-                    "was built from a different kernel configuration")
-            image.payloads = list(payloads)
-            for group_indices in members:
-                image.group_members.append(
-                    [root_keys[i] for i in group_indices])
-        else:
-            for group_indices in members:
-                entries = []
-                for index in group_indices:
-                    key = root_keys[index]
-                    entries.append(
-                        (key, _capture_state(key, image.roots[key])))
-                stream = io.BytesIO()
-                _GroupPickler(stream, root_pids).dump(entries)
-                image.payloads.append(stream.getvalue())
-                image.group_members.append(
-                    [root_keys[i] for i in group_indices])
+        for group_indices in members:
+            entries = []
+            for index in group_indices:
+                key = root_keys[index]
+                entries.append((key, _capture_state(key, image.roots[key])))
+            stream = io.BytesIO()
+            _GroupPickler(stream, root_pids).dump(entries)
+            image.payloads.append(stream.getvalue())
+            image.group_members.append([root_keys[i] for i in group_indices])
 
         for group, group_indices in enumerate(members):
             for index in group_indices:

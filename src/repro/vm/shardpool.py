@@ -5,10 +5,11 @@ several RPC services to clients to distribute VM snapshots, transfer
 test cases, and collect test results" (§5.2), and runs every test case
 on its own VM with no state shared between VMs (§6.5).  This module is
 that job protocol across *processes*.  Each shard is forked from the
-supervisor, boots its own :class:`~repro.vm.machine.Machine` (from the
-shared-memory base snapshot when one is provided), and owns a
-contiguous, affinity-ordered *range* of the round's jobs instead of
-pulling from a single queue.
+supervisor, gets its own :class:`~repro.vm.machine.Machine` from the
+caller's *boot* (by default a fresh ``Machine(machine_config)``), and
+owns a contiguous, affinity-ordered *range* of the round's jobs instead
+of pulling from a single queue.  After the fork, shards and supervisor
+share nothing but the pipes of this protocol.
 
 Work stealing
 -------------
@@ -36,8 +37,7 @@ The supervisor runs in *rounds*: shards run until they exit, the
 supervisor settles the round (a dead shard's *held* job is charged a
 failed attempt, the rest of its range re-queued uncharged), and fresh
 worker ids are spawned for whatever remains, so no two shards ever
-share an id.  A dead shard's local caches die with its process; the
-shared-memory names it announced are handed to the caller to unlink.
+share an id.  A dead shard's local caches die with its process.
 Only a job that exhausts its retry budget fails the run: loudly (a
 ``RuntimeError`` naming every unfinished job) under ``strict``, or
 gracefully (a ``JobResult`` carrying the error, for the pipeline to
@@ -183,9 +183,6 @@ class ShardRunReport:
     #: silent, or sat on one job, longer than ``hang_timeout``).  Hung
     #: shards also count in ``shards_died``.
     hung_shards: List[int] = field(default_factory=list)
-    #: Shared-segment names announced by shards that later died; the
-    #: supervisor passed each batch to ``on_owner_segments``.
-    retired_segments: List[str] = field(default_factory=list)
 
 
 def _stats_delta(faults: Optional[FaultPlan],
@@ -215,7 +212,6 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 case_runner: Callable[[Machine, Any], Any],
                 faults: Optional[FaultPlan],
                 telemetry_hook: Optional[Callable[[Machine], Any]],
-                published_names: Optional[Callable[[], List[str]]],
                 start: int, end: int,
                 heartbeat_interval: Optional[float] = None) -> None:
     """One shard process: run ranges, answer steals, report, retire.
@@ -231,7 +227,6 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
     the main thread, so every send goes through one lock: pipe writes
     from two threads must never interleave mid-message.
     """
-    names = published_names or (lambda: [])
     base = faults.stats.snapshot() if faults is not None else None
     send_lock = threading.Lock()
 
@@ -244,7 +239,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
     except Exception as error:
         send(("fatal", worker_id, None,
               f"{type(error).__name__}: {error}", [],
-              _stats_delta(faults, base), names()))
+              _stats_delta(faults, base)))
         return
     machine.cluster_worker_id = worker_id
     cursor, limit = start, end
@@ -289,7 +284,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
             if stopping:
                 break
             if cursor >= limit:
-                send(("idle", worker_id, names()))
+                send(("idle", worker_id))
                 while cursor >= limit:
                     if not handle(ctrl.recv()):
                         stopping = True
@@ -315,7 +310,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                     # Announce, then die: the supervisor accounts the
                     # injection (this process's counters die with it)
                     # and charges exactly the announced job.
-                    send(("killing", worker_id, index, names()))
+                    send(("killing", worker_id, index))
                     os.kill(os.getpid(), signal.SIGKILL)
             try:
                 outcome = case_runner(machine, payload)
@@ -323,22 +318,21 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
             except Exception as failure:  # defensive: report, keep shard
                 outcome = None
                 error = f"{type(failure).__name__}: {failure}"
-            send(("result", worker_id, index, outcome, error, names()))
+            send(("result", worker_id, index, outcome, error))
             held = None
             cursor += 1
     except WorkerCrashInjected as error:
         send(("fatal", worker_id, held,
               f"{type(error).__name__}: {error}", [SITE_WORKER_CRASH],
-              _stats_delta(faults, base), names()))
+              _stats_delta(faults, base)))
         return
     except BaseException as error:  # genuine shard death
         send(("fatal", worker_id, held,
               f"{type(error).__name__}: {error}", [],
-              _stats_delta(faults, base), names()))
+              _stats_delta(faults, base)))
         return
     telemetry = telemetry_hook(machine) if telemetry_hook is not None else None
-    send(("done", worker_id, telemetry,
-          _stats_delta(faults, base), names()))
+    send(("done", worker_id, telemetry, _stats_delta(faults, base)))
 
 
 @dataclass
@@ -358,7 +352,6 @@ class _Shard:
     fatal_error: Optional[str] = None
     held_index: Optional[int] = None
     pending_sites: List[str] = field(default_factory=list)
-    published: List[str] = field(default_factory=list)
     telemetry: Any = None
     #: Watchdog inputs: time of the last message received from this
     #: shard, and how long it has reported the same held job.
@@ -375,11 +368,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 max_job_retries: int = 0,
                 strict: bool = True,
                 on_worker_death: Optional[Callable[[int], None]] = None,
-                on_owner_segments: Optional[Callable[[List[str]],
-                                                     None]] = None,
                 telemetry_hook: Optional[Callable[[Machine], Any]] = None,
-                published_names: Optional[Callable[[],
-                                                   List[str]]] = None,
                 retry_policy: Optional[RetryPolicy] = None,
                 hang_timeout: Optional[float] = None,
                 on_result: Optional[Callable[[Job, JobResult],
@@ -401,14 +390,11 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     attempt count and last cause; with ``strict=False`` the job's
     ``JobResult`` carries the error instead.  Extra hooks:
 
-    * *boot* builds each shard's machine inside the shard process
-      (default: ``Machine(machine_config)``; the pipeline passes a
-      shared-snapshot boot closure).
+    * *boot* returns each shard's machine inside the shard process
+      (default: ``Machine(machine_config)``; the pipeline hands each
+      shard its forked copy of the campaign machine).
     * *telemetry_hook* runs in the shard at clean retirement; its
       (picklable) return value lands in ``report.telemetry``.
-    * *published_names* is polled in the shard for shared-segment names
-      it published since last poll; *on_owner_segments* receives a dead
-      shard's announced names so the caller can unlink them.
 
     Self-healing extensions: *retry_policy* (per-cause budgets,
     backoff, poison quarantine; see
@@ -470,7 +456,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             proc = ctx.Process(
                 target=_shard_main,
                 args=(worker_id, ctrl_recv, out_send, boot, round_jobs,
-                      case_runner, faults, telemetry_hook, published_names,
+                      case_runner, faults, telemetry_hook,
                       start, end, heartbeat_interval),
                 name=f"kit-shard-{worker_id}", daemon=True)
             proc.start()
@@ -542,9 +528,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     shard.last_held = held
                     shard.held_since = shard.last_message
             elif kind == "result":
-                _, worker_id, index, outcome, error, names = message
+                _, worker_id, index, outcome, error = message
                 shard.booted = True
-                shard.published.extend(names)
                 if index in shard.remaining:
                     shard.remaining.remove(index)
                 if shard.last_held == index:
@@ -571,9 +556,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 if committed is not None and on_result is not None:
                     on_result(job, committed)
             elif kind == "idle":
-                _, worker_id, names = message
+                _, worker_id = message
                 shard.booted = True
-                shard.published.extend(names)
                 if shard.state in ("running", "granted"):
                     shard.state = "waiting"
                     waiting.append(worker_id)
@@ -608,9 +592,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                         waiting.append(thief.worker_id)
                 match_thieves()
             elif kind == "killing":
-                _, worker_id, index, names = message
+                _, worker_id, index = message
                 shard.booted = True
-                shard.published.extend(names)
                 shard.exit_kind = "killed"
                 shard.held_index = index
                 shard.pending_sites = [SITE_WORKER_KILL]
@@ -621,9 +604,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     # supervisor keeps the campaign ledger.
                     faults.stats.note_injected(SITE_WORKER_KILL)
             elif kind == "fatal":
-                (_, _worker_id, held, error, pending, delta,
-                 names) = message
-                shard.published.extend(names)
+                _, _worker_id, held, error, pending, delta = message
                 shard.exit_kind = "fatal"
                 shard.fatal_error = error
                 shard.held_index = held
@@ -632,9 +613,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     shard.booted = True
                 _merge_stats_delta(faults, delta)
             elif kind == "done":
-                _, _worker_id, telemetry, delta, names = message
+                _, _worker_id, telemetry, delta = message
                 shard.booted = True
-                shard.published.extend(names)
                 shard.exit_kind = "done"
                 shard.telemetry = telemetry
                 _merge_stats_delta(faults, delta)
@@ -736,10 +716,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 f"worker {shard.worker_id}: {shard.fatal_error}")
             if on_worker_death is not None:
                 on_worker_death(shard.worker_id)
-            if shard.published:
-                report.retired_segments.extend(shard.published)
-                if on_owner_segments is not None:
-                    on_owner_segments(list(shard.published))
         cause = "; ".join(dead_descriptions) or "result lost in transit"
 
         def settle(job: Job) -> str:

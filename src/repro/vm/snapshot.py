@@ -13,10 +13,10 @@ also decomposed into per-root payloads by
 snapshot was taken from.  :class:`~repro.vm.machine.Machine` uses the
 image to restore **in place**, reloading only the segments a run
 dirtied — the fast path behind the §6.5 throughput numbers.  The full
-blob is always kept: it serves independent-copy restores (process
-shards boot from it, and so do tests), is the byte-identity reference
-for the segmented consistency check, and its digest is the snapshot's
-content id.
+blob is always kept: it serves independent-copy restores (full-restore
+machines and tests use them), is the byte-identity reference for the
+segmented consistency check, and its digest is the snapshot's content
+id.
 """
 
 from __future__ import annotations
@@ -36,18 +36,13 @@ class Snapshot:
     __slots__ = ("blob", "description", "image", "_content_id")
 
     def __init__(self, blob: bytes, description: str = "",
-                 image: Optional[SegmentedImage] = None,
-                 content_id: Optional[str] = None):
+                 image: Optional[SegmentedImage] = None):
         self.blob = blob
         self.description = description
         #: Segmented view bound to the snapshotted kernel, when taken
         #: with ``segmented=True``; None otherwise.
         self.image = image
-        #: *content_id* pre-seeds the digest — a shard booting from a
-        #: shared-memory snapshot view inherits the publisher's id
-        #: instead of re-hashing the (borrowed) blob, so derived-state
-        #: cache keys agree across processes by construction.
-        self._content_id: Optional[str] = content_id
+        self._content_id: Optional[str] = None
 
     @property
     def content_id(self) -> str:
@@ -58,7 +53,7 @@ class Snapshot:
         hash seed), hence the same content id and the same segmented
         group layout — which is exactly the compatibility a
         :class:`~repro.vm.segments.StateDelta` needs to move between
-        process shards.
+        machines.
         """
         if self._content_id is None:
             self._content_id = hashlib.sha256(self.blob).hexdigest()

@@ -1,4 +1,4 @@
-"""The flow- and alias-aware lock-discipline checker (L1/L2/S1)."""
+"""The flow- and alias-aware lock-discipline checker (L1/L2)."""
 
 from __future__ import annotations
 
@@ -370,81 +370,3 @@ def test_vetted_suppression_drops_the_finding(tmp_path):
                                       function="size", code="L1",
                                       reason="test"),))
     assert silenced == []
-
-
-# -- S1: shared-memory segment lifecycle --------------------------------------
-
-def test_s1_flags_unprotected_creation(tmp_path):
-    findings = _check(tmp_path, """
-        from multiprocessing import shared_memory
-
-        def publish(name, payload):
-            seg = shared_memory.SharedMemory(name=name, create=True,
-                                             size=len(payload))
-            seg.buf[:len(payload)] = payload
-            seg.close()
-        """)
-    assert [f.code for f in findings] == ["S1"]
-    assert findings[0].name == "seg"
-    assert "may leak" in findings[0].message
-
-
-def test_s1_accepts_try_finally_lifecycle(tmp_path):
-    findings = _check(tmp_path, """
-        from multiprocessing import shared_memory
-
-        def publish(name, payload):
-            try:
-                seg = shared_memory.SharedMemory(name=name, create=True,
-                                                 size=len(payload))
-            except FileExistsError:
-                return False
-            try:
-                seg.buf[:len(payload)] = payload
-            finally:
-                seg.close()
-            return True
-        """)
-    assert findings == []
-
-
-def test_s1_flags_never_settled_segment(tmp_path):
-    findings = _check(tmp_path, """
-        from multiprocessing import shared_memory
-
-        def leak(name):
-            seg = shared_memory.SharedMemory(name=name, create=True,
-                                             size=64)
-        """)
-    assert [f.code for f in findings] == ["S1"]
-    assert "never closed" in findings[0].message
-
-
-def test_s1_accepts_handoff_to_tracked_owner(tmp_path):
-    findings = _check(tmp_path, """
-        from multiprocessing import shared_memory
-
-        class Store:
-            def __init__(self):
-                self._open = {}
-
-            def create(self, name):
-                seg = shared_memory.SharedMemory(name=name, create=True,
-                                                 size=64)
-                self._open[name] = seg
-                return seg
-        """)
-    assert findings == []
-
-
-def test_s1_ignores_attach_without_create(tmp_path):
-    findings = _check(tmp_path, """
-        from multiprocessing import shared_memory
-
-        def attach(name):
-            seg = shared_memory.SharedMemory(name=name)
-            value = bytes(seg.buf[:4])
-            seg.close()
-            return value
-        """)
-    assert findings == []

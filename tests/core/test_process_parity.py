@@ -10,13 +10,12 @@ tier-1; the seeds-by-kernels sweep is behind ``-m chaos``.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core import pipeline
 from repro.core.known_bugs import SCENARIOS, TABLE3_ROWS, scenario_machine_config
 from repro.core.pipeline import CampaignConfig, Kit
+from repro.faults.plan import SITE_WORKER_KILL, FaultPlan
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, fork_available
 
@@ -50,13 +49,6 @@ def _signature(result):
     }
 
 
-def _no_shm_leaks():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return True
-    return not [entry for entry in os.listdir("/dev/shm")
-                if entry.startswith("kitshm")]
-
-
 # -- tier-1 slice -------------------------------------------------------------
 
 
@@ -64,7 +56,6 @@ def test_process_mode_matches_in_process():
     in_process = _campaign("5.13", workers=0)
     sharded = _campaign("5.13", workers=2)
     assert _signature(sharded) == _signature(in_process)
-    assert _no_shm_leaks()
 
 
 def test_process_mode_telemetry_accounts_for_the_pool():
@@ -74,10 +65,6 @@ def test_process_mode_telemetry_accounts_for_the_pool():
     assert stats.shard_mode == "process"
     assert stats.execution_workers == 2
     assert stats.shards_spawned >= 2 and stats.shards_died == 0
-    # The base snapshot is always published to shared memory; the
-    # campaign-end sweep reclaims every segment it created.
-    assert stats.shm_segments >= 1 and stats.shm_bytes > 0
-    assert _no_shm_leaks()
     # Shard-local execution telemetry merges losslessly: the §6.5
     # funnel sees exactly the cases the in-process run executed.
     assert stats.cases_executed == in_process.stats.cases_executed
@@ -93,8 +80,31 @@ def test_forkless_fallback_runs_in_process(monkeypatch):
     assert _signature(fallback) == _signature(in_process)
     assert fallback.stats.shard_mode == "in-process"
     assert fallback.stats.execution_workers == 0
-    assert fallback.stats.shm_segments == 0
     assert fallback.stats.shards_spawned == 0
+
+
+def test_process_shards_need_no_shared_memory(monkeypatch):
+    """Shards get the campaign machine and caches through fork alone.
+
+    With POSIX shared memory refused, a 2-shard campaign that loses a
+    shard to SIGKILL still matches the in-process run."""
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise OSError("shared memory refused")
+
+    in_process = _campaign("5.13", seed=1, workers=0)
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    # The first attempt of job 0 SIGKILLs its shard; the retry budget
+    # re-runs the job on a replacement shard.
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
+    sharded = _campaign("5.13", seed=1, workers=2, faults=plan)
+    stats = sharded.stats
+    assert stats.shard_mode == "process"
+    assert stats.shards_died >= 1
+    assert stats.faults_injected == {SITE_WORKER_KILL: 1}
+    assert stats.faults_accounted(), plan.stats.snapshot()
+    assert _signature(sharded) == _signature(in_process)
 
 
 def test_only_process_shard_mode_exists():
@@ -112,4 +122,3 @@ def test_process_parity_sweep(kernel_name, seed):
     in_process = _campaign(kernel_name, seed=seed, workers=0)
     sharded = _campaign(kernel_name, seed=seed, workers=2)
     assert _signature(sharded) == _signature(in_process)
-    assert _no_shm_leaks()

@@ -140,9 +140,7 @@ def test_chaos_process_campaign_reports_same_bugs(seed, clean_bugs):
 def test_graceful_degradation_when_every_shard_is_killed():
     """The SIGKILL twin of the crash-storm test: every job attempt
     SIGKILLs its shard, yet the campaign completes with every case
-    degraded to infra_failed, balanced books, and no /dev/shm leak."""
-    import os
-
+    degraded to infra_failed and balanced books."""
     plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0},
                      max_job_retries=1)
     config = CampaignConfig(machine=KERNELS["5.13"], corpus_size=6,
@@ -155,9 +153,6 @@ def test_graceful_degradation_when_every_shard_is_killed():
     assert result.stats.faults_accounted(), plan.stats.snapshot()
     assert result.bugs_found() == set()
     assert result.stats.shards_died > 0
-    if os.path.isdir("/dev/shm"):
-        assert not [entry for entry in os.listdir("/dev/shm")
-                    if entry.startswith("kitshm")]
 
 
 # -- the full sweep (deselected by default; run with -m chaos) ----------------

@@ -1,10 +1,8 @@
-"""Shard supervision: job re-queue, shard death, the shared-tier leak.
+"""Shard supervision: job re-queue, shard death, cache isolation.
 
 Multi-shard forms of the recovery contracts whose single-shard forms
-live in ``tests/vm/test_shardpool.py``, plus the shared-tier leak a
-dead shard leaves behind when the death hook is not wired, and the
-isolation that keeps a dead shard's local cache entries out of the
-campaign process.
+live in ``tests/vm/test_shardpool.py``, plus the isolation that keeps a
+dead shard's cache entries out of the campaign process.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from repro.faults.plan import (
 )
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, fork_available, run_sharded
-from repro.vm.shm import DeltaStore, SegmentStore
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process shards require fork")
@@ -98,57 +95,6 @@ def test_genuine_job_exception_is_not_retried():
     assert report.rounds == 1
     assert "ValueError" in report.results[1].error
     assert [r.outcome for r in report.results] == [0, None, 2, 3]
-
-
-# -- the shared-tier leak ------------------------------------------------------
-
-
-def _run_leak_scenario(with_death_hook: bool):
-    """A shard publishes a delta, then dies before its next job.
-
-    Crash scheduled at job 1: the shard completes job 0 (its delta lands
-    in the shared tier and is announced with the result), then dies
-    holding job 1 — between publishes, exactly the leak window.
-    """
-    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {1}})
-    store = SegmentStore()
-    deltas = DeltaStore(store)
-    dead = []
-
-    def runner(machine, payload):
-        deltas.publish(("receiver", payload), b"result-%d" % payload)
-        return payload
-
-    def on_segments(names):
-        if with_death_hook:
-            for name in names:
-                deltas.unlink(name)
-
-    try:
-        report = run_sharded(CONFIG, [0, 1], runner, workers=1,
-                             faults=plan, max_job_retries=1,
-                             on_worker_death=dead.append,
-                             on_owner_segments=on_segments,
-                             published_names=deltas.take_published)
-        assert [r.outcome for r in report.results] == [0, 1]
-        assert dead == [0]
-        assert plan.stats.accounted()
-        return {payload: deltas.fetch(("receiver", payload)) is not None
-                for payload in (0, 1)}
-    finally:
-        store.cleanup()
-
-
-def test_leak_reproduced_without_death_hook():
-    published = _run_leak_scenario(with_death_hook=False)
-    assert published[0], "the dead shard's delta outlived its owner"
-
-
-def test_death_hook_closes_the_leak():
-    published = _run_leak_scenario(with_death_hook=True)
-    assert not published[0]
-    # The replacement's delta is untouched.
-    assert published[1]
 
 
 # -- shard-local caches --------------------------------------------------------
