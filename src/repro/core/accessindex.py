@@ -119,6 +119,12 @@ class _RunCursor:
             magic, self._rows = _HEADER.unpack(handle.read(_HEADER.size))
         if magic != _MAGIC:
             raise ValueError(f"bad run segment {path!r}")
+        # A truncated or padded run would merge silently into a
+        # different join, so its size must match its header's row count.
+        expected = _HEADER.size + 8 * len(COLUMNS) * self._rows
+        if os.path.getsize(path) != expected:
+            raise ValueError(f"run segment {path!r} is not the {expected} "
+                             f"bytes its {self._rows} rows need")
 
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         with open(self._path, "rb") as handle:

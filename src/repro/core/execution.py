@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus.program import TestProgram
-from ..faults.plan import SITE_CACHE_EVICT, SITE_SENDER_CACHE_EVICT, FaultPlan
 from ..vm.executor import ExecutionResult, SyscallRecord
 from ..vm.machine import RECEIVER, SENDER, Machine
 from ..vm.segments import StateDelta
@@ -43,28 +42,15 @@ class BaselineCache:
     the shard.  ``put`` keeps the first result stored for a receiver.
     """
 
-    def __init__(self, faults: Optional[FaultPlan] = None) -> None:
-        # Reentrant so _remove can take it lexically under get
-        # (the lock-discipline checker reasons purely lexically).
-        self._lock = threading.RLock()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._results: Dict[str, ExecutionResult] = {}
-        #: Chaos plan; registers the ``cache.evict`` injection site on
-        #: this cache.
-        self._faults = faults
         self.hits = 0
         self.misses = 0
 
     def get(self, receiver_hash: str) -> Optional[ExecutionResult]:
-        faults = self._faults
         with self._lock:
             result = self._results.get(receiver_hash)
-            if result is not None and faults is not None \
-                    and faults.should_inject(SITE_CACHE_EVICT):
-                # Spurious eviction: the caller recomputes from the same
-                # snapshot, so the fault is absorbed by construction.
-                self._remove(receiver_hash)
-                faults.record_recovered([SITE_CACHE_EVICT])
-                result = None
             if result is None:
                 self.misses += 1
             else:
@@ -74,10 +60,6 @@ class BaselineCache:
     def put(self, receiver_hash: str, result: ExecutionResult) -> None:
         with self._lock:
             self._results.setdefault(receiver_hash, result)
-
-    def _remove(self, key: str) -> None:
-        with self._lock:
-            del self._results[key]
 
     def clear(self) -> None:
         with self._lock:
@@ -145,42 +127,30 @@ class SenderStateCache:
     identical configs build identical snapshots and group layouts.
 
     Entries are LRU-ordered under a byte budget (``max_bytes``); an
-    eviction only costs the next user one sender re-execution, so the
-    ``sender_cache.evict`` chaos site is absorbed by construction.
+    eviction only costs the next user one sender re-execution.
     Each process shard works on its own forked copy, whose entries die
     with the shard.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_SENDER_CACHE_BYTES,
-                 faults: Optional[FaultPlan] = None) -> None:
-        # Reentrant for the same reason as BaselineCache: _remove is
-        # called lexically under get/put, and the lock-discipline
-        # checker reasons purely lexically.
+    def __init__(self, max_bytes: int = DEFAULT_SENDER_CACHE_BYTES) -> None:
+        # Reentrant because _remove is called lexically under put, and
+        # the lock-discipline checker reasons purely lexically.
         self._lock = threading.RLock()
         #: (snapshot id, sender hash) -> entry, LRU order (oldest first).
         self._entries: "OrderedDict[Tuple[str, str], SenderState]" \
             = OrderedDict()
-        self._faults = faults
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        #: Entries dropped by the byte budget (not by faults).
+        #: Entries dropped by the byte budget.
         self.evictions = 0
         self._bytes = 0
 
     def get(self, snapshot_id: str,
             sender_hash: str) -> Optional[SenderState]:
-        faults = self._faults
         key = (snapshot_id, sender_hash)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and faults is not None \
-                    and faults.should_inject(SITE_SENDER_CACHE_EVICT):
-                # Spurious eviction: the caller re-executes the sender
-                # from the base snapshot, absorbing the fault.
-                self._remove(key)
-                faults.record_recovered([SITE_SENDER_CACHE_EVICT])
-                entry = None
             if entry is None:
                 self.misses += 1
                 return None

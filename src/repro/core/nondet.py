@@ -21,7 +21,6 @@ import threading
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..corpus.program import TestProgram
-from ..faults.plan import SITE_CACHE_EVICT, FaultPlan
 from ..kernel.clock import DEFAULT_BOOT_NS
 from ..vm.machine import RECEIVER, Machine
 from .trace_ast import Path, build_trace_ast, nondet_paths_from_runs
@@ -52,14 +51,10 @@ class NondetStore:
     and the recomputed verdict's ``put`` rewrites it.
     """
 
-    def __init__(self, directory: Optional[str] = None,
-                 faults: Optional[FaultPlan] = None):
+    def __init__(self, directory: Optional[str] = None):
         self._directory = directory
         self._memory: Dict[Tuple[str, str], FrozenSet[Path]] = {}
-        #: Chaos plan; registers the ``cache.evict`` injection site on
-        #: this store.
-        self._faults = faults
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         if directory is not None:
@@ -68,19 +63,10 @@ class NondetStore:
     def get(self, program_hash: str,
             offsets_key: str = "") -> Optional[FrozenSet[Path]]:
         key = (program_hash, offsets_key)
-        faults = self._faults
         with self._lock:
             marks = self._memory.get(key)
             if marks is None:
                 marks = self._load(program_hash, offsets_key)
-            if marks is not None and faults is not None \
-                    and faults.should_inject(SITE_CACHE_EVICT):
-                # Spurious eviction (memory and disk, or the disk copy
-                # would silently resurrect the entry): the caller
-                # recomputes the verdict from the same snapshot.
-                self._remove(key)
-                faults.record_recovered([SITE_CACHE_EVICT])
-                marks = None
             if marks is None:
                 self.misses += 1
                 return None
@@ -102,15 +88,6 @@ class NondetStore:
             with open(tmp_path, "w") as handle:
                 json.dump(sorted(list(path) for path in marks), handle)
             os.replace(tmp_path, file_path)
-
-    def _remove(self, key: Tuple[str, str]) -> None:
-        """Drop one entry everywhere: memory and disk."""
-        with self._lock:
-            self._memory.pop(key, None)
-        if self._directory is not None:
-            file_path = self._file_for(*key)
-            if os.path.exists(file_path):
-                os.remove(file_path)
 
     def _load(self, program_hash: str,
               offsets_key: str) -> Optional[FrozenSet[Path]]:

@@ -116,7 +116,7 @@ class CampaignConfig:
     #: Byte budget for memoized post-sender deltas (LRU beyond it).
     sender_cache_bytes: int = DEFAULT_SENDER_CACHE_BYTES
     #: Chaos fault plan (None = no injection).  When set, the plan is
-    #: threaded through every layer — machines, caches, shards — and
+    #: threaded through every layer — machines, shards, the store — and
     #: the campaign degrades gracefully instead of aborting: a test case
     #: whose retries are exhausted is recorded as ``infra_failed``.
     faults: Optional[FaultPlan] = None
@@ -133,12 +133,6 @@ class CampaignConfig:
     #: a shard silent — or stuck on one job — longer than this is
     #: SIGKILLed and its job re-queued.  None disables the watchdog.
     hang_timeout: Optional[float] = None
-    #: Self-healing retry policy (per-cause budgets, backoff, poison
-    #: quarantine) for distributed execution.  None keeps the flat
-    #: ``faults.max_job_retries`` budget — except when ``store_dir`` is
-    #: set, which enables a default policy so quarantine decisions can
-    #: be journaled.
-    retry_policy: Optional[RetryPolicy] = None
     #: Controlled-interleaving exploration (docs/SCHEDULING.md): run a
     #: bounded, deterministically replayable schedule set for every
     #: sequentially-clean case and report cases any schedule diverges
@@ -499,10 +493,10 @@ class Kit:
                     say: Progress) -> CampaignResult:
         machine = Machine(config.machine)
         caches = _Caches(
-            BaselineCache(faults=plan),
-            NondetStore(config.nondet_dir, faults=plan),
-            SenderStateCache(max_bytes=config.sender_cache_bytes,
-                             faults=plan) if config.sender_cache else None)
+            BaselineCache(),
+            NondetStore(config.nondet_dir),
+            SenderStateCache(max_bytes=config.sender_cache_bytes)
+            if config.sender_cache else None)
 
         generation = self._generate(machine, corpus, stats, say)
         cases = generation.test_cases
@@ -611,10 +605,8 @@ class Kit:
             f"({stats.resumed_cases} resumed); result at {path}")
 
     def _effective_retry_policy(self) -> Optional[RetryPolicy]:
-        if self.config.retry_policy is not None:
-            return self.config.retry_policy
         if self.config.store_dir is not None:
-            # Stored campaigns default to self-healing supervision so
+            # Stored campaigns always get self-healing supervision, so
             # quarantine decisions exist to journal.
             return RetryPolicy()
         return None

@@ -6,7 +6,6 @@ See :mod:`repro.faults.plan` for the injection model and
 
 from .plan import (
     ALL_SITES,
-    SITE_CACHE_EVICT,
     SITE_EXEC_TIMEOUT,
     SITE_JOURNAL_TORN,
     SITE_RESTORE_FAIL,
@@ -14,7 +13,6 @@ from .plan import (
     SITE_SEGMENT_CORRUPT,
     SITE_STORE_FSYNC_FAIL,
     SITE_WORKER_CRASH,
-    SITE_WORKER_SLOW,
     ExecTimeoutInjected,
     FaultInjectedError,
     FaultPlan,
@@ -41,7 +39,6 @@ __all__ = [
     "JournalTornInjected",
     "RestoreFaultInjected",
     "RetryPolicy",
-    "SITE_CACHE_EVICT",
     "SITE_EXEC_TIMEOUT",
     "SITE_JOURNAL_TORN",
     "SITE_RESTORE_FAIL",
@@ -49,7 +46,6 @@ __all__ = [
     "SITE_SEGMENT_CORRUPT",
     "SITE_STORE_FSYNC_FAIL",
     "SITE_WORKER_CRASH",
-    "SITE_WORKER_SLOW",
     "StoreFsyncInjected",
     "WorkerCrashInjected",
     "call_with_fault_retries",

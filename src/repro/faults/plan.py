@@ -35,8 +35,6 @@ SITE_RESTORE_FAIL = "restore.fail"
 SITE_SEGMENT_CORRUPT = "segment.corrupt"
 #: A shard dies mid-job, leaving its job unfinished (vm/shardpool.py).
 SITE_WORKER_CRASH = "worker.crash"
-#: A shard stalls before running its job (vm/shardpool.py).
-SITE_WORKER_SLOW = "worker.slow"
 #: A computed job result is lost before reaching the supervisor
 #: (vm/shardpool.py).
 SITE_RESULT_DROP = "result.drop"
@@ -46,12 +44,6 @@ SITE_RESULT_DROP = "result.drop"
 SITE_WORKER_KILL = "worker.kill"
 #: A syscall execution times out mid-program (vm/executor.py).
 SITE_EXEC_TIMEOUT = "exec.timeout"
-#: A shared-cache entry is spuriously evicted (BaselineCache/NondetStore).
-SITE_CACHE_EVICT = "cache.evict"
-#: A memoized post-sender state delta is spuriously evicted
-#: (SenderStateCache); the caller re-executes the sender from the base
-#: snapshot, so the fault is absorbed by construction.
-SITE_SENDER_CACHE_EVICT = "sender_cache.evict"
 #: A campaign-journal append is torn mid-record — only a prefix of the
 #: line reaches the file, simulating a crash between ``write`` and the
 #: trailing newline; the journal's tail-repair path must truncate the
@@ -71,12 +63,9 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_RESTORE_FAIL,
     SITE_SEGMENT_CORRUPT,
     SITE_WORKER_CRASH,
-    SITE_WORKER_SLOW,
     SITE_RESULT_DROP,
     SITE_WORKER_KILL,
     SITE_EXEC_TIMEOUT,
-    SITE_CACHE_EVICT,
-    SITE_SENDER_CACHE_EVICT,
     SITE_JOURNAL_TORN,
     SITE_STORE_FSYNC_FAIL,
     SITE_SCHED_PREEMPT,
@@ -270,8 +259,7 @@ class FaultPlan:
                  schedule: Optional[Mapping[str, Iterable[int]]] = None,
                  sites: Optional[Iterable[str]] = None,
                  max_retries: int = 5,
-                 max_job_retries: int = 12,
-                 slow_seconds: float = 0.001):
+                 max_job_retries: int = 12):
         self.seed = seed
         enabled = tuple(sites) if sites is not None else ALL_SITES
         for site in enabled:
@@ -300,8 +288,6 @@ class FaultPlan:
         #: ≈ 2r — the budget keeps exhaustion vanishingly rare at the
         #: rates chaos campaigns actually use.
         self.max_job_retries = max_job_retries
-        #: Stall length for :data:`SITE_WORKER_SLOW` injections.
-        self.slow_seconds = slow_seconds
         self.stats = FaultStats()
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}

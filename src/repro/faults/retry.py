@@ -1,19 +1,15 @@
-"""Self-healing retry policy: per-site budgets, backoff, quarantine.
+"""Self-healing retry policy: per-site budgets and poison quarantine.
 
 The flat ``max_job_retries`` budget of the original supervisor treats
 every failure the same: a dropped result (cheap, transient) and a job
 that SIGKILLs its worker every single time (expensive, almost certainly
 deterministic) both get the same number of blind re-runs.  A
-:class:`RetryPolicy` replaces that with three mechanisms:
+:class:`RetryPolicy` replaces that with two mechanisms:
 
 * **per-site budgets** — each failure is attributed to a cause (the
   injected fault site that produced it, or the synthetic
   :data:`CAUSE_WORKER_DEATH` / :data:`CAUSE_TRANSIT` causes for real
   deaths and lost results), and each cause has its own retry budget;
-* **exponential backoff** — between supervision rounds that re-queue
-  failed jobs the supervisor sleeps ``base * factor**(attempt-1)``
-  seconds (capped), so a persistently failing substrate is probed at a
-  decaying rate instead of hammered;
 * **poison quarantine** — a job that *kills its worker*
   ``poison_after`` times is quarantined as a poison pair: it is
   reported with ``JobResult.poisoned`` set (the pipeline records the
@@ -42,7 +38,7 @@ CAUSE_TRANSIT = "transit"
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-site retry budgets with exponential backoff and quarantine."""
+    """Per-site retry budgets with poison quarantine."""
 
     #: Retry budget per failure cause; causes not listed fall back to
     #: ``default_budget``.  A job whose failures attributed to one cause
@@ -52,23 +48,9 @@ class RetryPolicy:
     #: Worker deaths (crashes, SIGKILLs, watchdog kills) attributed to
     #: one job before it is quarantined as a poison pair.
     poison_after: int = 5
-    #: Backoff between supervision rounds that re-queue failed jobs:
-    #: ``base * factor**(attempt-1)`` seconds, capped at ``backoff_max``.
-    #: The default base of 0 disables sleeping (the simulated kernel
-    #: runs at microsecond timescales; real deployments raise it).
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
 
     def budget_for(self, cause: str) -> int:
         return self.site_budgets.get(cause, self.default_budget)
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Sleep before re-running a job on its *attempt*-th retry."""
-        if self.backoff_base <= 0.0 or attempt <= 0:
-            return 0.0
-        delay = self.backoff_base * (self.backoff_factor ** (attempt - 1))
-        return min(delay, self.backoff_max)
 
     def should_poison(self, worker_deaths: int) -> bool:
         return self.poison_after > 0 and worker_deaths >= self.poison_after

@@ -52,9 +52,8 @@ polling.  Fault accounting crosses the process boundary as counter
 *deltas* shipped in each shard's final message; a shard that dies
 silently loses only locally-balanced counters, so the campaign
 invariant ``injected == recovered + infra_failed`` holds regardless.
-Four chaos injection sites live in this layer (``worker.crash``,
-``worker.slow``, ``worker.kill``, ``result.drop``); see
-:mod:`repro.faults.plan`.
+Three chaos injection sites live in this layer (``worker.crash``,
+``worker.kill``, ``result.drop``); see :mod:`repro.faults.plan`.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from ..faults.plan import (
     SITE_RESULT_DROP,
     SITE_WORKER_CRASH,
     SITE_WORKER_KILL,
-    SITE_WORKER_SLOW,
     FaultPlan,
     WorkerCrashInjected,
 )
@@ -297,10 +295,6 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
             job_id, payload, attempt = round_jobs[index]
             if faults is not None:
                 occurrence = job_id + attempt * _ATTEMPT_STRIDE
-                if faults.fires_at(SITE_WORKER_SLOW, occurrence):
-                    faults.stats.note_injected(SITE_WORKER_SLOW)
-                    time.sleep(faults.slow_seconds)
-                    faults.record_recovered([SITE_WORKER_SLOW])
                 if faults.fires_at(SITE_WORKER_CRASH, occurrence):
                     faults.stats.note_injected(SITE_WORKER_CRASH)
                     raise WorkerCrashInjected(
@@ -396,8 +390,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     * *telemetry_hook* runs in the shard at clean retirement; its
       (picklable) return value lands in ``report.telemetry``.
 
-    Self-healing extensions: *retry_policy* (per-cause budgets,
-    backoff, poison quarantine; see
+    Self-healing extensions: *retry_policy* (per-cause budgets and
+    poison quarantine; see
     :class:`~repro.faults.retry.RetryPolicy`), *hang_timeout* (shards
     heartbeat every ``hang_timeout / 4`` seconds; one silent — or stuck
     on the same held job — longer than the timeout is SIGKILLed and
@@ -822,14 +816,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     connection.close()
                 except OSError:  # pragma: no cover
                     pass
-        if retry_policy is not None:
-            open_failures = [job.failures for job_id, job in jobs.items()
-                             if job_id not in completed
-                             and job_id not in failed and job.failures > 0]
-            if open_failures:
-                delay = retry_policy.backoff_seconds(max(open_failures))
-                if delay > 0.0:
-                    time.sleep(delay)
 
     if failed and strict:
         missing = sorted(failed)

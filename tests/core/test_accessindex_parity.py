@@ -102,6 +102,30 @@ class TestIndexParity:
         assert os.listdir(directory) == []
 
 
+def _cut_16_values(path):
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - 8 * 16)
+
+
+def _append_one_byte(path):
+    with open(path, "ab") as handle:
+        handle.write(b"\0")
+
+
+@pytest.mark.parametrize("damage", [_cut_16_values, _append_one_byte],
+                         ids=["cut-16-values", "one-extra-byte"])
+def test_damaged_run_segment_is_rejected(profiled_513, damage):
+    """A run whose size disagrees with its header is rejected, never
+    merged into a smaller or shifted join."""
+    __, profiles = profiled_513
+    with _columnar(profiles, run_points=512) as col:
+        runs = sorted(name for name in os.listdir(col.directory)
+                      if name.startswith("r_"))
+        damage(os.path.join(col.directory, runs[0]))
+        with pytest.raises(ValueError, match="run segment"):
+            list(col.iter_overlaps())
+
+
 class TestPairSetParity:
     @pytest.mark.parametrize("strategy", ["df-ia", "df-st-1", "df-st-2", "df"])
     @pytest.mark.parametrize("rep_seed", [0, 7])

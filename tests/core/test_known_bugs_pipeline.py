@@ -148,9 +148,22 @@ class TestCampaign:
         assert set("123456789") <= result.bugs_found()
 
     def test_nondet_disk_cache_reused(self, tmp_path):
+        """The warm run skips every non-det re-run and reaches the cold
+        run's verdicts: a cache hit and a recompute are equivalent."""
         base = dict(machine=MachineConfig(bugs=linux_5_13()),
                     corpus=seed_list()[:12], nondet_dir=str(tmp_path))
         first = Kit(CampaignConfig(**base)).run()
         second = Kit(CampaignConfig(**base)).run()
         assert first.stats.nondet_runs > 0
         assert second.stats.nondet_runs == 0
+
+        def culprits(result):
+            return [(report.case.sender.hash_hex,
+                     report.case.receiver.hash_hex, report.culprit_pairs)
+                    for report in result.reports]
+
+        assert first.reports
+        assert second.stats.outcomes == first.stats.outcomes
+        assert second.bugs_found() == first.bugs_found()
+        assert len(second.reports) == len(first.reports)
+        assert culprits(second) == culprits(first)

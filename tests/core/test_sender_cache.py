@@ -1,9 +1,8 @@
-"""SenderStateCache unit behaviour: LRU budget, first put, chaos site."""
+"""SenderStateCache unit behaviour: LRU budget and first put."""
 
 from __future__ import annotations
 
 from repro.core.execution import SenderState, SenderStateCache
-from repro.faults.plan import SITE_SENDER_CACHE_EVICT, FaultPlan
 from repro.vm.executor import ExecutionResult
 from repro.vm.segments import StateDelta
 
@@ -78,14 +77,3 @@ class TestOwnership:
         assert len(cache) == 1
         assert cache.bytes_held == 4
 
-
-class TestChaosSites:
-    def test_evict_injection_is_absorbed_as_a_miss(self):
-        plan = FaultPlan(seed=0, schedule={SITE_SENDER_CACHE_EVICT: [0]})
-        cache = SenderStateCache(faults=plan)
-        cache.put(SNAP, "s", entry(4))
-        assert cache.get(SNAP, "s") is None  # injected eviction
-        assert cache.get(SNAP, "s") is None  # genuinely gone
-        assert cache.misses == 2
-        assert plan.stats.accounted()
-        assert plan.stats.injected[SITE_SENDER_CACHE_EVICT] == 1

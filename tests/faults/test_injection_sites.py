@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.execution import BaselineCache
-from repro.core.nondet import NondetStore
 from repro.corpus.seeds import seed_programs
 from repro.faults.plan import (
-    SITE_CACHE_EVICT,
     SITE_EXEC_TIMEOUT,
     SITE_RESTORE_FAIL,
     SITE_SEGMENT_CORRUPT,
-    SITE_WORKER_SLOW,
     ExecTimeoutInjected,
     FaultPlan,
     FaultRetriesExhausted,
@@ -27,8 +23,6 @@ from repro.kernel import linux_5_13
 from repro.vm import (
     Machine,
     MachineConfig,
-    fork_available,
-    run_sharded,
     state_fingerprint,
 )
 from repro.vm.machine import RECEIVER
@@ -128,42 +122,3 @@ def test_exec_timeout_with_retry_wrapper():
     assert plan.stats.recovered == {SITE_EXEC_TIMEOUT: 1}
     assert plan.stats.accounted()
 
-
-def test_baseline_cache_spurious_eviction_recomputes():
-    plan = FaultPlan(seed=0, schedule={SITE_CACHE_EVICT: {0}})
-    cache = BaselineCache(faults=plan)
-    cache.put("recv-hash", "result")
-    assert cache.get("recv-hash") is None  # evicted under the reader
-    assert cache.get("recv-hash") is None  # genuinely gone, recompute
-    cache.put("recv-hash", "result")
-    assert cache.get("recv-hash") == "result"
-    assert plan.stats.recovered == {SITE_CACHE_EVICT: 1}
-    assert plan.stats.accounted()
-
-
-def test_nondet_store_eviction_removes_disk_copy(tmp_path):
-    plan = FaultPlan(seed=0, schedule={SITE_CACHE_EVICT: {0}})
-    store = NondetStore(str(tmp_path), faults=plan)
-    # Marks are int paths, so a leftover file would load as a hit.
-    marks = frozenset({(0, 1)})
-    store.put("prog-hash", marks)
-    assert store.get("prog-hash") is None
-    # The disk copy must not silently resurrect the entry.
-    assert not (tmp_path / "prog-hash.nondet.json").exists()
-    assert NondetStore(str(tmp_path)).get("prog-hash") is None
-    assert plan.stats.recovered == {SITE_CACHE_EVICT: 1}
-    assert plan.stats.accounted()
-
-
-@pytest.mark.skipif(not fork_available(),
-                    reason="process shards require fork")
-def test_worker_slow_is_absorbed_by_construction():
-    plan = FaultPlan(seed=0, rates={SITE_WORKER_SLOW: 1.0},
-                     slow_seconds=0.0001)
-    report = run_sharded(MachineConfig(bugs=linux_5_13()), list(range(6)),
-                         lambda machine, payload: payload * 2,
-                         workers=2, faults=plan)
-    assert [r.outcome for r in report.results] == [0, 2, 4, 6, 8, 10]
-    assert plan.stats.injected.get(SITE_WORKER_SLOW, 0) == 6
-    assert plan.stats.recovered.get(SITE_WORKER_SLOW, 0) == 6
-    assert plan.stats.accounted()

@@ -52,18 +52,6 @@ class TestRetryPolicy:
         assert policy.exhausted_cause({"result.drop": 5}) is None
         assert policy.exhausted_cause({"result.drop": 6}) == "result.drop"
 
-    def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             backoff_max=0.5)
-        assert policy.backoff_seconds(0) == 0.0
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
-        assert policy.backoff_seconds(10) == pytest.approx(0.5)
-
-    def test_backoff_disabled_by_default(self):
-        assert RetryPolicy().backoff_seconds(10) == 0.0
-
     def test_poison_threshold(self):
         policy = RetryPolicy(poison_after=3)
         assert not policy.should_poison(2)
@@ -249,15 +237,15 @@ KERNEL_5_13 = MachineConfig(bugs=linux_5_13())
 
 class TestPipelinePoisonAccounting:
     @needs_fork
-    def test_crash_storm_quarantines_every_pair(self):
+    def test_crash_storm_quarantines_every_pair(self, tmp_path):
         """Graceful degradation under quarantine: every job crashes its
-        shard, the policy poisons each pair after two deaths, and the
+        shard, the policy poisons each pair after five deaths, and the
         campaign completes with balanced books."""
         plan = FaultPlan(seed=0, rates={SITE_WORKER_CRASH: 1.0})
         config = CampaignConfig(
             machine=KERNEL_5_13, corpus_size=6, strategy="rand",
             rand_budget=6, workers=2, faults=plan, diagnose=False,
-            retry_policy=RetryPolicy(poison_after=2, default_budget=50))
+            store_dir=str(tmp_path))
         result = Kit(config).run()
         assert result.reports == []
         assert result.stats.outcomes == {"poisoned": 6}
@@ -267,12 +255,12 @@ class TestPipelinePoisonAccounting:
         assert result.bugs_found() == set()
 
     @needs_fork
-    def test_kill_storm_quarantines_every_pair_process_mode(self):
+    def test_kill_storm_quarantines_every_pair_process_mode(self, tmp_path):
         plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
         config = CampaignConfig(
             machine=KERNEL_5_13, corpus_size=6, strategy="rand",
             rand_budget=6, workers=2, faults=plan, diagnose=False,
-            retry_policy=RetryPolicy(poison_after=2, default_budget=50))
+            store_dir=str(tmp_path))
         result = Kit(config).run()
         assert result.reports == []
         assert result.stats.outcomes == {"poisoned": 6}

@@ -229,6 +229,12 @@ class TestFingerprint:
         # keep resuming: the default campaign's identity is pinned.
         assert campaign_fingerprint(summarize_config(CampaignConfig())) == (
             "c27dfb014e4256d4a42e245c09e71af47841114707131d9929f4814518b8bb29")
+        # A plan that names its sites keeps its identity when sites it
+        # does not name are added to or removed from the catalogue.
+        explicit = CampaignConfig(
+            faults=FaultPlan.parse("7:0.2:worker.crash,exec.timeout"))
+        assert campaign_fingerprint(summarize_config(explicit)) == (
+            "53830f230e022c2c2b9a9c3ffd24b7e04ed16a37b9f5bba3e786d19713212e1b")
 
 
 class TestCampaignStore:
