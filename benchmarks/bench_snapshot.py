@@ -4,17 +4,19 @@ The paper's testbed restores a QEMU VM snapshot before every execution;
 this simulator's equivalent — unpickling the whole kernel — dominated
 test-case cost in the same way.  The segmented engine
 (:mod:`repro.vm.segments`) restores only the state a run actually
-dirtied, so the comparison here is the direct measure of the tentpole
-optimisation: mean reset latency and reset+run latency under both
-restore modes, plus the consistency cross-check that the fast path is
-byte-identical to the slow one.
+dirtied, so the comparison here is the direct measure of that
+optimisation: mean reset latency and reset+run latency of a machine's
+segmented reset against :meth:`Snapshot.restore
+<repro.vm.snapshot.Snapshot.restore>`, which deserializes the whole
+kernel, plus the consistency cross-check that the fast path lands on
+exactly the state the full deserialization produces.
 """
 
 import time
 
 from repro import MachineConfig, linux_5_13
 from repro.corpus import seed_programs
-from repro.vm import Machine, state_fingerprint
+from repro.vm import Executor, Machine, state_fingerprint
 from repro.vm.machine import RECEIVER, SENDER
 
 from benchmarks.support import emit_table
@@ -36,20 +38,28 @@ def _case(machine, sender, receiver):
     machine.run(RECEIVER, receiver)
 
 
+def _full_case(snapshot, sender, receiver):
+    """One case from a whole-kernel deserialization of *snapshot*."""
+    kernel = snapshot.restore()
+    tasks = {task.comm: task for task in kernel.tasks.all_tasks()}
+    Executor(kernel, tasks[SENDER]).run(sender)
+    Executor(kernel, tasks[RECEIVER]).run(receiver)
+
+
 def test_bench_snapshot_restore_modes(benchmark):
     seeds = seed_programs()
     sender, receiver = seeds["udp_send"], seeds["read_sockstat"]
 
-    full = Machine(MachineConfig(bugs=linux_5_13(), full_restore=True))
     seg = Machine(MachineConfig(bugs=linux_5_13()))
+    full = seg.snapshot
 
-    # Dirty both machines once so neither measures a no-op first reset.
-    _case(full, sender, receiver)
+    # Dirty the machine once so it does not measure a no-op first reset.
     _case(seg, sender, receiver)
 
-    full_reset = _mean_seconds(full.reset, RESET_RUNS)
+    full_reset = _mean_seconds(full.restore, RESET_RUNS)
     seg_reset = _mean_seconds(seg.reset, RESET_RUNS)
-    full_case = _mean_seconds(lambda: _case(full, sender, receiver), CASE_RUNS)
+    full_case = _mean_seconds(lambda: _full_case(full, sender, receiver),
+                              CASE_RUNS)
     seg_case = _mean_seconds(lambda: _case(seg, sender, receiver), CASE_RUNS)
     benchmark(seg.reset)
 
@@ -84,8 +94,7 @@ def test_bench_snapshot_restore_modes(benchmark):
     # exactly the state a full restore produces.
     _case(seg, sender, receiver)
     seg.reset()
-    assert state_fingerprint(seg.kernel) == \
-        state_fingerprint(full.snapshot.restore())
+    assert state_fingerprint(seg.kernel) == state_fingerprint(full.restore())
 
 
 def test_bench_segmented_verify_overhead(benchmark):

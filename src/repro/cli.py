@@ -124,9 +124,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
               f"run segment(s) / {stats.index_bytes} bytes, "
               f"{stats.index_points} access points")
     if stats.restore_count:
-        print(f"restores: {stats.restore_count} "
-              f"({stats.segmented_restores} segmented / "
-              f"{stats.full_restores} full), "
+        print(f"restores: {stats.restore_count}, "
               f"segments skipped: {stats.segments_skipped_rate():.0%}, "
               f"restore time: {stats.restore_seconds:.2f}s")
         print(f"caches: baselines {stats.baseline_hit_rate():.0%} hit "

@@ -116,7 +116,11 @@ class _RunCursor:
     def __init__(self, path: str):
         self._path = path
         with open(path, "rb") as handle:
-            magic, self._rows = _HEADER.unpack(handle.read(_HEADER.size))
+            header = handle.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"run segment {path!r} is cut inside its "
+                             f"{_HEADER.size}-byte header")
+        magic, self._rows = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"bad run segment {path!r}")
         # A truncated or padded run would merge silently into a

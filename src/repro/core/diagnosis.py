@@ -48,8 +48,8 @@ class Diagnoser:
 
     def __init__(self, detector: Detector, prefix_memo: bool = True):
         self._detector = detector
-        #: Reuse memoized sender prefix states (needs segmented
-        #: snapshots; full-restore machines replay prefixes as before).
+        #: Reuse memoized sender prefix states instead of replaying
+        #: each prefix from the snapshot.
         self._prefix_memo = prefix_memo
         #: Differential re-executions performed (diagnosis cost metric).
         self.reruns = 0
@@ -101,10 +101,9 @@ class Diagnoser:
         to the per-report retry wrapper, exactly as a faulted replay
         would.
         """
-        machine = self._detector.machine
-        if not self._prefix_memo or not machine.supports_state_deltas \
-                or not live:
+        if not self._prefix_memo or not live:
             return None
+        machine = self._detector.machine
         machine.reset()
         session = machine.begin_stepped(SENDER, sender)
         total = len(sender.calls)

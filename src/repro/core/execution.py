@@ -212,10 +212,7 @@ class TestCaseRunner:
                  sender_states: Optional[SenderStateCache] = None):
         self._machine = machine
         self._baselines = baselines if baselines is not None else BaselineCache()
-        # Post-sender state memoization needs segmented dirty tracking;
-        # a full-restore machine silently falls back to re-execution.
-        self._sender_states = sender_states \
-            if machine.supports_state_deltas else None
+        self._sender_states = sender_states
         #: Test-case executions performed (the §6.5 throughput unit).
         self.cases_executed = 0
 

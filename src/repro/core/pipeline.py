@@ -196,8 +196,6 @@ class CampaignStats:
     #: §6.5 restore telemetry, summed over every machine the campaign
     #: booted (main + profiling workers + execution workers).
     restore_count: int = 0
-    full_restores: int = 0
-    segmented_restores: int = 0
     segments_restored: int = 0
     segments_skipped: int = 0
     restore_seconds: float = 0.0
@@ -312,9 +310,7 @@ class CampaignStats:
     def absorb_machine(self, machine_stats: MachineStats,
                        stage: str = "") -> None:
         """Fold one machine's restore counters into the campaign totals."""
-        self.restore_count += machine_stats.restores
-        self.full_restores += machine_stats.full_restores
-        self.segmented_restores += machine_stats.segmented_restores
+        self.restore_count += machine_stats.segmented_restores
         self.segments_restored += machine_stats.segments_restored
         self.segments_skipped += machine_stats.segments_skipped
         self.restore_seconds += machine_stats.restore_seconds

@@ -8,9 +8,11 @@ the test program in future testing campaigns"), this store keys each
 profile by the program hash *and* a machine fingerprint, so switching
 kernels or container flags invalidates exactly what it must.
 
-Profiles are pickled; the fingerprint covers the kernel version, the
-bug-flag set, the jump-label config, and both containers' namespace
-flags.
+Profiles are pickled behind a SHA-256 digest of the pickle bytes; an
+entry whose digest disagrees (a torn, bit-flipped or spliced file, or
+one written before entries carried a digest) reads as a miss and is
+re-profiled.  The fingerprint covers the kernel version, the bug-flag
+set, the jump-label config, and both containers' namespace flags.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from typing import List, Optional, Sequence
 from ..corpus.program import TestProgram
 from ..vm.machine import Machine, MachineConfig
 from .profile import ProgramProfile, Profiler
+
+#: Bytes of the SHA-256 digest that precedes each entry's pickle.
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def machine_fingerprint(config: MachineConfig) -> str:
@@ -45,8 +50,9 @@ class ProfileStore:
 
     Entries fan out into 256 subdirectories keyed by the first two hex
     digits of the program hash, so a 100k-profile cache never piles into
-    one directory.  Old flat-layout caches keep working: ``get`` falls
-    back to the legacy path, and ``put`` always writes the sharded one.
+    one directory.  ``get`` falls back to the flat pre-sharding path,
+    though entries written there predate the digest and read as misses;
+    ``put`` always writes the sharded one.
     """
 
     def __init__(self, directory: str, fingerprint: str):
@@ -74,10 +80,17 @@ class ProfileStore:
             return None
         try:
             with open(path, "rb") as handle:
-                profile = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError):
+                data = handle.read()
+        except OSError:
             self.misses += 1
             return None
+        digest, blob = data[:_DIGEST_SIZE], data[_DIGEST_SIZE:]
+        if hashlib.sha256(blob).digest() != digest:
+            # Unpickling damaged bytes can raise almost anything or
+            # quietly build a different profile, so they are never read.
+            self.misses += 1
+            return None
+        profile = pickle.loads(blob)
         self.hits += 1
         return profile
 
@@ -89,8 +102,9 @@ class ProfileStore:
         path = self._path(profile.program)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        blob = pickle.dumps(profile, protocol=pickle.HIGHEST_PROTOCOL)
         with open(tmp_path, "wb") as handle:
-            pickle.dump(profile, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(hashlib.sha256(blob).digest() + blob)
         os.replace(tmp_path, path)
         self.entries_written += 1
         self.bytes_written += os.path.getsize(path)

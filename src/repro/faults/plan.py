@@ -28,7 +28,7 @@ import threading
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
-#: Snapshot restore fails outright (vm/snapshot.py, vm/segments.py).
+#: Snapshot restore fails outright (vm/segments.py).
 SITE_RESTORE_FAIL = "restore.fail"
 #: A dirty segment is silently left unrestored; the canonical-form
 #: consistency check is what must catch it (vm/segments.py).

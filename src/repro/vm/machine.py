@@ -5,7 +5,11 @@ two processes, confine each to fresh namespace instances (the
 containers), apply the container tuning of §5.2 — here, a private tmpfs
 on ``/tmp`` as container runtimes do, plus the per-namespace IPC quota
 already built into :class:`~repro.kernel.ipc.IpcNamespace` — then take
-the snapshot every run restores from.
+the snapshot every run restores from.  Every reset restores that
+snapshot in place, reloading only the segments the last run dirtied
+(:mod:`repro.vm.segments`); :meth:`Snapshot.restore
+<repro.vm.snapshot.Snapshot.restore>` stays as the independent
+reference the restore tests and gates compare against.
 
 Container namespace flags are configurable per campaign: the Table-3
 bug-E reproduction runs its sender in the *host* mount namespace (the
@@ -23,7 +27,6 @@ from ..corpus.program import TestProgram
 from ..faults.plan import (
     SITE_SEGMENT_CORRUPT,
     FaultPlan,
-    FaultRetriesExhausted,
     RestoreFaultInjected,
 )
 from ..kernel.bugs import BugFlags
@@ -73,13 +76,9 @@ class MachineConfig:
     bugs: BugFlags = field(default_factory=BugFlags)
     sender: ContainerConfig = field(default_factory=lambda: ContainerConfig(SENDER))
     receiver: ContainerConfig = field(default_factory=lambda: ContainerConfig(RECEIVER))
-    #: Restore the whole kernel from the full pickle on every reset
-    #: instead of restoring only dirty segments in place (the slow,
-    #: trivially correct path; segmented is the default).
-    full_restore: bool = False
-    #: After every segmented reset, cross-verify the restored state
-    #: against the full snapshot byte-for-byte and fail loudly on any
-    #: divergence (opt-in: it re-pickles the whole kernel each reset).
+    #: After every reset, cross-verify the restored state against the
+    #: snapshot's canonical reference and fail loudly on any divergence
+    #: (opt-in: it re-walks every root each reset).
     verify_restore: bool = False
     #: Shared fault-injection plan (chaos campaigns); every machine
     #: booted from this config registers its restore/execution sites
@@ -92,22 +91,16 @@ class MachineConfig:
 class MachineStats:
     """Restore telemetry for one machine (feeds §6.5 reporting)."""
 
-    full_restores: int = 0
     segmented_restores: int = 0
     segments_restored: int = 0
     segments_skipped: int = 0
     restore_seconds: float = 0.0
-    #: Resets that had to take a fault-recovery path (retried full
-    #: restore, or restore-all after an injected segment corruption).
+    #: Resets that had to restore every segment to recover from an
+    #: injected restore failure or segment corruption.
     recovery_restores: int = 0
-
-    @property
-    def restores(self) -> int:
-        return self.full_restores + self.segmented_restores
 
     def merge(self, other: "MachineStats") -> None:
         """Fold another machine's counters into this one."""
-        self.full_restores += other.full_restores
         self.segmented_restores += other.segmented_restores
         self.segments_restored += other.segments_restored
         self.segments_skipped += other.segments_skipped
@@ -120,7 +113,6 @@ class MachineStats:
     def since(self, earlier: "MachineStats") -> "MachineStats":
         """Counters accumulated after *earlier* (per-stage attribution)."""
         return MachineStats(
-            full_restores=self.full_restores - earlier.full_restores,
             segmented_restores=self.segmented_restores - earlier.segmented_restores,
             segments_restored=self.segments_restored - earlier.segments_restored,
             segments_skipped=self.segments_skipped - earlier.segments_skipped,
@@ -134,22 +126,19 @@ class Machine:
 
     def __init__(self, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
-        self.kernel: Kernel = None  # type: ignore[assignment]
-        self.sender_task: Task = None  # type: ignore[assignment]
-        self.receiver_task: Task = None  # type: ignore[assignment]
         self.stats = MachineStats()
         #: The campaign-wide injection plan (None = clean machine).
         self.faults: Optional[FaultPlan] = self.config.fault_plan
         #: Set by the shard pool: which shard owns this machine.
         self.cluster_worker_id: Optional[int] = None
         self.snapshot = self._boot_and_snapshot()
-        if self.snapshot.image is not None:
-            # The boot kernel stays live: segmented resets restore it in
-            # place, so it must be the kernel the image is bound to.
-            self.snapshot.image.attach()
-            self._bind(self.snapshot.image.kernel)
-        else:
-            self.reset()
+        # The boot kernel stays live: resets restore it in place, so it
+        # must be the kernel the image is bound to.
+        self.snapshot.image.attach()
+        self.kernel: Kernel = self.snapshot.image.kernel
+        tasks = {task.comm: task for task in self.kernel.tasks.all_tasks()}
+        self.sender_task: Task = tasks[self.config.sender.name]
+        self.receiver_task: Task = tasks[self.config.receiver.name]
 
     # -- boot ------------------------------------------------------------------
 
@@ -163,8 +152,7 @@ class Machine:
                 mnt_ns = task.nsproxy.get(NamespaceType.MNT)
                 mnt_ns.mounts.clear()
                 kernel.vfs.install_standard_tree(mnt_ns)
-        return Snapshot.take(kernel, description="post-container-setup",
-                             segmented=not self.config.full_restore)
+        return Snapshot.take(kernel, description="post-container-setup")
 
     # -- state control -----------------------------------------------------
 
@@ -172,56 +160,29 @@ class Machine:
               skip_groups: Optional[frozenset] = None) -> None:
         """Reload the snapshot (optionally with a rebased clock).
 
-        With a segmented snapshot (the default) this restores only the
-        segments dirtied since the last reset, in place — task identity
-        is preserved across resets.  With ``full_restore`` (or when no
-        image exists) the whole kernel is deserialized afresh.
+        Only the segments dirtied since the last reset are restored, in
+        place — task identity is preserved across resets.
         *skip_groups* is the delta fast path's contract (see
         :meth:`restore_state_delta`): those dirty groups stay untouched
         because the caller overwrites them immediately.
         """
         image = self.snapshot.image
         start = time.perf_counter()
-        if image is None:
-            kernel = self._restore_full(boot_offset_ns)
-            self._bind(kernel)
-            self.stats.full_restores += 1
-        else:
-            # Drop any leftover instrumentation first: a full restore
-            # yields a tracerless kernel, and segmented resets must too.
-            self.kernel.attach_tracer(None)
-            restored, skipped = self._restore_segmented(image, skip_groups)
-            if self.config.verify_restore and skip_groups is None:
-                # Skipped groups legitimately diverge from the snapshot
-                # (the caller overwrites them next), so the blanket
-                # base-state check only applies to plain resets.
-                image.verify()
-            if boot_offset_ns is not None:
-                self.kernel.clock.rebase(boot_offset_ns)
-            self.stats.segmented_restores += 1
-            self.stats.segments_restored += restored
-            self.stats.segments_skipped += skipped
+        # Drop any leftover instrumentation first: the snapshotted
+        # kernel is tracerless, and a reset kernel must be too.
+        self.kernel.attach_tracer(None)
+        restored, skipped = self._restore_segmented(image, skip_groups)
+        if self.config.verify_restore and skip_groups is None:
+            # Skipped groups legitimately diverge from the snapshot (the
+            # caller overwrites them next), so the blanket base-state
+            # check only applies to plain resets.
+            image.verify()
+        if boot_offset_ns is not None:
+            self.kernel.clock.rebase(boot_offset_ns)
+        self.stats.segmented_restores += 1
+        self.stats.segments_restored += restored
+        self.stats.segments_skipped += skipped
         self.stats.restore_seconds += time.perf_counter() - start
-
-    def _restore_full(self, boot_offset_ns: Optional[int]) -> Kernel:
-        """Full deserialization, retrying injected restore failures."""
-        failures = []
-        while True:
-            try:
-                kernel = self.snapshot.restore(boot_offset_ns,
-                                               faults=self.faults)
-            except RestoreFaultInjected as error:
-                failures.append(error.site)
-                budget = self.faults.max_retries if self.faults else 0
-                if len(failures) > budget:
-                    self.faults.record_infra_failed(failures)
-                    raise FaultRetriesExhausted(failures,
-                                                context="full restore")
-                continue
-            if failures:
-                self.faults.record_recovered(failures)
-                self.stats.recovery_restores += 1
-            return kernel
 
     def _restore_segmented(self, image,
                            skip_groups: Optional[frozenset] = None
@@ -257,12 +218,6 @@ class Machine:
             faults.record_recovered([SITE_SEGMENT_CORRUPT])
         return restored, skipped
 
-    def _bind(self, kernel: Kernel) -> None:
-        self.kernel = kernel
-        tasks = {task.comm: task for task in kernel.tasks.all_tasks()}
-        self.sender_task = tasks[self.config.sender.name]
-        self.receiver_task = tasks[self.config.receiver.name]
-
     def attach_tracer(self, tracer: Optional[KernelTracer]) -> None:
         self.kernel.attach_tracer(tracer)
 
@@ -273,11 +228,6 @@ class Machine:
         """Content id of the base snapshot (the delta-compatibility key)."""
         return self.snapshot.content_id
 
-    @property
-    def supports_state_deltas(self) -> bool:
-        """Delta capture needs the segmented image's dirty tracking."""
-        return self.snapshot.image is not None
-
     def capture_state_delta(self) -> StateDelta:
         """Capture the current divergence from the base snapshot.
 
@@ -286,12 +236,7 @@ class Machine:
         re-applied — here or on another machine with the same
         :attr:`snapshot_id` — via :meth:`restore_state_delta`.
         """
-        image = self.snapshot.image
-        if image is None:
-            raise RuntimeError(
-                "state deltas require a segmented snapshot "
-                "(full_restore machines re-execute instead)")
-        return image.capture_delta()
+        return self.snapshot.image.capture_delta()
 
     def restore_state_delta(self, delta: StateDelta) -> None:
         """Reset to the base snapshot, then overlay *delta*.
@@ -305,16 +250,11 @@ class Machine:
         the exact reset-then-apply sequence runs instead, keeping the
         blanket base-state check meaningful.
         """
-        image = self.snapshot.image
-        if image is None:
-            raise RuntimeError(
-                "state deltas require a segmented snapshot "
-                "(full_restore machines re-execute instead)")
         if self.config.verify_restore:
             self.reset()
         else:
             self.reset(skip_groups=frozenset(delta.groups))
-        image.apply_delta(delta)
+        self.snapshot.image.apply_delta(delta)
 
     # -- execution ----------------------------------------------------------
 

@@ -594,8 +594,8 @@ class SegmentedImage:
         (apply_delta marks every delta group dirty again).
 
         Two injection sites live here.  ``restore.fail`` raises before
-        any group is touched (a failed payload load); the caller retries
-        or falls back to :meth:`restore_all_in_place`.  A
+        any group is touched (a failed payload load); the caller falls
+        back to :meth:`restore_all_in_place`.  A
         ``segment.corrupt`` firing silently drops one dirty group from
         the restore set — exactly the torn restore the canonical-form
         consistency check (:meth:`verify`) exists to catch — and sets
@@ -760,10 +760,6 @@ class SegmentedImage:
     @property
     def group_count(self) -> int:
         return len(self.payloads)
-
-    @property
-    def segmented_bytes(self) -> int:
-        return sum(len(payload) for payload in self.payloads)
 
     def describe_groups(self) -> List[Tuple[List[RootKey], int]]:
         """(member keys, payload size) per group, for benchmarks/docs."""

@@ -1,22 +1,16 @@
 """Kernel snapshots — the QEMU/QMP snapshot stand-in (§5.2).
 
-A snapshot is a pickled kernel; ``restore()`` deserializes a completely
-independent copy, so every test-case execution and profiling run starts
-from the identical machine state (§4.1.1's "systematic execution
-environment").  Tracers are excluded from snapshots by the kernel's own
-``__getstate__``.
-
-Snapshots can additionally be taken *segmented*
-(``Snapshot.take(kernel, segmented=True)``): the same kernel state is
-also decomposed into per-root payloads by
-:class:`~repro.vm.segments.SegmentedImage`, bound to the live kernel the
-snapshot was taken from.  :class:`~repro.vm.machine.Machine` uses the
-image to restore **in place**, reloading only the segments a run
-dirtied — the fast path behind the §6.5 throughput numbers.  The full
-blob is always kept: it serves independent-copy restores (full-restore
-machines and tests use them), is the byte-identity reference for the
-segmented consistency check, and its digest is the snapshot's content
-id.
+A snapshot holds one kernel state twice.  Its segmented view
+(:class:`~repro.vm.segments.SegmentedImage`) decomposes the state into
+per-root payloads bound to the live kernel the snapshot was taken from;
+:class:`~repro.vm.machine.Machine` uses it to restore **in place**,
+reloading only the segments a run dirtied, so every test-case execution
+and profiling run starts from the identical machine state (§4.1.1's
+"systematic execution environment").  Its full pickle serves
+``restore()``, which deserializes a completely independent copy — the
+reference the restore tests and gates compare the in-place path
+against — and its digest is the snapshot's content id.  Neither view
+keeps a tracer.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ import hashlib
 import pickle
 from typing import Optional
 
-from ..faults.plan import SITE_RESTORE_FAIL, FaultPlan, RestoreFaultInjected
 from ..kernel.kernel import Kernel
 from .segments import SegmentedImage
 
@@ -35,12 +28,11 @@ class Snapshot:
 
     __slots__ = ("blob", "description", "image", "_content_id")
 
-    def __init__(self, blob: bytes, description: str = "",
-                 image: Optional[SegmentedImage] = None):
+    def __init__(self, blob: bytes, description: str,
+                 image: SegmentedImage):
         self.blob = blob
         self.description = description
-        #: Segmented view bound to the snapshotted kernel, when taken
-        #: with ``segmented=True``; None otherwise.
+        #: Segmented view bound to the snapshotted kernel.
         self.image = image
         self._content_id: Optional[str] = None
 
@@ -60,30 +52,17 @@ class Snapshot:
         return self._content_id
 
     @classmethod
-    def take(cls, kernel: Kernel, description: str = "",
-             segmented: bool = False) -> "Snapshot":
+    def take(cls, kernel: Kernel, description: str = "") -> "Snapshot":
         blob = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-        image = SegmentedImage.build(kernel) if segmented else None
-        return cls(blob, description, image)
+        return cls(blob, description, SegmentedImage.build(kernel))
 
-    def restore(self, boot_offset_ns: Optional[int] = None,
-                faults: Optional[FaultPlan] = None) -> Kernel:
+    def restore(self, boot_offset_ns: Optional[int] = None) -> Kernel:
         """Materialize a fresh, independent kernel from the snapshot.
 
         *boot_offset_ns* rebases the virtual clock — the mechanism behind
         "re-runs the receiver program multiple times with different
         starting times" (§4.3.2).
-
-        *faults* registers this full deserialization as a
-        ``restore.fail`` injection site: a firing raises
-        :class:`RestoreFaultInjected` before any state is produced, the
-        stand-in for a QMP ``loadvm`` that errors out.  The caller
-        (:meth:`Machine.reset <repro.vm.machine.Machine.reset>`) owns
-        the bounded-retry recovery.
         """
-        if faults is not None and faults.should_inject(SITE_RESTORE_FAIL):
-            raise RestoreFaultInjected(
-                SITE_RESTORE_FAIL, "injected full-snapshot restore failure")
         kernel: Kernel = pickle.loads(self.blob)
         if boot_offset_ns is not None:
             kernel.clock.rebase(boot_offset_ns)
@@ -95,10 +74,5 @@ class Snapshot:
 
     @property
     def segment_count(self) -> int:
-        """Number of independently restorable segments (0 if unsegmented)."""
-        return self.image.group_count if self.image is not None else 0
-
-    @property
-    def segmented_bytes(self) -> int:
-        """Total payload size of the segmented view (0 if unsegmented)."""
-        return self.image.segmented_bytes if self.image is not None else 0
+        """Number of independently restorable segments."""
+        return self.image.group_count

@@ -112,8 +112,16 @@ def _append_one_byte(path):
         handle.write(b"\0")
 
 
-@pytest.mark.parametrize("damage", [_cut_16_values, _append_one_byte],
-                         ids=["cut-16-values", "one-extra-byte"])
+def _cut_inside_header(path):
+    with open(path, "r+b") as handle:
+        handle.truncate(5)  # the magic and one byte of the row count
+
+
+@pytest.mark.parametrize("damage",
+                         [_cut_16_values, _append_one_byte,
+                          _cut_inside_header],
+                         ids=["cut-16-values", "one-extra-byte",
+                              "cut-inside-header"])
 def test_damaged_run_segment_is_rejected(profiled_513, damage):
     """A run whose size disagrees with its header is rejected, never
     merged into a smaller or shifted join."""

@@ -25,8 +25,6 @@ class TestRestoreTelemetry:
     def test_sequential_campaign_counts_restores(self):
         stats = Kit(small_config()).run().stats
         assert stats.restore_count > 0
-        assert stats.segmented_restores == stats.restore_count
-        assert stats.full_restores == 0
         assert stats.segments_restored > 0
         assert stats.segments_skipped > stats.segments_restored
         assert 0.0 < stats.segments_skipped_rate() < 1.0
@@ -38,15 +36,6 @@ class TestRestoreTelemetry:
         assert staged == pytest.approx(stats.restore_seconds)
         assert stats.profile_restore_seconds > 0.0
         assert stats.execution_restore_seconds > 0.0
-
-    def test_full_restore_campaign_counts_full(self):
-        config = small_config(
-            machine=MachineConfig(bugs=linux_5_13(), full_restore=True),
-            diagnose=False)
-        stats = Kit(config).run().stats
-        assert stats.full_restores == stats.restore_count > 0
-        assert stats.segmented_restores == 0
-        assert stats.segments_restored == 0 and stats.segments_skipped == 0
 
     def test_cache_hit_rates_populated(self):
         stats = Kit(small_config()).run().stats
@@ -60,7 +49,6 @@ class TestRestoreTelemetry:
     def test_distributed_telemetry_sums_workers(self):
         stats = Kit(small_config(workers=2, diagnose=False)).run().stats
         assert stats.restore_count > 0
-        assert stats.segmented_restores > 0
         assert stats.execution_restore_seconds > 0.0
         assert stats.baseline_hits + stats.baseline_misses > 0
 

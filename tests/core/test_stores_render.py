@@ -39,6 +39,21 @@ class TestMachineFingerprint:
         assert machine_fingerprint(host) != machine_fingerprint(MachineConfig())
 
 
+def _truncate(data):
+    return data[:len(data) // 2]
+
+
+def _flip_middle_bit(data):
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1:]
+
+
+def _repeat_middle_run(data):
+    # A splice whose every byte still comes from the valid entry.
+    middle = len(data) // 2
+    return data[:middle] + data[middle - 64:]
+
+
 class TestProfileStore:
     def test_cache_roundtrip(self, tmp_path):
         machine = Machine(MachineConfig(bugs=linux_5_13()))
@@ -78,6 +93,26 @@ class TestProfileStore:
                                 str(tmp_path))
         profile = fresh.profile(program)
         assert profile.sender.total_accesses() > 0
+
+    @pytest.mark.parametrize("damage",
+                             [_truncate, _flip_middle_bit, _repeat_middle_run],
+                             ids=["truncate", "bit-flip", "splice"])
+    def test_damaged_entry_reads_as_miss(self, tmp_path, damage):
+        program = seed_programs()["tcp_socket"]
+        profiler = CachingProfiler(Machine(MachineConfig(bugs=linux_5_13())),
+                                   str(tmp_path))
+        clean = profiler.profile(program)
+        victim = profiler.store._path(program)
+        with open(victim, "rb") as handle:
+            data = handle.read()
+        with open(victim, "wb") as handle:
+            handle.write(damage(data))
+        fresh = CachingProfiler(Machine(MachineConfig(bugs=linux_5_13())),
+                                str(tmp_path))
+        assert fresh.store.get(program) is None
+        assert fresh.store.hits == 0 and fresh.store.misses == 1
+        assert fresh.profile(program) == clean
+        assert fresh.runs_executed == 4
 
     def test_pipeline_integration(self, tmp_path):
         base = dict(machine=MachineConfig(bugs=linux_5_13()),

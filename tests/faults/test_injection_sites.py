@@ -16,7 +16,6 @@ from repro.faults.plan import (
     SITE_SEGMENT_CORRUPT,
     ExecTimeoutInjected,
     FaultPlan,
-    FaultRetriesExhausted,
     call_with_fault_retries,
 )
 from repro.kernel import linux_5_13
@@ -28,48 +27,29 @@ from repro.vm import (
 from repro.vm.machine import RECEIVER
 
 
-def _machine(plan, **config_kwargs):
-    return Machine(MachineConfig(bugs=linux_5_13(), fault_plan=plan,
-                                 **config_kwargs))
-
-
-def test_full_restore_failure_recovers_to_identical_state():
-    clean = Machine(MachineConfig(bugs=linux_5_13(), full_restore=True))
-    clean.reset()
-    reference = state_fingerprint(clean.kernel)
-
-    # Occurrence 0 is the boot reset; fire on the explicit reset.
-    plan = FaultPlan(seed=0, schedule={SITE_RESTORE_FAIL: {1}})
-    machine = _machine(plan, full_restore=True)
-    machine.reset()
-    assert state_fingerprint(machine.kernel) == reference
-    assert machine.stats.recovery_restores == 1
-    assert plan.stats.injected == {SITE_RESTORE_FAIL: 1}
-    assert plan.stats.accounted()
-
-
-def test_full_restore_exhaustion_charges_infra():
-    plan = FaultPlan(seed=0, max_retries=2,
-                     schedule={SITE_RESTORE_FAIL: set(range(1, 30))})
-    machine = _machine(plan, full_restore=True)
-    with pytest.raises(FaultRetriesExhausted):
-        machine.reset()
-    assert plan.stats.infra_failed.get(SITE_RESTORE_FAIL) == 3
-    assert plan.stats.accounted()
+def _machine(plan):
+    return Machine(MachineConfig(bugs=linux_5_13(), fault_plan=plan))
 
 
 def test_segmented_restore_failure_falls_back_to_restore_all():
     reference_machine = Machine(MachineConfig(bugs=linux_5_13()))
     reference = state_fingerprint(reference_machine.snapshot.restore())
 
-    plan = FaultPlan(seed=0, schedule={SITE_RESTORE_FAIL: {0}})
-    machine = _machine(plan)
-    machine.run(RECEIVER, seed_programs()["read_uptime"])
-    machine.reset()  # injected failure -> restore_all_in_place fallback
-    assert state_fingerprint(machine.kernel) == reference
-    assert machine.stats.recovery_restores == 1
-    assert plan.stats.recovered == {SITE_RESTORE_FAIL: 1}
-    assert plan.stats.accounted()
+    # One failed reset, then a failure on every reset: the fallback is
+    # injection-free, so no failure streak can exhaust it into infra.
+    for resets in (1, 4):
+        plan = FaultPlan(seed=0,
+                         schedule={SITE_RESTORE_FAIL: set(range(resets))})
+        machine = _machine(plan)
+        for _ in range(resets):
+            machine.run(RECEIVER, seed_programs()["read_uptime"])
+            machine.reset()  # injected failure -> restore_all_in_place
+            assert state_fingerprint(machine.kernel) == reference
+        assert machine.stats.recovery_restores == resets
+        assert plan.stats.recovered == {SITE_RESTORE_FAIL: resets}
+        assert plan.stats.injected == plan.stats.recovered
+        assert not plan.stats.infra_failed
+        assert plan.stats.accounted()
 
 
 def test_segment_corruption_detected_and_repaired():

@@ -75,18 +75,6 @@ def test_verify_passes_after_ordinary_runs():
     assert machine.stats.segmented_restores >= 4
 
 
-def test_full_restore_config_disables_segmentation():
-    machine = Machine(MachineConfig(bugs=linux_5_13(), full_restore=True))
-    assert machine.snapshot.image is None
-    assert machine.snapshot.segment_count == 0
-    assert machine.snapshot.segmented_bytes == 0
-    before = machine.kernel
-    machine.reset()
-    assert machine.kernel is not before  # fresh deserialization each time
-    assert machine.stats.full_restores == 2  # boot reset + explicit reset
-    assert machine.stats.segmented_restores == 0
-
-
 def test_segmented_machine_preserves_kernel_identity():
     machine = Machine(MachineConfig(bugs=linux_5_13()))
     kernel = machine.kernel
@@ -111,17 +99,15 @@ def test_reset_restores_only_dirty_segments():
 
 
 def test_machine_stats_merge_and_since():
-    a = MachineStats(full_restores=1, segmented_restores=2,
-                     segments_restored=10, segments_skipped=30,
-                     restore_seconds=0.5)
+    a = MachineStats(segmented_restores=2, segments_restored=10,
+                     segments_skipped=30, restore_seconds=0.5)
     b = MachineStats(segmented_restores=3, segments_restored=5,
                      segments_skipped=15, restore_seconds=0.25)
     a.merge(b)
-    assert a.restores == 6
+    assert a.segmented_restores == 5
     assert a.segments_restored == 15 and a.segments_skipped == 45
     assert a.restore_seconds == pytest.approx(0.75)
-    delta = a.since(MachineStats(full_restores=1, segmented_restores=2,
-                                 segments_restored=10, segments_skipped=30,
-                                 restore_seconds=0.5))
-    assert delta.segmented_restores == 3 and delta.full_restores == 0
+    delta = a.since(MachineStats(segmented_restores=2, segments_restored=10,
+                                 segments_skipped=30, restore_seconds=0.5))
+    assert delta.segmented_restores == 3
     assert delta.restore_seconds == pytest.approx(0.25)
