@@ -21,7 +21,7 @@ from repro.corpus import build_corpus, seed_programs
 from repro.vm import Machine
 from repro.vm.machine import RECEIVER, SENDER
 
-from benchmarks.support import emit_table
+from benchmarks.support import case_reset_seconds, emit_table
 
 #: Segmented restore must be at least this much faster than full.
 MIN_RESTORE_SPEEDUP = 2.0
@@ -72,7 +72,15 @@ def test_regression_gate_three_way(bench_corpus, benchmark):
 
 
 def test_restore_performance_gate(campaign_513, benchmark):
-    """Fail the bench if segmented restore stops paying for itself."""
+    """Fail the bench if segmented restore stops paying for itself.
+
+    The gated rows time an *idle* reset: back-to-back resets of a
+    machine that ran nothing since, so each restores only the
+    always-dirty groups.  The per-case row times the reset a campaign
+    actually pays, right after the udp_send/read_sockstat case; it is
+    reported, not gated: on a 2-vCPU host its ratio to a full restore
+    lands on either side of 2x from run to run.
+    """
     seeds = seed_programs()
     sender, receiver = seeds["udp_send"], seeds["read_sockstat"]
     seg = Machine(MachineConfig(bugs=linux_5_13()))
@@ -89,6 +97,7 @@ def test_restore_performance_gate(campaign_513, benchmark):
     # The full side deserializes the whole kernel from the snapshot.
     full_reset = mean_seconds(seg.snapshot.restore)
     seg_reset = mean_seconds(seg.reset)
+    case_reset = case_reset_seconds(seg, sender, receiver, 300)
     benchmark(seg.reset)
 
     speedup = full_reset / seg_reset
@@ -96,10 +105,14 @@ def test_restore_performance_gate(campaign_513, benchmark):
     lines = [
         f"{'gate':<38} {'measured':>12} {'threshold':>12}",
         "-" * 66,
-        f"{'restore speedup (full/segmented)':<38} {f'{speedup:.1f}x':>12} "
-        f"{f'>={MIN_RESTORE_SPEEDUP:.1f}x':>12}",
-        f"{'segmented reset latency (ms)':<38} {seg_reset * 1e3:>12.3f} "
+        f"{'idle reset speedup (full/segmented)':<38} "
+        f"{f'{speedup:.1f}x':>12} {f'>={MIN_RESTORE_SPEEDUP:.1f}x':>12}",
+        f"{'idle reset latency (ms)':<38} {seg_reset * 1e3:>12.3f} "
         f"{f'<={MAX_SEGMENTED_RESET_SECONDS * 1e3:.1f}':>12}",
+        f"{'per-case reset speedup':<38} "
+        f"{f'{full_reset / case_reset:.1f}x':>12} {'reported':>12}",
+        f"{'per-case reset latency (ms)':<38} {case_reset * 1e3:>12.3f} "
+        f"{'reported':>12}",
         f"{'campaign execution rate (cases/s)':<38} {exec_rate:>12.1f} "
         f"{f'>={MIN_EXECUTIONS_PER_SECOND:.0f}':>12}",
     ]

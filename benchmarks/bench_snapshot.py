@@ -9,7 +9,10 @@ optimisation: mean reset latency and reset+run latency of a machine's
 segmented reset against :meth:`Snapshot.restore
 <repro.vm.snapshot.Snapshot.restore>`, which deserializes the whole
 kernel, plus the consistency cross-check that the fast path lands on
-exactly the state the full deserialization produces.
+exactly the state the full deserialization produces.  The idle reset
+follows another reset, so it restores only the always-dirty groups;
+the per-case reset follows the udp_send/read_sockstat case, which is
+the reset a campaign pays.
 """
 
 import time
@@ -19,7 +22,7 @@ from repro.corpus import seed_programs
 from repro.vm import Executor, Machine, state_fingerprint
 from repro.vm.machine import RECEIVER, SENDER
 
-from benchmarks.support import emit_table
+from benchmarks.support import case_reset_seconds, emit_table
 
 RESET_RUNS = 200
 CASE_RUNS = 100
@@ -58,6 +61,7 @@ def test_bench_snapshot_restore_modes(benchmark):
 
     full_reset = _mean_seconds(full.restore, RESET_RUNS)
     seg_reset = _mean_seconds(seg.reset, RESET_RUNS)
+    case_reset = case_reset_seconds(seg, sender, receiver, RESET_RUNS)
     full_case = _mean_seconds(lambda: _full_case(full, sender, receiver),
                               CASE_RUNS)
     seg_case = _mean_seconds(lambda: _case(seg, sender, receiver), CASE_RUNS)
@@ -71,11 +75,16 @@ def test_bench_snapshot_restore_modes(benchmark):
     lines = [
         f"{'Metric':<38} {'full':>12} {'segmented':>12}",
         "-" * 66,
-        f"{'Reset latency (ms)':<38} {full_reset * 1e3:>12.3f} "
+        f"{'Idle reset latency (ms)':<38} {full_reset * 1e3:>12.3f} "
         f"{seg_reset * 1e3:>12.3f}",
+        f"{'Per-case reset latency (ms)':<38} {full_reset * 1e3:>12.3f} "
+        f"{case_reset * 1e3:>12.3f}",
         f"{'Reset+test-case latency (ms)':<38} {full_case * 1e3:>12.3f} "
         f"{seg_case * 1e3:>12.3f}",
-        f"{'Reset speedup':<38} {'1.0x':>12} {f'{reset_speedup:.1f}x':>12}",
+        f"{'Idle reset speedup':<38} {'1.0x':>12} "
+        f"{f'{reset_speedup:.1f}x':>12}",
+        f"{'Per-case reset speedup':<38} {'1.0x':>12} "
+        f"{f'{full_reset / case_reset:.1f}x':>12}",
         f"{'Test-case speedup':<38} {'1.0x':>12} {f'{case_speedup:.1f}x':>12}",
         f"{'Snapshot segments':<38} {'—':>12} "
         f"{seg.snapshot.segment_count:>12}",
@@ -84,8 +93,9 @@ def test_bench_snapshot_restore_modes(benchmark):
     ]
     emit_table("bench_snapshot", "Snapshot restore: full vs segmented", lines)
 
-    # The acceptance threshold of this PR: segmented restore must be at
-    # least twice as fast as full deserialization.
+    # The acceptance threshold: an idle segmented reset must be at least
+    # twice as fast as full deserialization.  The per-case row is
+    # reported, not gated.
     assert reset_speedup >= 2.0, \
         f"segmented restore only {reset_speedup:.2f}x faster than full"
     assert seg_case < full_case, "test cases must get faster, not slower"

@@ -50,9 +50,7 @@ class ProfileStore:
 
     Entries fan out into 256 subdirectories keyed by the first two hex
     digits of the program hash, so a 100k-profile cache never piles into
-    one directory.  ``get`` falls back to the flat pre-sharding path,
-    though entries written there predate the digest and read as misses;
-    ``put`` always writes the sharded one.
+    one directory.
     """
 
     def __init__(self, directory: str, fingerprint: str):
@@ -68,18 +66,9 @@ class ProfileStore:
         return os.path.join(self._directory, program.hash_hex[:2],
                             f"{program.hash_hex}.profile")
 
-    def _legacy_path(self, program: TestProgram) -> str:
-        return os.path.join(self._directory, f"{program.hash_hex}.profile")
-
     def get(self, program: TestProgram) -> Optional[ProgramProfile]:
-        path = self._path(program)
-        if not os.path.exists(path):
-            path = self._legacy_path(program)  # pre-sharding caches
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
         try:
-            with open(path, "rb") as handle:
+            with open(self._path(program), "rb") as handle:
                 data = handle.read()
         except OSError:
             self.misses += 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class BugFlags:
     """One boolean per modelled bug; all False = fully patched kernel."""
 

@@ -53,7 +53,7 @@ from .uts import UtsNamespace
 from .vfs import MntNamespace, Vfs
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelConfig:
     """Build-time kernel configuration.
 

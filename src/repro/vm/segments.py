@@ -13,8 +13,12 @@ Correctness rests on three pillars:
 
 1. **Identity-stable roots.**  Restoring never replaces a root object;
    it overwrites the root's ``__dict__``/slots from the payload.  Every
-   cross-segment reference goes through a persistent id resolved against
-   the live root table, so clean segments can never see a stale object.
+   cross-segment reference goes through a persistent id — the bare root
+   key, resolved in C by the live root table's ``__getitem__`` — so
+   clean segments can never see a stale object.  A *flat* group, whose
+   captured state holds only immutable values and root references (the
+   kernel shell, the arena, the clock), restores by copying that state
+   instead of unpickling it: nothing in it can alias live state.
 2. **Closure by construction.**  While taking the snapshot, a canonical
    walk records every mutable interior object each root's state reaches.
    Roots that *share* a mutable interior are merged into one group
@@ -105,8 +109,9 @@ def _capture_state(key: RootKey, obj: Any) -> Dict[str, Any]:
     if d is not None:
         state = dict(d)
         if key == ("kernel",):
-            state["tracer"] = None
-            state["_dirty_roots"] = set()
+            # Placeholders: the tracer and the dirty-root set stay live
+            # (see _apply_state), but keep their ``__dict__`` positions.
+            state["tracer"] = state["_dirty_roots"] = None
         return state
     state = {}
     for cls in type(obj).__mro__:
@@ -122,12 +127,30 @@ def _apply_state(key: RootKey, obj: Any, state: Dict[str, Any]) -> None:
         obj._next_addr = state["_next_addr"]
         return
     d = getattr(obj, "__dict__", None)
-    if d is not None:
-        d.clear()
-        d.update(state)
-    else:
+    if d is None:
         for name, value in state.items():
             setattr(obj, name, value)
+    elif key == ("kernel",):
+        live = obj.tracer, obj._dirty_roots
+        d.clear()
+        d.update(state)
+        obj.tracer, obj._dirty_roots = live
+    else:
+        d.clear()
+        d.update(state)
+
+
+#: Value types a restore template may share with live state.
+_IMMUTABLE = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def _is_flat(value: Any, root_pids: Dict[int, RootKey]) -> bool:
+    """Whether *value* is a root or immutable all the way down."""
+    if type(value) in _IMMUTABLE or id(value) in root_pids:
+        return True
+    params = getattr(type(value), "__dataclass_params__", None)
+    return (params is not None and params.frozen
+            and all(_is_flat(v, root_pids) for v in vars(value).values()))
 
 
 def _addresses_of(obj: Any) -> Tuple[int, ...]:
@@ -248,32 +271,15 @@ def state_fingerprint(kernel: Kernel) -> bytes:
 
 
 class _GroupPickler(pickle.Pickler):
-    """Base-payload writer: stubs snapshot roots with persistent ids."""
+    """Base-payload writer: stubs each snapshot root with its bare key,
+    which a restore resolves through the root table's ``__getitem__``."""
 
     def __init__(self, stream: io.BytesIO, root_pids: Dict[int, RootKey]):
         super().__init__(stream, protocol=_PROTO)
         self._root_pids = root_pids
 
-    def persistent_id(self, obj: Any) -> Optional[Tuple]:
-        key = self._root_pids.get(id(obj))
-        if key is not None:
-            return ("r", key)
-        return None
-
-
-class _ResolvingUnpickler(pickle.Unpickler):
-    """Resolves persistent root references against the live root table."""
-
-    def __init__(self, stream: io.BytesIO, live: Dict[RootKey, Any]):
-        super().__init__(stream)
-        self._live = live
-
-    def persistent_load(self, pid: Tuple) -> Any:
-        tag, key = pid
-        if tag == "r":
-            return self._live[tuple(key)]
-        # pragma: no cover - payload corruption guard
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+    def persistent_id(self, obj: Any) -> Optional[RootKey]:
+        return self._root_pids.get(id(obj))
 
 
 #: Thread-local binding of the image a delta is being applied to, so the
@@ -432,6 +438,10 @@ class SegmentedImage:
         self._group_of_root_id: Dict[int, int] = {}
         #: group index -> pickled [(key, state), ...] payload.
         self.payloads: List[bytes] = []
+        #: group index -> captured [(key, state), ...] of a *flat* group
+        #: (only immutable values and roots), which restores by copying;
+        #: None for a group that must be unpickled.
+        self._templates: List[Optional[List[Tuple[RootKey, Dict]]]] = []
         #: group index -> member root keys (diagnostics / telemetry).
         self.group_members: List[List[RootKey]] = []
         #: traced field address -> owning group index.
@@ -517,6 +527,9 @@ class SegmentedImage:
             stream = io.BytesIO()
             _GroupPickler(stream, root_pids).dump(entries)
             image.payloads.append(stream.getvalue())
+            flat = all(_is_flat(value, root_pids)
+                       for __, state in entries for value in state.values())
+            image._templates.append(entries if flat else None)
             image.group_members.append([root_keys[i] for i in group_indices])
 
         for group, group_indices in enumerate(members):
@@ -614,13 +627,8 @@ class SegmentedImage:
                 and faults.should_inject(SITE_SEGMENT_CORRUPT):
             dirty.discard(max(dirty))
             self.corruption_pending = True
-        live = self.roots
         for group in dirty:
-            stream = io.BytesIO(self.payloads[group])
-            entries = _ResolvingUnpickler(stream, live).load()
-            for key, state in entries:
-                _apply_state(key, live[key], state)
-            self._generation[group] += 1
+            self._restore_group(group)
         self._dirty_groups.clear()
         self.kernel._dirty_roots.clear()
         return len(dirty), len(self.payloads) - len(dirty)
@@ -634,17 +642,25 @@ class SegmentedImage:
         to a fresh full deserialization (the clean run's behaviour).
         Returns the number of groups restored.
         """
-        live = self.roots
-        for payload in self.payloads:
-            stream = io.BytesIO(payload)
-            entries = _ResolvingUnpickler(stream, live).load()
-            for key, state in entries:
-                _apply_state(key, live[key], state)
-        self._generation = [count + 1 for count in self._generation]
+        for group in range(len(self.payloads)):
+            self._restore_group(group)
         self._dirty_groups.clear()
         self.kernel._dirty_roots.clear()
         self.corruption_pending = False
         return len(self.payloads)
+
+    def _restore_group(self, group: int) -> None:
+        """Copy a flat group's template, or unpickle the group's payload
+        with every root key resolved in C by the root table."""
+        live = self.roots
+        entries = self._templates[group]
+        if entries is None:
+            unpickler = pickle.Unpickler(io.BytesIO(self.payloads[group]))
+            unpickler.persistent_load = live.__getitem__
+            entries = unpickler.load()
+        for key, state in entries:
+            _apply_state(key, live[key], state)
+        self._generation[group] += 1
 
     # -- derived-state deltas ------------------------------------------------
 

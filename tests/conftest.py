@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.known_bugs import SCENARIOS, scenario_machine_config
 from repro.kernel import Kernel, KernelConfig, fixed_kernel, linux_5_13
+from repro.kernel.bugs import race_kernel
 from repro.kernel.errno import SyscallError
 from repro.kernel.namespaces import ALL_NAMESPACE_FLAGS
 from repro.vm import Machine, MachineConfig
@@ -76,3 +78,16 @@ def machine_513() -> Machine:
 def machine_fixed() -> Machine:
     """Session-shared patched machine; tests must reset() before use."""
     return Machine(MachineConfig(bugs=fixed_kernel()))
+
+
+#: The 5.13 target, the patched and race-only kernels, and the
+#: known-bug machines A–G (Table 3 and §6.2).
+PRESETS = {"5.13": linux_5_13, "fixed": fixed_kernel, "race": race_kernel}
+
+
+@pytest.fixture(params=[*PRESETS, *sorted(SCENARIOS)])
+def preset_config(request) -> MachineConfig:
+    """The machine config of each kernel preset in turn."""
+    if request.param in SCENARIOS:
+        return scenario_machine_config(SCENARIOS[request.param])
+    return MachineConfig(bugs=PRESETS[request.param]())

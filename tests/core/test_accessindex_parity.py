@@ -219,20 +219,6 @@ class TestProfileStoreSharding:
         assert store.get(profiles[0].program) is not None
         assert store.hits == 1
 
-    def test_legacy_flat_layout_still_hits(self, tmp_path, profiled_513):
-        __, profiles = profiled_513
-        store = ProfileStore(str(tmp_path), "fp")
-        store.put(profiles[0])
-        sharded = os.path.join(str(tmp_path), "fp",
-                               profiles[0].program.hash_hex[:2],
-                               profiles[0].program.hash_hex + ".profile")
-        flat = os.path.join(str(tmp_path), "fp",
-                            profiles[0].program.hash_hex + ".profile")
-        os.replace(sharded, flat)  # simulate a pre-sharding cache
-        fresh = ProfileStore(str(tmp_path), "fp")
-        assert fresh.get(profiles[0].program) is not None
-        assert fresh.hits == 1 and fresh.misses == 0
-
     def test_fingerprint_unchanged_by_sharding(self):
         fp = machine_fingerprint(MachineConfig(bugs=linux_5_13()))
         assert len(fp) == 16

@@ -9,11 +9,15 @@ serialization both the consistency check and these tests share.
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import pickle
+
 import pytest
 
 from repro.core.known_bugs import SCENARIOS, TABLE3_ROWS, scenario_machine_config
 from repro.corpus.seeds import seed_programs
-from repro.kernel import linux_5_13
+from repro.kernel import KernelConfig, linux_5_13
 from repro.vm import (
     Machine,
     MachineConfig,
@@ -22,6 +26,7 @@ from repro.vm import (
     state_fingerprint,
 )
 from repro.vm.machine import RECEIVER, SENDER
+from repro.vm.segments import _CanonicalWalker
 
 CONFIGS = {"5.13": MachineConfig(bugs=linux_5_13())}
 CONFIGS.update({row: scenario_machine_config(SCENARIOS[row])
@@ -50,6 +55,58 @@ def test_segmented_restore_matches_full_restore(config_name):
     machine.reset(boot_offset_ns=offset_ns)
     assert state_fingerprint(machine.kernel) == \
         state_fingerprint(machine.snapshot.restore(boot_offset_ns=offset_ns))
+
+
+def _immutable(value, root_pids):
+    """A root, a scalar, or a frozen dataclass of scalars."""
+    if id(value) in root_pids or value is None \
+            or type(value) in (bool, int, float, str, bytes):
+        return True
+    return (dataclasses.is_dataclass(value)
+            and type(value).__dataclass_params__.frozen
+            and all(_immutable(getattr(value, field.name), root_pids)
+                    for field in dataclasses.fields(value)))
+
+
+def test_flat_templates_match_their_payloads(preset_config):
+    """A flat group's copied template and its unpickled payload are the
+    same state, and no template value is mutable, so copying a template
+    can never alias live state."""
+    image = Machine(preset_config).snapshot.image
+    flat = [group for group, template in enumerate(image._templates)
+            if template is not None]
+    assert {("kernel",), ("arena",), ("clock",)} <= {
+        key for group in flat for key in image.group_members[group]}
+
+    def walk(state):
+        return _CanonicalWalker(image._root_pids).walk_state(state)
+
+    for group in flat:
+        unpickler = pickle.Unpickler(io.BytesIO(image.payloads[group]))
+        unpickler.persistent_load = image.roots.__getitem__
+        loaded = unpickler.load()
+        template = image._templates[group]
+        assert [key for key, __ in template] == [key for key, __ in loaded]
+        for (key, state), (__, payload_state) in zip(template, loaded):
+            assert walk(state) == walk(payload_state), key
+            for name, value in state.items():
+                assert _immutable(value, image._root_pids), (key, name)
+
+
+def test_kernel_config_and_bug_flags_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        KernelConfig().jump_label = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        linux_5_13().ptype_leak = False
+
+
+def test_reset_keeps_the_live_dirty_root_set():
+    machine = Machine(MachineConfig(bugs=linux_5_13()))
+    dirty_roots = machine.kernel._dirty_roots
+    machine.run(SENDER, seed_programs()["udp_send"])
+    assert dirty_roots  # the run marked its caller task
+    machine.reset()
+    assert machine.kernel._dirty_roots is dirty_roots and not dirty_roots
 
 
 def test_verify_catches_untracked_mutation():
