@@ -617,14 +617,20 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
     hold their throughput floors and together extrapolate a 98,853-
     program run under the 30-minute budget; streamed generation→disk
     keeps peak memory bounded (a fraction of the materialized build);
-    and — the load-bearing one — the streamed merge-join backend is
-    pair-for-pair identical to the in-memory index at the 200-program
-    bench scale, down to the campaign's bug set and reports.
+    and — the load-bearing one — the campaign's streamed merge-join is
+    pair-for-pair identical to the in-memory reference index at the
+    200-program bench scale, down to the bug set its cases find.
     """
     import tracemalloc
 
+    from repro.core import Detector, TestCaseGenerator, strategy_by_name
     from repro.core.accessindex import ColumnarAccessIndex
     from repro.core.dataflow import DataFlowIndex
+    from repro.core.oracle import (
+        FALSE_POSITIVE,
+        UNDER_INVESTIGATION,
+        classify_all,
+    )
     from repro.core.profile import Profiler
     from repro.core.spec import default_specification
     from repro.corpus import CorpusWriter, CoverageDeduper, StreamStats, \
@@ -668,7 +674,8 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
     streamed_peak, full_peak = stream_peak(), materialized_peak()
     peak_fraction = streamed_peak / full_peak
 
-    # 4. Pair-for-pair parity at bench scale: profiles → both backends.
+    # 4. Pair-for-pair parity at bench scale: the campaign's join against
+    #    the reference index of the same profiles.
     machine = Machine(MachineConfig(bugs=linux_5_13()))
     profiles = Profiler(machine).profile_corpus(list(bench_corpus))
     spec = default_specification()
@@ -683,17 +690,22 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
             "merge-join overlap rows diverge from the in-memory index"
     index_rate = points / index_seconds
 
-    def campaign(backend):
+    def campaign():
         return Kit(CampaignConfig(machine=MachineConfig(bugs=linux_5_13()),
-                                  corpus=list(bench_corpus),
-                                  index_backend=backend)).run()
+                                  corpus=list(bench_corpus))).run()
 
-    mem_run = campaign("memory")
-    col_run = benchmark.pedantic(campaign, args=("columnar",), rounds=1,
-                                 iterations=1)
-    pair_parity = [c.pair for c in mem_run.generation.test_cases] \
+    reference = TestCaseGenerator(list(bench_corpus), mem_index).generate(
+        strategy_by_name("df-ia"))
+    detector = Detector(Machine(MachineConfig(bugs=linux_5_13())), spec)
+    reference_reports = [result.report for result in
+                         map(detector.check_case, reference.test_cases)
+                         if result.report is not None]
+    reference_bugs = set().union(*map(classify_all, reference_reports)) \
+        - {FALSE_POSITIVE, UNDER_INVESTIGATION}
+    col_run = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    pair_parity = [c.pair for c in reference.test_cases] \
         == [c.pair for c in col_run.generation.test_cases]
-    bug_parity = sorted(mem_run.bugs_found()) == sorted(col_run.bugs_found())
+    bug_parity = sorted(reference_bugs) == sorted(col_run.bugs_found())
 
     # 5. Extrapolate the paper-scale run from the slowest stage rates.
     paper_points = points / len(bench_corpus) * PAPER_CORPUS_SIZE
@@ -741,6 +753,6 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
     assert paper_seconds < MAX_PAPER_CORPUS_SECONDS, \
         f"extrapolated paper-scale run takes {paper_seconds:.0f}s"
     assert pair_parity, \
-        "columnar campaign generated a different Table-4 pair sequence"
-    assert bug_parity, "columnar campaign found a different bug set"
-    assert len(mem_run.reports) == len(col_run.reports)
+        "campaign generated a different Table-4 pair sequence"
+    assert bug_parity, "campaign found a different bug set"
+    assert len(reference_reports) == len(col_run.reports)

@@ -16,6 +16,7 @@ import os
 
 from repro import CampaignConfig, Kit, MachineConfig, linux_5_13
 from repro.core import (
+    ColumnarAccessIndex,
     Profiler,
     TestCaseGenerator,
     default_specification,
@@ -33,9 +34,10 @@ def _generation_stats(size: int):
     corpus = build_corpus(size, seed=1)
     machine = Machine(MachineConfig(bugs=linux_5_13()))
     profiles = Profiler(machine).profile_corpus(corpus)
-    generator = TestCaseGenerator(corpus, profiles, default_specification())
-    result = generator.generate(strategy_by_name("df-ia"))
-    return result
+    with ColumnarAccessIndex.build(iter(profiles),
+                                   default_specification()) as index:
+        return TestCaseGenerator(corpus, index).generate(
+            strategy_by_name("df-ia"))
 
 
 def test_scaling_corpus_size(benchmark):

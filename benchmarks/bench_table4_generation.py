@@ -18,6 +18,7 @@ the real corpus.
 
 from repro import MachineConfig, linux_5_13
 from repro.core import (
+    ColumnarAccessIndex,
     Detector,
     Profiler,
     TestCaseGenerator,
@@ -45,15 +46,16 @@ def test_table4_generation_strategies(bench_corpus, benchmark):
     spec = default_specification()
     machine = Machine(MachineConfig(bugs=linux_5_13()))
     profiles = Profiler(machine).profile_corpus(bench_corpus)
-    generator = TestCaseGenerator(bench_corpus, profiles, spec)
-
-    # Benchmark: the DF-IA clustering pass over the profiled corpus.
-    generation = benchmark(generator.generate, strategy_by_name("df-ia"))
+    with ColumnarAccessIndex.build(iter(profiles), spec) as index:
+        generator = TestCaseGenerator(bench_corpus, index)
+        # Benchmark: the DF-IA clustering pass over the profiled corpus.
+        generation = benchmark(generator.generate, strategy_by_name("df-ia"))
+        results = {name: generator.generate(strategy_by_name(name))
+                   for name in ("df-ia", "df-st-1", "df-st-2")}
 
     rows = []
     df_ia_cases = None
-    for name in ("df-ia", "df-st-1", "df-st-2"):
-        result = generator.generate(strategy_by_name(name))
+    for name, result in results.items():
         detector = Detector(Machine(MachineConfig(bugs=linux_5_13())), spec)
         found = _bugs_found(detector, result.test_cases)
         rows.append((name.upper(), result.cluster_count, found))
@@ -61,7 +63,8 @@ def test_table4_generation_strategies(bench_corpus, benchmark):
             df_ia_cases = len(result.test_cases)
 
     rand_budget = 8 * df_ia_cases
-    rand_result = generator.generate_random(rand_budget, seed=7)
+    rand_result = TestCaseGenerator(bench_corpus).generate_random(rand_budget,
+                                                                  seed=7)
     rand_detector = Detector(Machine(MachineConfig(bugs=linux_5_13())), spec)
     rand_found = _bugs_found(rand_detector, rand_result.test_cases)
     rows.append(("RAND", rand_budget, rand_found))

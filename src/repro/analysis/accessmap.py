@@ -1,12 +1,12 @@
-"""Syscall -> kernel-state access maps (the static DataFlowIndex).
+"""Syscall -> kernel-state access maps (the static data-flow map).
 
 For every syscall registered in :mod:`repro.kernel.syscalls.table` (and
 for every constant ``/proc`` key the procfs dispatcher handles), the
 extractor walks the handler with the abstract interpreter and emits its
 read/write set over the location lattice.  The result is directly
-comparable to what dynamic profiling plus
-:class:`repro.core.generation.DataFlowIndex` computes from memory
-traces — same state, located by name instead of by address.
+comparable to what dynamic profiling plus the campaign's access map
+(:class:`repro.core.accessindex.ColumnarAccessIndex`) computes from
+memory traces — same state, located by name instead of by address.
 """
 
 from __future__ import annotations

@@ -242,7 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         workers=_resolve_workers(args.workers),
         nondet_dir=args.nondet_cache,
         profile_dir=args.profile_cache,
-        index_backend=args.index_backend,
         index_dir=args.index_dir,
         faults=args.faults,
         sender_cache=not args.no_sender_cache,
@@ -686,15 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for the sharded on-disk profile "
                           "cache (reused across campaigns on the same "
                           "kernel fingerprint)")
-    run.add_argument("--index-backend", default="memory",
-                     choices=["memory", "columnar"],
-                     help="pairing-index backend: the in-memory dict "
-                          "product, or on-disk sorted columnar runs with "
-                          "merge-join pairing (identical pair sets, "
-                          "bounded memory — see docs/CORPUS.md)")
     run.add_argument("--index-dir", metavar="DIR",
-                     help="keep columnar index run segments under DIR "
-                          "instead of a private temp directory")
+                     help="keep the pairing index's run segments under "
+                          "DIR instead of a private temp directory "
+                          "(see docs/CORPUS.md)")
     run.add_argument("--faults", metavar="SEED[:RATE[:SITES]]",
                      type=FaultPlan.parse,
                      help="chaos fault injection, e.g. 7:0.2 or "

@@ -1,25 +1,25 @@
 """On-disk columnar access-map index with merge-join pairing.
 
 The paper's data-flow map covers 98,853 profiled programs; holding every
-access point in one dict product (the in-memory
-:class:`~repro.core.dataflow.DataFlowIndex`) is what caps this repro at
-a few hundred.  This module is the paper-scale backend: access points
-spill to *sorted run segments* on disk, each stored column-wise (addr,
-seq, prog, call, width, ip, stack-hash — compact uint64 arrays instead
-of pickled objects), and pairing becomes a streaming **merge-join** over
-the sorted address columns of the write and read runs.
+access point in one in-memory dict product caps a campaign at a few
+hundred.  This module is the map every data-flow campaign pairs
+through: access points spill to *sorted run segments* on disk, each
+stored column-wise (addr, seq, prog, call, width, ip, stack-hash —
+compact uint64 arrays instead of pickled objects), and pairing is a
+streaming **merge-join** over the sorted address columns of the write
+and read runs.
 
 Peak memory is proportional to one spill buffer plus one address group
 (the points at a single kernel address), never to the corpus:
 
 * ``build`` consumes profiles as an *iterator* — callers can feed it
-  straight from a batched profiler without materializing the profile
-  list;
+  straight from the profiler without materializing the profile list;
 * every run segment is written sorted by ``(addr, seq)`` where ``seq``
   is a global extraction sequence number, so a k-way heap merge over
-  runs replays points in exactly the insertion order the in-memory
-  index would have used — generation's reservoir sampling consumes its
-  RNG identically and the resulting pair set is byte-identical;
+  runs replays points in corpus order, then trace order — the order
+  generation's reservoir sampling consumes its RNG in.  The reference
+  :class:`~repro.core.dataflow.DataFlowIndex` appends points in that
+  same order, and the parity suite holds the two join rows equal;
 * call stacks are interned through a stable 64-bit digest into one
   in-memory table (distinct stacks grow with kernel code paths, not
   with corpus size); run segments store only the digest.
@@ -100,13 +100,15 @@ class _RunWriter:
         self._rows.sort()  # (addr, seq, ...) — addr-major, seq-minor
         path = os.path.join(self._directory,
                             f"{self._prefix}_{len(self.paths):05d}.run")
+        # Listed before it is written, so close() also deletes a run
+        # cut short by an interrupt.
+        self.paths.append(path)
         with open(path, "wb") as handle:
             handle.write(_HEADER.pack(_MAGIC, len(self._rows)))
             for column in range(len(COLUMNS)):
                 # uint64: kernel addresses/ips are 0xffff… values.
                 handle.write(array("Q", (row[column]
                                          for row in self._rows)).tobytes())
-        self.paths.append(path)
         self._rows = []
 
 
@@ -145,13 +147,10 @@ class _RunCursor:
 
 
 class ColumnarAccessIndex:
-    """The on-disk, merge-join backend of the data-flow map.
+    """The data-flow map on disk: sorted run segments, merge-join queries.
 
-    Implements the same query surface generation consumes from
-    :class:`~repro.core.dataflow.DataFlowIndex` —
-    :meth:`iter_overlaps`, :meth:`overlap_addresses`,
-    :meth:`total_flow_count` — but streams every answer off sorted run
-    segments instead of an in-memory dict product.
+    Generation consumes :meth:`iter_overlaps` and
+    :meth:`total_flow_count`; both stream off the run segments.
     """
 
     def __init__(self, directory: Optional[str] = None,
@@ -177,11 +176,19 @@ class ColumnarAccessIndex:
     def build(cls, profiles: Iterable[ProgramProfile], spec: Specification,
               directory: Optional[str] = None,
               run_points: int = DEFAULT_RUN_POINTS) -> "ColumnarAccessIndex":
-        """Index a profile stream; *profiles* may be any iterable."""
+        """Index a profile stream; *profiles* may be any iterable.
+
+        If the stream raises (profiling gave up, or Ctrl-C), the runs
+        spilled so far are deleted before the error propagates.
+        """
         index = cls(directory, run_points=run_points)
-        for profile in profiles:
-            index.add_profile(profile, spec)
-        index.seal()
+        try:
+            for profile in profiles:
+                index.add_profile(profile, spec)
+            index.seal()
+        except BaseException:
+            index.close()
+            raise
         return index
 
     def add_profile(self, profile: ProgramProfile,
@@ -256,8 +263,7 @@ class ColumnarAccessIndex:
         The classic sort-merge join: both sides arrive sorted by
         address, the two group iterators advance in lockstep, and only
         the current address's points are ever resident.  Point order
-        within a group is seq order == the in-memory index's insertion
-        order, so downstream sampling is byte-compatible.
+        within a group is seq order: corpus order, then trace order.
         """
         if not self._sealed:
             raise RuntimeError("seal() the index before querying it")
@@ -278,26 +284,12 @@ class ColumnarAccessIndex:
                 read_row = next(reads, None)
         self._flow_count = flows
 
-    # -- DataFlowIndex-compatible queries ------------------------------------
-
-    def overlap_addresses(self) -> List[int]:
-        return [addr for addr, __, __ in self.iter_overlaps()]
-
     def total_flow_count(self) -> int:
+        """Candidate data flows = Σ_addr |writers| × |readers|."""
         if self._flow_count is None:
             for __ in self.iter_overlaps():
                 pass
         return self._flow_count or 0
-
-    def flows_at(self, addr: int
-                 ) -> Iterator[Tuple[AccessPoint, AccessPoint]]:
-        for overlap_addr, writers, readers in self.iter_overlaps():
-            if overlap_addr != addr:
-                continue
-            for write_point in writers:
-                for read_point in readers:
-                    yield write_point, read_point
-            return
 
     # -- lifecycle -----------------------------------------------------------
 

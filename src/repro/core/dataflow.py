@@ -5,11 +5,16 @@ made by test programs.  The keys of the map include width, read/write
 flag, memory address, instruction address, and call stack hash.  The
 value of the map is a list of test programs."
 
-The index here is that map, split by direction: for every kernel address,
-the distinct *write points* observed while profiling each program in the
-**sender** container, and the distinct *read points* observed in the
-**receiver** container.  A write point and a read point at the same
-address form a candidate inter-container data flow.
+That map is split by direction: for every kernel address, the distinct
+*write points* observed while profiling each program in the **sender**
+container, and the distinct *read points* observed in the **receiver**
+container.  A write point and a read point at the same address form a
+candidate inter-container data flow.
+
+This module extracts the points.  Campaigns pair them through the
+on-disk merge-join of :mod:`repro.core.accessindex`; the in-memory
+:class:`DataFlowIndex` here is the reference the parity suite and the
+corpus-scale gate compare that join against.
 
 Per §4.1.1, read points only count when the reading syscall accesses a
 namespace-protected resource (the specification gate): a reader that
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .profile import ProgramProfile
 from .spec import Specification
@@ -56,10 +61,10 @@ class AccessPoint:
 def iter_write_points(profile: ProgramProfile) -> Iterator[AccessPoint]:
     """One profile's deduplicated sender-side write points, in trace order.
 
-    The canonical extraction: both the in-memory :class:`DataFlowIndex`
-    and the on-disk :class:`~repro.core.accessindex.ColumnarAccessIndex`
-    consume this iterator, so the two backends see byte-identical point
-    sets by construction.
+    The canonical extraction: the campaign's
+    :class:`~repro.core.accessindex.ColumnarAccessIndex` and the
+    reference :class:`DataFlowIndex` both consume this iterator, so the
+    two see byte-identical point sets by construction.
     """
     seen: Set[Tuple[int, int, Stack, int]] = set()
     for call_index, accesses in enumerate(profile.sender.accesses):
@@ -100,13 +105,17 @@ def iter_read_points(profile: ProgramProfile,
                               access.width, access.ip, stack)
 
 
-#: (address, write points at it, read points at it) — the join row both
-#: index backends produce for generation.
+#: (address, write points at it, read points at it) — the join row
+#: generation consumes.
 Overlap = Tuple[int, List[AccessPoint], List[AccessPoint]]
 
 
 class DataFlowIndex:
-    """Write/read points per kernel address, across a profiled corpus."""
+    """Write/read points per kernel address, held in memory.
+
+    The reference map: no campaign builds it.  Tests and the
+    corpus-scale gate compare the columnar merge-join against it.
+    """
 
     def __init__(self) -> None:
         self.writers: Dict[int, List[AccessPoint]] = {}
@@ -134,7 +143,7 @@ class DataFlowIndex:
 
         Point lists keep insertion order (corpus order, then trace
         order) — the order generation's reservoir sampling consumes its
-        RNG in, so every backend must reproduce it exactly.
+        RNG in, so the columnar join must reproduce it exactly.
         """
         for addr in self.overlap_addresses():
             yield addr, self.writers[addr], self.readers[addr]
@@ -150,8 +159,3 @@ class DataFlowIndex:
         for addr in self.overlap_addresses():
             total += len(self.writers[addr]) * len(self.readers[addr])
         return total
-
-    def flows_at(self, addr: int) -> Iterable[Tuple[AccessPoint, AccessPoint]]:
-        for write_point in self.writers.get(addr, ()):
-            for read_point in self.readers.get(addr, ()):
-                yield write_point, read_point

@@ -2,7 +2,8 @@
 
 Turns a profiled corpus into executable test cases:
 
-1. build the data-flow index (write/read points per kernel address),
+1. take the data-flow index the caller built over the corpus profiles
+   (write/read points per kernel address),
 2. enumerate candidate flows at each overlapping address,
 3. cluster them under the chosen strategy, reservoir-sampling each
    cluster's representative test case toward short programs,
@@ -21,9 +22,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..corpus.program import TestProgram
 from .clustering import ClusteringStrategy
-from .dataflow import AccessPoint, DataFlowIndex
-from .profile import ProgramProfile
-from .spec import Specification
+from .dataflow import AccessPoint
 
 
 @dataclass
@@ -60,34 +59,17 @@ class GenerationResult:
 
 
 class TestCaseGenerator:
-    """Generates test cases from corpus profiles."""
+    """Generates test cases from a corpus and its data-flow index."""
 
     __test__ = False  # not a pytest class, despite the name
 
-    def __init__(self, corpus: Sequence[TestProgram],
-                 profiles: Optional[Sequence[ProgramProfile]],
-                 spec: Specification,
-                 index=None):
-        if profiles is not None and len(corpus) != len(profiles):
-            raise ValueError("corpus and profiles must align")
+    def __init__(self, corpus: Sequence[TestProgram], index=None):
         self._corpus = list(corpus)
-        self._profiles = list(profiles) if profiles is not None else None
-        self._spec = spec
-        #: Any object with the DataFlowIndex query surface
-        #: (iter_overlaps/overlap_addresses/total_flow_count) — the
-        #: in-memory index by default, a ColumnarAccessIndex when the
-        #: caller streams profiles through the on-disk backend.
+        #: The join generation streams: a ColumnarAccessIndex on the
+        #: campaign path, or anything with its iter_overlaps and
+        #: total_flow_count (the reference DataFlowIndex in tests).
+        #: Only generate_random works without one.
         self._index = index
-
-    @property
-    def index(self):
-        if self._index is None:
-            if self._profiles is None:
-                raise ValueError("data-flow strategies need corpus profiles "
-                                 "or an injected index; only generate_random "
-                                 "works without them")
-            self._index = DataFlowIndex.build(self._profiles, self._spec)
-        return self._index
 
     # -- data-flow generation -------------------------------------------------
 
@@ -109,13 +91,16 @@ class TestCaseGenerator:
         baseline, whose cluster count equals the flow count and is only
         reported, not executed, in Table 4.
         """
-        index = self.index
+        index = self._index
+        if index is None:
+            raise ValueError("data-flow strategies need a data-flow index; "
+                             "only generate_random works without one")
         rng = random.Random(rep_seed)
         clusters: Dict[Hashable, Tuple[AccessPoint, AccessPoint]] = {}
         best_key: Dict[Hashable, float] = {}
         overlap_count = 0
-        # Stream join rows: with the columnar backend only one address's
-        # points are resident at a time.
+        # Stream join rows: only one address's points are resident at
+        # a time.
         for __, writers, readers in index.iter_overlaps():
             overlap_count += 1
             write_groups = self._group(writers, strategy.write_key, rng)

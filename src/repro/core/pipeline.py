@@ -46,7 +46,7 @@ from .generation import GenerationResult, TestCase, TestCaseGenerator
 from .nondet import DEFAULT_OFFSET_SECONDS, NondetAnalyzer, NondetStore
 from .oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from .accessindex import ColumnarAccessIndex
-from .profile import ProgramProfile, Profiler, profile_corpus_distributed
+from .profile import Profiler, profile_corpus_distributed
 from .report import TestReport
 from .reportcodec import decode_report, encode_report
 from .schedule import (
@@ -88,15 +88,13 @@ class CampaignConfig:
     nondet_dir: Optional[str] = None
     #: Directory for the on-disk profile cache (None = profile every run).
     profile_dir: Optional[str] = None
-    #: Pairing-index backend: ``memory`` (the classic in-memory
-    #: :class:`~repro.core.dataflow.DataFlowIndex` dict product) or
-    #: ``columnar`` (the on-disk sorted-run merge-join of
-    #: :class:`~repro.core.accessindex.ColumnarAccessIndex` — identical
-    #: pair sets, peak memory bounded by one address group; see
-    #: docs/CORPUS.md).
-    index_backend: str = "memory"
-    #: Directory for columnar index run segments (None = private temp
-    #: directory, deleted after generation).
+    #: Pairing index.  ``columnar`` is the only one: the on-disk
+    #: sorted-run merge-join of
+    #: :class:`~repro.core.accessindex.ColumnarAccessIndex`, peak memory
+    #: bounded by one address group (docs/CORPUS.md).
+    index_backend: str = "columnar"
+    #: Directory for the pairing index's run segments (None = private
+    #: temp directory, deleted after generation).
     index_dir: Optional[str] = None
     #: Run Algorithm 2 on each report.
     diagnose: bool = True
@@ -156,6 +154,9 @@ class CampaignConfig:
         if self.shard_mode != "process":
             raise ValueError(f"unknown shard mode {self.shard_mode!r} "
                              "(only 'process' exists)")
+        if self.index_backend != "columnar":
+            raise ValueError(f"unknown index backend {self.index_backend!r} "
+                             "(only 'columnar' exists)")
 
 
 @dataclass
@@ -230,7 +231,7 @@ class CampaignStats:
     profile_store_misses: int = 0
     profile_store_entries_written: int = 0
     profile_store_bytes_written: int = 0
-    #: Columnar pairing-index telemetry (zero on the memory backend).
+    #: Pairing-index telemetry (zero for RAND campaigns).
     index_run_segments: int = 0
     index_bytes: int = 0
     index_points: int = 0
@@ -710,30 +711,19 @@ class Kit:
         config = self.config
         if config.strategy.lower() == "rand":
             budget = config.rand_budget or len(corpus)
-            generator = TestCaseGenerator(corpus, None, config.spec)
             say(f"RAND: sampling {budget} random pairs")
-            return generator.generate_random(budget, seed=config.rand_seed)
+            return TestCaseGenerator(corpus).generate_random(
+                budget, seed=config.rand_seed)
 
-        columnar = config.index_backend == "columnar"
         say(f"profiling {len(corpus)} programs (4 runs each"
             + (f", {config.workers} workers)" if config.workers > 0 else ")"))
         start = time.monotonic()
         before = machine.stats.copy()
-        index = None
+        worker_machines: List[Machine] = []
         if config.workers > 0:
             profiles, profilers, worker_machines = profile_corpus_distributed(
                 config.machine, corpus, config.workers,
                 profile_dir=config.profile_dir, faults=config.faults)
-            stats.profile_runs = sum(p.runs_executed for p in profilers)
-            for worker_profiler in profilers:
-                store = getattr(worker_profiler, "store", None)
-                if store is not None:
-                    stats.absorb_profile_store(store)
-            for worker_machine in worker_machines:
-                stats.absorb_machine(worker_machine.stats, stage="profile")
-            if columnar:
-                index = ColumnarAccessIndex.build(iter(profiles), config.spec,
-                                                  directory=config.index_dir)
         else:
             if config.profile_dir is not None:
                 from .profile_store import CachingProfiler
@@ -741,54 +731,45 @@ class Kit:
                 profiler = CachingProfiler(machine, config.profile_dir)
             else:
                 profiler = Profiler(machine)
-
-            def profile(program: TestProgram,
-                        position: int) -> ProgramProfile:
-                # Profiles feed generation, so a fault mid-profile
-                # retries the whole (pure) profiling run rather than
-                # degrading — a skipped profile would change the
-                # generated case set.
-                return call_with_fault_retries(
-                    config.faults, profiler.profile, program, position,
-                    context=f"profile {position}")
-
-            if columnar:
-                # Streaming path: profiles flow in corpus order straight
-                # into the on-disk index — the profile list is never
-                # materialized.
-                profiles = None
-                index = ColumnarAccessIndex.build(
-                    (profile(program, position)
-                     for position, program in enumerate(corpus)),
-                    config.spec, directory=config.index_dir)
-            else:
-                profiles = [profile(program, position)
-                            for position, program in enumerate(corpus)]
-            stats.profile_runs = profiler.runs_executed
-            store = getattr(profiler, "store", None)
+            profilers = [profiler]
+            # Profiles feed generation, so a fault mid-profile retries
+            # the whole (pure) profiling run rather than degrading — a
+            # skipped profile would change the generated case set.  They
+            # stream in corpus order straight into the index; the
+            # profile list is never materialized.
+            profiles = (call_with_fault_retries(
+                            config.faults, profiler.profile, program,
+                            position, context=f"profile {position}")
+                        for position, program in enumerate(corpus))
+        index = ColumnarAccessIndex.build(profiles, config.spec,
+                                          directory=config.index_dir)
+        stats.profile_runs = sum(p.runs_executed for p in profilers)
+        for each in profilers:
+            store = getattr(each, "store", None)
             if store is not None:
                 stats.absorb_profile_store(store)
-            stats.absorb_machine(machine.stats.since(before), stage="profile")
+        # The campaign machine profiles at workers=0 (its delta is zero
+        # otherwise); each pool thread boots a machine of its own.
+        stats.absorb_machine(machine.stats.since(before), stage="profile")
+        for worker in worker_machines:
+            stats.absorb_machine(worker.stats, stage="profile")
         stats.profile_seconds = time.monotonic() - start
-        if index is not None:
-            stats.index_run_segments = index.run_segments
-            stats.index_bytes = index.bytes_on_disk()
-            stats.index_points = index.write_points + index.read_points
+        stats.index_run_segments = index.run_segments
+        stats.index_bytes = index.bytes_on_disk()
+        stats.index_points = index.write_points + index.read_points
 
         start = time.monotonic()
-        generator = TestCaseGenerator(corpus, profiles, config.spec,
-                                      index=index)
         try:
-            result = generator.generate(strategy_by_name(config.strategy),
-                                        max_clusters=config.max_test_cases,
-                                        rep_seed=config.rep_seed)
+            result = TestCaseGenerator(corpus, index).generate(
+                strategy_by_name(config.strategy),
+                max_clusters=config.max_test_cases, rep_seed=config.rep_seed)
             stats.analysis_seconds = time.monotonic() - start
-            stats.flow_count = result.flow_count
-            stats.cluster_count = result.cluster_count
-            stats.overlap_addresses = result.overlap_addresses
         finally:
-            if index is not None and config.index_dir is None:
+            if config.index_dir is None:
                 index.close()  # temp-owned run segments
+        stats.flow_count = result.flow_count
+        stats.cluster_count = result.cluster_count
+        stats.overlap_addresses = result.overlap_addresses
         return result
 
     def _execute(self, machine: Machine, cases: List[TestCase],

@@ -418,13 +418,6 @@ def call_with_fault_retries(plan: Optional[FaultPlan], fn, *args,
     while True:
         try:
             value = fn(*args)
-        except FaultRetriesExhausted:
-            # A nested recovery path (e.g. the machine's restore loop)
-            # gave up and already charged its own sites; charge this
-            # wrapper's pending injections too so the books balance.
-            if pending:
-                plan.record_infra_failed(pending)
-            raise
         except FaultInjectedError as error:
             pending.append(error.site)
             if len(pending) > limit:

@@ -99,14 +99,6 @@ class MachineStats:
     #: injected restore failure or segment corruption.
     recovery_restores: int = 0
 
-    def merge(self, other: "MachineStats") -> None:
-        """Fold another machine's counters into this one."""
-        self.segmented_restores += other.segmented_restores
-        self.segments_restored += other.segments_restored
-        self.segments_skipped += other.segments_skipped
-        self.restore_seconds += other.restore_seconds
-        self.recovery_restores += other.recovery_restores
-
     def copy(self) -> "MachineStats":
         return replace(self)
 

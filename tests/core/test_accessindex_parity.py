@@ -1,7 +1,8 @@
-"""Merge-join pairing parity: columnar backend ≡ in-memory index.
+"""Merge-join pairing parity: the campaign's columnar join ≡ the reference.
 
-The load-bearing property of the on-disk columnar access index: fed the
-same profiles, the streamed merge-join must reproduce the in-memory
+Every data-flow campaign pairs through the on-disk columnar access
+index.  Its load-bearing property: fed the same profiles, the streamed
+merge-join must reproduce the in-memory reference
 :class:`DataFlowIndex` *byte-for-byte* — identical overlap rows in
 identical point order (generation's reservoir sampling consumes its RNG
 in that order), hence an identical Table-4 pair set, and identical bug
@@ -11,6 +12,7 @@ fingerprints — across seeds and every Table-3 kernel.
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
 
@@ -18,8 +20,11 @@ from repro.core import CampaignConfig, Kit
 from repro.core.accessindex import ColumnarAccessIndex, stack_key
 from repro.core.clustering import strategy_by_name
 from repro.core.dataflow import DataFlowIndex
+from repro.core.detection import Detector
+from repro.core.diagnosis import Diagnoser
 from repro.core.generation import TestCaseGenerator
 from repro.core.known_bugs import SCENARIOS, TABLE3_ROWS, scenario_machine_config
+from repro.core.oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from repro.core.profile import Profiler
 from repro.core.profile_store import ProfileStore, machine_fingerprint
 from repro.core.spec import default_specification
@@ -46,21 +51,29 @@ def _columnar(profiles, run_points=64):
                                      run_points=run_points)
 
 
+def _reference(corpus, profiles):
+    """TestCaseGenerator over the in-memory reference index."""
+    return TestCaseGenerator(
+        corpus, DataFlowIndex.build(profiles, default_specification()))
+
+
+class _ProfilingGaveUp(Exception):
+    pass
+
+
+def _raising_after(profiles, count):
+    """A profile stream that fails after *count* profiles."""
+    yield from profiles[:count]
+    raise _ProfilingGaveUp
+
+
 class TestIndexParity:
     def test_overlap_rows_byte_identical(self, profiled_513):
         __, profiles = profiled_513
         mem = DataFlowIndex.build(profiles, default_specification())
         with _columnar(profiles) as col:
             assert list(mem.iter_overlaps()) == list(col.iter_overlaps())
-            assert mem.overlap_addresses() == col.overlap_addresses()
             assert mem.total_flow_count() == col.total_flow_count()
-
-    def test_flows_at_matches(self, profiled_513):
-        __, profiles = profiled_513
-        mem = DataFlowIndex.build(profiles, default_specification())
-        with _columnar(profiles) as col:
-            addr = mem.overlap_addresses()[0]
-            assert list(mem.flows_at(addr)) == list(col.flows_at(addr))
 
     @pytest.mark.parametrize("run_points", [1, 16, 100000])
     def test_run_segmentation_never_changes_the_join(self, profiled_513,
@@ -99,6 +112,27 @@ class TestIndexParity:
                                         directory=directory, run_points=64)
         assert os.listdir(directory)
         col.close()
+        assert os.listdir(directory) == []
+
+    def test_failed_build_removes_its_temp_directory(self, profiled_513,
+                                                     tmp_path, monkeypatch):
+        """A profile stream that raises (profiling exhausted its retries,
+        or Ctrl-C) leaves no index directory behind."""
+        __, profiles = profiled_513
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(_ProfilingGaveUp):
+            ColumnarAccessIndex.build(_raising_after(profiles, 5),
+                                      default_specification(), run_points=16)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_build_empties_a_caller_directory(self, profiled_513,
+                                                     tmp_path):
+        __, profiles = profiled_513
+        directory = tmp_path / "index"
+        with pytest.raises(_ProfilingGaveUp):
+            ColumnarAccessIndex.build(_raising_after(profiles, 5),
+                                      default_specification(),
+                                      directory=str(directory), run_points=16)
         assert os.listdir(directory) == []
 
 
@@ -140,12 +174,10 @@ class TestPairSetParity:
     def test_table4_pair_set_identical(self, profiled_513, strategy,
                                        rep_seed):
         corpus, profiles = profiled_513
-        spec = default_specification()
-        mem_result = TestCaseGenerator(corpus, profiles, spec).generate(
+        mem_result = _reference(corpus, profiles).generate(
             strategy_by_name(strategy), rep_seed=rep_seed)
         with _columnar(profiles) as col:
-            col_result = TestCaseGenerator(corpus, None, spec,
-                                           index=col).generate(
+            col_result = TestCaseGenerator(corpus, col).generate(
                 strategy_by_name(strategy), rep_seed=rep_seed)
         assert [(c.pair, tuple(c.cluster_keys))
                 for c in mem_result.test_cases] \
@@ -160,12 +192,9 @@ class TestPairSetParity:
         corpus = build_corpus(24, seed=corpus_seed)
         machine = Machine(CONFIGS["5.13"])
         profiles = Profiler(machine).profile_corpus(corpus)
-        spec = default_specification()
-        mem = TestCaseGenerator(corpus, profiles, spec).generate(
-            strategy_by_name("df-ia"))
+        mem = _reference(corpus, profiles).generate(strategy_by_name("df-ia"))
         with _columnar(profiles) as col:
-            streamed = TestCaseGenerator(corpus, None, spec,
-                                         index=col).generate(
+            streamed = TestCaseGenerator(corpus, col).generate(
                 strategy_by_name("df-ia"))
         assert [c.pair for c in mem.test_cases] \
             == [c.pair for c in streamed.test_cases]
@@ -174,28 +203,62 @@ class TestPairSetParity:
 class TestCampaignParity:
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     def test_bug_fingerprints_identical_on_every_kernel(self, config_name):
-        """Property: a columnar-backend campaign finds the same bugs via
-        the same reports as the in-memory one, on every Table-3 kernel."""
-        def run(backend):
-            return Kit(CampaignConfig(
-                machine=CONFIGS[config_name], corpus_size=16,
-                max_test_cases=16, index_backend=backend)).run()
+        """Property: a campaign pairs exactly as TestCaseGenerator over the
+        reference index of the same profiles, and finds the bugs, via
+        the reports, that the reference cases produce, on every Table-3
+        kernel."""
+        machine_config = CONFIGS[config_name]
+        campaign = Kit(CampaignConfig(machine=machine_config, corpus_size=16,
+                                      max_test_cases=16)).run()
+        corpus = build_corpus(16, seed=1)
+        profiles = Profiler(Machine(machine_config)).profile_corpus(corpus)
+        reference = _reference(corpus, profiles).generate(
+            strategy_by_name("df-ia"), max_clusters=16)
+        assert [(c.pair, tuple(c.cluster_keys))
+                for c in campaign.generation.test_cases] \
+            == [(c.pair, tuple(c.cluster_keys))
+                for c in reference.test_cases]
+        assert (campaign.stats.flow_count, campaign.stats.cluster_count,
+                campaign.stats.overlap_addresses) \
+            == (reference.flow_count, reference.cluster_count,
+                reference.overlap_addresses)
 
-        mem, col = run("memory"), run("columnar")
-        assert [c.pair for c in mem.generation.test_cases] \
-            == [c.pair for c in col.generation.test_cases]
-        assert sorted(mem.bugs_found()) == sorted(col.bugs_found())
-        assert len(mem.reports) == len(col.reports)
-        for a, b in zip(mem.reports, col.reports):
+        detector = Detector(Machine(machine_config), default_specification())
+        reports = [result.report for result in
+                   map(detector.check_case, reference.test_cases[:16])
+                   if result.report is not None]
+        diagnoser = Diagnoser(detector)
+        for report in reports:
+            diagnoser.diagnose(report)
+        bugs = {label for report in reports for label in classify_all(report)}
+        assert sorted(campaign.bugs_found()) \
+            == sorted(bugs - {FALSE_POSITIVE, UNDER_INVESTIGATION})
+        assert len(campaign.reports) == len(reports)
+        for a, b in zip(campaign.reports, reports):
             assert a.case.pair == b.case.pair
             assert a.interfered_indices == b.interfered_indices
             assert a.culprit_pairs == b.culprit_pairs
-        assert (mem.stats.flow_count, mem.stats.cluster_count,
-                mem.stats.overlap_addresses) \
-            == (col.stats.flow_count, col.stats.cluster_count,
-                col.stats.overlap_addresses)
-        assert col.stats.index_run_segments >= 1
-        assert col.stats.index_bytes > 0
+        assert campaign.stats.index_run_segments >= 1
+        assert campaign.stats.index_bytes > 0
+
+
+class TestOnePairingPath:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_campaign_never_builds_the_reference_index(self, monkeypatch,
+                                                       workers):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a campaign built the reference index")
+
+        monkeypatch.setattr(DataFlowIndex, "build", classmethod(refuse))
+        result = Kit(CampaignConfig(machine=CONFIGS["5.13"], corpus_size=12,
+                                    max_test_cases=8, workers=workers,
+                                    diagnose=False)).run()
+        assert result.generation.test_cases
+        assert result.stats.index_run_segments >= 1
+
+    def test_only_the_columnar_backend_exists(self):
+        with pytest.raises(ValueError, match="'columnar'"):
+            CampaignConfig(index_backend="memory")
 
 
 class TestStackSidecar:

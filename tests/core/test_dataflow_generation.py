@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.accessindex import ColumnarAccessIndex
 from repro.core.clustering import (
     DfFullStrategy,
     DfIaStrategy,
@@ -28,6 +29,15 @@ def profiled(machine_513_module):
     profiler = Profiler(machine_513_module)
     profiles = profiler.profile_corpus(corpus)
     return corpus, profiles, profiler
+
+
+@pytest.fixture(scope="module")
+def index(profiled):
+    """The campaign's pairing index over the profiled corpus."""
+    __, profiles, __ = profiled
+    with ColumnarAccessIndex.build(iter(profiles),
+                                   default_specification()) as built:
+        yield built
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +86,9 @@ class TestDataFlowIndex:
         index = DataFlowIndex.build(profiles, default_specification())
         flows = [
             (w.prog_index, r.prog_index)
-            for addr in index.overlap_addresses()
-            for w, r in index.flows_at(addr)
+            for __, writers, readers in index.iter_overlaps()
+            for w in writers
+            for r in readers
         ]
         assert (0, 1) in flows  # packet_socket -> read_ptype
 
@@ -173,58 +184,54 @@ class TestClusteringStrategies:
 
 
 class TestGeneration:
-    def test_cluster_count_ordering(self, profiled):
+    def test_cluster_count_ordering(self, profiled, index):
         """Table 4's shape: DF-IA <= DF-ST-1 <= DF-ST-2 <= DF."""
-        corpus, profiles, __ = profiled
-        generator = TestCaseGenerator(corpus, profiles, default_specification())
+        corpus, __, __ = profiled
+        generator = TestCaseGenerator(corpus, index)
         counts = [
             generator.generate(strategy_by_name(name)).cluster_count
             for name in ("df-ia", "df-st-1", "df-st-2", "df")
         ]
         assert counts == sorted(counts)
-        assert counts[-1] == generator.index.total_flow_count()
+        assert counts[-1] == index.total_flow_count()
 
-    def test_representatives_cover_every_cluster(self, profiled):
-        corpus, profiles, __ = profiled
-        generator = TestCaseGenerator(corpus, profiles, default_specification())
+    def test_representatives_cover_every_cluster(self, profiled, index):
+        corpus, __, __ = profiled
+        generator = TestCaseGenerator(corpus, index)
         result = generator.generate(strategy_by_name("df-ia"))
         covered = sum(len(case.cluster_keys) for case in result.test_cases)
         assert covered == result.cluster_count
 
-    def test_pairs_are_deduplicated(self, profiled):
-        corpus, profiles, __ = profiled
-        generator = TestCaseGenerator(corpus, profiles, default_specification())
+    def test_pairs_are_deduplicated(self, profiled, index):
+        corpus, __, __ = profiled
+        generator = TestCaseGenerator(corpus, index)
         result = generator.generate(strategy_by_name("df-ia"))
         pairs = [case.pair for case in result.test_cases]
         assert len(pairs) == len(set(pairs))
 
-    def test_max_clusters_caps_materialization(self, profiled):
-        corpus, profiles, __ = profiled
-        generator = TestCaseGenerator(corpus, profiles, default_specification())
+    def test_max_clusters_caps_materialization(self, profiled, index):
+        corpus, __, __ = profiled
+        generator = TestCaseGenerator(corpus, index)
         result = generator.generate(strategy_by_name("df"), max_clusters=3)
         assert sum(len(c.cluster_keys) for c in result.test_cases) == 3
 
     def test_random_generation_respects_budget(self, profiled):
         corpus, __, __ = profiled
-        generator = TestCaseGenerator(corpus, None, default_specification())
+        generator = TestCaseGenerator(corpus)
         result = generator.generate_random(10, seed=3)
         assert len(result.test_cases) == 10
         assert result.strategy == "rand"
 
     def test_random_generation_is_deterministic(self, profiled):
         corpus, __, __ = profiled
-        generator = TestCaseGenerator(corpus, None, default_specification())
+        generator = TestCaseGenerator(corpus)
         first = [c.pair for c in generator.generate_random(10, seed=3).test_cases]
         second = [c.pair for c in generator.generate_random(10, seed=3).test_cases]
         assert first == second
 
     def test_dataflow_without_profiles_raises(self, profiled):
+        """Data-flow strategies need an index over the profiles."""
         corpus, __, __ = profiled
-        generator = TestCaseGenerator(corpus, None, default_specification())
+        generator = TestCaseGenerator(corpus)
         with pytest.raises(ValueError):
             generator.generate(strategy_by_name("df-ia"))
-
-    def test_misaligned_profiles_rejected(self, profiled):
-        corpus, profiles, __ = profiled
-        with pytest.raises(ValueError):
-            TestCaseGenerator(corpus, profiles[:-1], default_specification())

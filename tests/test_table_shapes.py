@@ -9,6 +9,7 @@ benchmarks regenerate the actual tables).
 import pytest
 
 from repro.core import (
+    ColumnarAccessIndex,
     Detector,
     Profiler,
     TestCaseGenerator,
@@ -67,11 +68,12 @@ class TestTable4Shape:
     def test_cluster_counts_grow_with_context(self, corpus):
         machine = Machine(MachineConfig(bugs=linux_5_13()))
         profiles = Profiler(machine).profile_corpus(corpus)
-        generator = TestCaseGenerator(corpus, profiles,
-                                      default_specification())
-        counts = [generator.generate(strategy_by_name(name)).cluster_count
-                  for name in ("df-ia", "df-st-1", "df-st-2")]
-        flows = generator.index.total_flow_count()
+        with ColumnarAccessIndex.build(iter(profiles),
+                                       default_specification()) as index:
+            generator = TestCaseGenerator(corpus, index)
+            counts = [generator.generate(strategy_by_name(name)).cluster_count
+                      for name in ("df-ia", "df-st-1", "df-st-2")]
+            flows = index.total_flow_count()
         assert counts == sorted(counts)
         assert flows > 10 * counts[-1], "DF must dwarf every clustering"
 

@@ -156,15 +156,10 @@ def test_reset_restores_only_dirty_segments():
 
 
 def test_machine_stats_merge_and_since():
-    a = MachineStats(segmented_restores=2, segments_restored=10,
-                     segments_skipped=30, restore_seconds=0.5)
-    b = MachineStats(segmented_restores=3, segments_restored=5,
-                     segments_skipped=15, restore_seconds=0.25)
-    a.merge(b)
-    assert a.segmented_restores == 5
-    assert a.segments_restored == 15 and a.segments_skipped == 45
-    assert a.restore_seconds == pytest.approx(0.75)
+    a = MachineStats(segmented_restores=5, segments_restored=15,
+                     segments_skipped=45, restore_seconds=0.75)
     delta = a.since(MachineStats(segmented_restores=2, segments_restored=10,
                                  segments_skipped=30, restore_seconds=0.5))
     assert delta.segmented_restores == 3
+    assert delta.segments_restored == 5 and delta.segments_skipped == 15
     assert delta.restore_seconds == pytest.approx(0.25)
