@@ -161,7 +161,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
         if stats.journal_torn_bytes:
             line += f", {stats.journal_torn_bytes} torn byte(s) repaired"
         if stats.journal_fsync_degraded:
-            line += (f", {stats.journal_fsync_degraded} append(s) degraded "
+            line += (f", {stats.journal_fsync_degraded} sync(s) degraded "
                      "to flushed-only durability")
         print(line)
     if stats.poisoned_cases or stats.worker_hangs:

@@ -406,6 +406,20 @@ class _Caches:
                 setattr(cache, key, getattr(cache, key) + value)
 
 
+def _verdict(detection: DetectionResult) -> tuple:
+    """What a shard sends back for one case: everything but the case.
+
+    ``(outcome value, raw_diff_count, schedules_run, report)``, the
+    report with ``case=None``.  The supervisor holds the case already,
+    so :meth:`Kit._land_job_result` rebuilds the result around it.
+    """
+    report = detection.report
+    if report is not None:
+        report = replace(report, case=None)
+    return (detection.outcome.value, detection.raw_diff_count,
+            detection.schedules_run, report)
+
+
 class _CaseRunner:
     """Checks test cases: the one case runner of the execution stage.
 
@@ -612,8 +626,13 @@ class Kit:
     def _case_journal_key(case: TestCase) -> str:
         return case_key(case.sender.hash_hex, case.receiver.hash_hex)
 
-    def _journal_detection(self, detection: DetectionResult) -> None:
-        """Commit one landed outcome to the write-ahead journal."""
+    def _journal_detection(self, detection: DetectionResult,
+                           sync: bool = True) -> None:
+        """Commit one landed outcome to the write-ahead journal.
+
+        Without *sync* the record is flushed but its fsync waits for the
+        next ``journal.sync()`` (the shard supervisor's group commit).
+        """
         handle = self._store_handle
         if handle is None:
             return
@@ -621,12 +640,27 @@ class Kit:
                        if detection.report is not None else None)
         handle.journal.append_case(self._case_journal_key(detection.case),
                                    detection.outcome.value,
-                                   detection.raw_diff_count, report_data)
+                                   detection.raw_diff_count, report_data,
+                                   sync=sync)
 
-    def _journal_job_result(self, job, result) -> None:
-        """Supervisor on_result hook: journal each committed result."""
-        if isinstance(result.outcome, DetectionResult):
-            self._journal_detection(result.outcome)
+    def _land_job_result(self, job, result) -> None:
+        """Supervisor on_result hook: rebuild the verdict, journal it.
+
+        A shard ships only :func:`_verdict`; the supervisor already
+        holds the case (``job.payload``), so merged results and reports
+        reference the generator's own :class:`TestCase`, as in-process.
+        """
+        if result.error is not None:
+            return
+        outcome, raw_diff_count, schedules_run, report = result.outcome
+        case = job.payload
+        if report is not None:
+            report.case = case
+        result.outcome = DetectionResult(case, Outcome(outcome),
+                                         report=report,
+                                         raw_diff_count=raw_diff_count,
+                                         schedules_run=schedules_run)
+        self._journal_detection(result.outcome, sync=False)
 
     def _journal_job_failure(self, job, settlement: str) -> None:
         """Supervisor on_job_failure hook: attempts and quarantines.
@@ -684,8 +718,10 @@ class Kit:
                 continue
             if key in state.poisoned:
                 # Quarantine is durable: a poison pair is never offered
-                # to a worker again, in any resumed run.
+                # to a worker again, in any resumed run.  A crash after
+                # its poisoned record left it without a case record.
                 results[index] = DetectionResult(case, Outcome.POISONED)
+                self._journal_detection(results[index])
                 stats.resumed_cases += 1
                 continue
             todo_map.append(index)
@@ -801,14 +837,6 @@ class Kit:
                 runner.telemetry(machine.stats.since(before)))
         for position, outcome in zip(todo_map, fresh):
             results[position] = outcome
-        if self._store_handle is not None:
-            # Post-merge sweep: journal outcomes that never reached a
-            # commit hook (retry-exhausted infra, poisoned settlements).
-            # Appends deduplicate by key, so re-offering results that
-            # already committed is a no-op.
-            for outcome in results:
-                if outcome is not None:
-                    self._journal_detection(outcome)
         stats.execution_seconds = time.monotonic() - start
         return results
 
@@ -819,27 +847,31 @@ class Kit:
 
         Independent of which shard (stolen range or not) executed each
         job: job ids index the affinity schedule, and the inverse
-        permutation restores caller order.
+        permutation restores caller order.  A job that failed for good
+        (poisoned, or retries exhausted under chaos) reached no commit
+        hook, so its result is built and journaled here.
         """
         plan = self.config.faults
         results: List[Optional[DetectionResult]] = [None] * case_count
         for job in job_results:
+            if job.error is None:
+                # Rebuilt around its case by _land_job_result.
+                results[order[job.job_id]] = job.outcome
+                continue
             if job.poisoned:
                 # Quarantined poison pair: no verdict about the kernel,
                 # but the campaign completes and the books balance.
-                results[order[job.job_id]] = DetectionResult(
-                    scheduled[job.job_id], Outcome.POISONED)
-                continue
-            if job.error is not None:
-                if plan is not None:
-                    # Retries exhausted under chaos: the case degrades
-                    # to infra_failed instead of failing the campaign.
-                    results[order[job.job_id]] = DetectionResult(
-                        scheduled[job.job_id], Outcome.INFRA_FAILED)
-                    continue
+                outcome = Outcome.POISONED
+            elif plan is not None:
+                # Retries exhausted under chaos: the case degrades to
+                # infra_failed instead of failing the campaign.
+                outcome = Outcome.INFRA_FAILED
+            else:
                 raise RuntimeError(
                     f"worker failure on job {job.job_id}: {job.error}")
-            results[order[job.job_id]] = job.outcome
+            detection = DetectionResult(scheduled[job.job_id], outcome)
+            self._journal_detection(detection, sync=False)
+            results[order[job.job_id]] = detection
         return results  # type: ignore[return-value]
 
     def _execute_process(self, machine: Machine, cases: List[TestCase],
@@ -851,12 +883,17 @@ class Kit:
         its own copy of the campaign *machine*, through its own copy of
         *runner*, filling its own copies of the campaign *caches*.
         Nothing crosses between processes after the fork except the
-        shard protocol's pipe messages: results, and the telemetry and
-        fault-counter deltas of the retirement messages.
+        shard protocol's pipe messages: verdicts (:func:`_verdict`), and
+        the telemetry and fault-counter deltas of the retirement
+        messages.
         """
         config = self.config
         plan = config.faults
         sender_states = caches.sender_states
+
+        def run_case(worker_machine: Machine, case: TestCase) -> tuple:
+            # Runs in the shard; the supervisor rebuilds the result.
+            return _verdict(runner(worker_machine, case))
 
         def boot() -> Machine:
             # Runs inside the freshly forked shard: fresh counters, so
@@ -889,19 +926,22 @@ class Kit:
         order = affinity_order([(case.sender.hash_hex,
                                  case.receiver.hash_hex) for case in cases])
         scheduled = [cases[i] for i in order]
-        stored = self._store_handle is not None
+        handle = self._store_handle
         report = run_sharded(
-            config.machine, scheduled, runner,
+            config.machine, scheduled, run_case,
             workers=config.workers, boot=boot, faults=plan,
             max_job_retries=(plan.max_job_retries if plan else 0),
             strict=(plan is None),
             telemetry_hook=shard_telemetry,
             retry_policy=self._effective_retry_policy(),
             hang_timeout=config.hang_timeout,
-            on_result=(self._journal_job_result if stored else None),
+            on_result=self._land_job_result,
             on_job_failure=(self._journal_job_failure
-                            if stored else None),
-            prior_deaths=self._prior_deaths(scheduled))
+                            if handle is not None else None),
+            prior_deaths=self._prior_deaths(scheduled),
+            # Group commit: one fsync per batch of landed results.
+            before_wait=(handle.journal.sync if handle is not None
+                         else None))
         stats.steals_attempted = report.steals_attempted
         stats.steals_granted = report.steals_granted
         stats.jobs_stolen = report.jobs_stolen
@@ -910,6 +950,8 @@ class Kit:
         stats.worker_hangs += len(report.hung_shards)
         results = self._merge_job_results(report.results, order, scheduled,
                                           len(cases))
+        if handle is not None:
+            handle.journal.sync()
         for data in report.telemetry:
             # Counters a killed shard never shipped are lost with it —
             # telemetry only, never correctness (its jobs re-ran

@@ -26,7 +26,14 @@ The journal is designed around SIGKILL-anywhere semantics:
   re-executing an in-flight pair).  Appends deduplicate by the record's
   ``key`` when one is present — first write wins — and replay applies
   the same rule, so duplicated commits are harmless.
-* **Durability** — every append flushes; ``fsync`` runs through the
+* **Durability** — every append writes and flushes its line, so a
+  record survives a SIGKILL of the writer as soon as ``append``
+  returns.  ``fsync`` runs per *batch*: ``append(record)`` syncs at
+  once, while ``append(record, sync=False)`` leaves the record pending
+  until the next :meth:`CampaignJournal.sync` (or ``close``), which
+  fsyncs every pending record with one call.  A power loss can thus
+  drop at most the unsynced tail, which the at-least-once resume
+  re-executes.  Each sync runs through the
   :data:`~repro.faults.plan.SITE_STORE_FSYNC_FAIL` chaos site with
   bounded retries and degrades to flushed-only durability (charged to
   the infra column) when the budget is exhausted.
@@ -141,18 +148,20 @@ class CampaignJournal:
 
     Each process shard inherits a forked copy but never appends to it:
     the supervisor, in the campaign process, commits every result as it
-    lands.  Opening an existing journal repairs its tail (truncating
-    torn bytes) before the first append, so a journal is always in its
-    longest-valid-prefix state while a writer owns it.
+    lands and group-commits the fsyncs (``sync=False`` appends, one
+    :meth:`sync` before it waits for more results).  Opening an existing
+    journal repairs its tail (truncating torn bytes) before the first
+    append, so a journal is always in its longest-valid-prefix state
+    while a writer owns it.
     """
 
-    def __init__(self, path: str, faults: Optional[FaultPlan] = None,
-                 fsync: bool = True):
+    def __init__(self, path: str, faults: Optional[FaultPlan] = None):
         self.path = path
         self.faults = faults
-        self._fsync_enabled = fsync
         self._lock = threading.Lock()
         self._seen_keys: Set[str] = set()
+        #: Records written and flushed since the last fsync.
+        self._unsynced = 0
         self.appended = 0
         self.fsync_degraded = 0
         #: Torn bytes truncated away when this writer opened the file.
@@ -178,13 +187,15 @@ class CampaignJournal:
 
     # -- appending -----------------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> bool:
-        """Durably append one record; False if deduplicated away.
+    def append(self, record: Dict[str, Any], sync: bool = True) -> bool:
+        """Append one record; False if deduplicated away.
 
-        Records carrying a ``k`` key commit at most once per (type, key)
-        — the at-least-once execution layer may offer the same result
-        twice (re-run after a dropped transfer, a resumed in-flight
-        pair) and the first commit wins.
+        The line is written and flushed before this returns.  With
+        *sync* it is also fsynced; without, it stays pending until the
+        next :meth:`sync`.  Records carrying a ``k`` key commit at most
+        once per (type, key) — the at-least-once execution layer may
+        offer the same result twice (re-run after a dropped transfer, a
+        resumed in-flight pair) and the first commit wins.
         """
         with self._lock:
             key = record.get("k")
@@ -199,7 +210,15 @@ class CampaignJournal:
             if dedup_key is not None:
                 self._seen_keys.add(dedup_key)
             self.appended += 1
+            self._unsynced += 1
+            if sync:
+                self._sync()
             return True
+
+    def sync(self) -> None:
+        """Fsync every record appended since the last sync, if any."""
+        with self._lock:
+            self._sync()
 
     def _write_line(self, line: str) -> None:
         faults = self.faults
@@ -220,11 +239,11 @@ class CampaignJournal:
             faults.record_recovered([SITE_JOURNAL_TORN])
         self._handle.write(line)
         self._handle.flush()
-        self._sync()
 
     def _sync(self) -> None:
-        if not self._fsync_enabled:
+        if not self._unsynced:
             return
+        self._unsynced = 0
         faults = self.faults
         pending: List[str] = []
         budget = faults.max_retries if faults is not None else 0
@@ -234,7 +253,7 @@ class CampaignJournal:
                 pending.append(SITE_STORE_FSYNC_FAIL)
                 if len(pending) > budget:
                     # Durability degrades to flushed-only for this
-                    # record; the campaign continues and the books
+                    # batch; the campaign continues and the books
                     # charge the failed syncs to infra.
                     faults.record_infra_failed(pending)
                     self.fsync_degraded += 1
@@ -248,11 +267,12 @@ class CampaignJournal:
     # -- record constructors ---------------------------------------------------
 
     def append_case(self, key: str, outcome: str, raw_diff_count: int,
-                    report: Optional[Dict[str, Any]]) -> bool:
+                    report: Optional[Dict[str, Any]],
+                    sync: bool = True) -> bool:
         return self.append({
             "t": RECORD_CASE, "k": key, "outcome": outcome,
             "raw": raw_diff_count, "report": report,
-        })
+        }, sync=sync)
 
     def append_attempt(self, key: str, sites: List[str]) -> bool:
         return self.append({"t": RECORD_ATTEMPT, "k": key, "sites": sites})
@@ -264,9 +284,11 @@ class CampaignJournal:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
+        """Sync pending records, then close the file."""
         with self._lock:
             if not self._handle.closed:
                 self._handle.flush()
+                self._sync()
                 self._handle.close()
 
     def __enter__(self) -> "CampaignJournal":

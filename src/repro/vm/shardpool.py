@@ -45,13 +45,16 @@ record as ``infra_failed``) otherwise.  Jobs are pure functions of
 (payload, snapshot), so a re-run on a fresh machine is equivalent to
 the first attempt.
 
-Process death is observed via ``multiprocessing.connection.wait`` on
-the process sentinels, so a SIGKILLed shard — the ``worker.kill`` chaos
-site announces itself, then kills its own process — is detected without
-polling.  Fault accounting crosses the process boundary as counter
-*deltas* shipped in each shard's final message; a shard that dies
-silently loses only locally-balanced counters, so the campaign
-invariant ``injected == recovered + infra_failed`` holds regardless.
+Each round the supervisor registers every shard's message pipe and
+process sentinel once with one :mod:`selectors` selector, reads one
+message per readiness event, and unregisters both when the shard exits.
+Process death is observed on the sentinel, so a SIGKILLed shard — the
+``worker.kill`` chaos site announces itself, then kills its own process
+— is detected without polling.  Fault accounting crosses the process
+boundary as counter *deltas* shipped in each shard's final message; a
+shard that dies silently loses only locally-balanced counters, so the
+campaign invariant ``injected == recovered + infra_failed`` holds
+regardless.
 Three chaos injection sites live in this layer (``worker.crash``,
 ``worker.kill``, ``result.drop``); see :mod:`repro.faults.plan`.
 """
@@ -60,13 +63,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import selectors
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from multiprocessing.connection import wait as _wait_ready
 
 from ..faults.plan import (
     SITE_RESULT_DROP,
@@ -369,7 +371,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                                              None]] = None,
                 on_job_failure: Optional[Callable[[Job, str],
                                                   None]] = None,
-                prior_deaths: Optional[Dict[int, int]] = None
+                prior_deaths: Optional[Dict[int, int]] = None,
+                before_wait: Optional[Callable[[], None]] = None
                 ) -> ShardRunReport:
     """Run *payloads* through *case_runner* on a process shard pool.
 
@@ -399,6 +402,12 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     ``report.hung_shards``), *on_result* / *on_job_failure* commit
     hooks, and *prior_deaths* (job id → shard deaths journaled by
     earlier runs) quarantine seeding for resumed campaigns.
+    *on_result* runs in the supervisor as each result lands, on the
+    very ``JobResult`` that ``report.results`` returns, so it may
+    replace ``result.outcome`` (the pipeline rebuilds its verdicts
+    there).  *before_wait* runs each time the supervisor is about to
+    block for more messages, with none pending (the pipeline passes its
+    journal's ``sync``, one fsync for every result that landed since).
     """
     report = ShardRunReport()
     payloads = list(payloads)
@@ -665,38 +674,53 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
 
         live: Dict[int, _Shard] = dict(shards)
         poll_timeout = hang_timeout / 4 if hang_timeout else None
-        while live:
-            by_conn = {shard.out: shard for shard in live.values()}
-            by_sentinel = {shard.proc.sentinel: shard
-                           for shard in live.values()}
-            ready = _wait_ready(list(by_conn) + list(by_sentinel),
-                                timeout=poll_timeout)
-            exited: List[_Shard] = []
-            for item in ready:
-                shard = by_sentinel.get(item)
-                if shard is not None:
-                    exited.append(shard)
-                    continue
-                connection = item
-                try:
-                    while connection.poll():
-                        handle_message(connection.recv())
-                except (EOFError, OSError):
-                    pass
-            for shard in exited:
-                # Drain anything the shard flushed before exiting.
-                try:
-                    while shard.out.poll():
-                        handle_message(shard.out.recv())
-                except (EOFError, OSError):
-                    pass
-                shard.proc.join()
-                del live[shard.worker_id]
-                finalize(shard)
-            if hang_timeout is not None:
-                watchdog_sweep(live)
-            if live:
-                match_thieves()
+        # One selector for the round: each shard's pipe and sentinel are
+        # registered once, with (shard, is_sentinel) as the key's data.
+        with selectors.DefaultSelector() as selector:
+            for shard in shards.values():
+                selector.register(shard.out, selectors.EVENT_READ,
+                                  (shard, False))
+                selector.register(shard.proc.sentinel, selectors.EVENT_READ,
+                                  (shard, True))
+            while live:
+                ready = selector.select(0)
+                if not ready:
+                    if before_wait is not None:
+                        before_wait()
+                    ready = selector.select(poll_timeout)
+                exited: List[_Shard] = []
+                for key, _events in ready:
+                    shard, is_sentinel = key.data
+                    if is_sentinel:
+                        exited.append(shard)
+                        continue
+                    # One message per readiness event: the selector is
+                    # level-triggered, so more pending data is reported
+                    # again by the next select.
+                    try:
+                        message = shard.out.recv()
+                    except (EOFError, OSError):
+                        # The shard closed its end; its sentinel settles it.
+                        selector.unregister(shard.out)
+                        continue
+                    handle_message(message)
+                for shard in exited:
+                    # Drain anything the shard flushed before exiting.
+                    try:
+                        while shard.out.poll():
+                            handle_message(shard.out.recv())
+                    except (EOFError, OSError):
+                        pass
+                    shard.proc.join()
+                    for fileobj in (shard.out, shard.proc.sentinel):
+                        if fileobj in selector.get_map():
+                            selector.unregister(fileobj)
+                    del live[shard.worker_id]
+                    finalize(shard)
+                if hang_timeout is not None:
+                    watchdog_sweep(live)
+                if live:
+                    match_thieves()
 
         # -- round settlement ----------------------------------------------
         round_dead = [shard for shard in shards.values()

@@ -71,6 +71,30 @@ def test_process_mode_telemetry_accounts_for_the_pool():
     assert stats.shard_mode != in_process.stats.shard_mode
 
 
+def test_shard_results_reference_the_generated_cases(monkeypatch):
+    """Shards send verdicts, not cases: the supervisor rebuilds every
+    result, and its report, around the generator's own TestCase."""
+    merged = {}
+    execute = Kit._execute
+
+    def spy(self, machine, cases, stats, caches):
+        results = execute(self, machine, cases, stats, caches)
+        merged.update(cases=cases, results=results)
+        return results
+
+    monkeypatch.setattr(Kit, "_execute", spy)
+    sharded = _campaign("5.13", workers=2)
+    assert sharded.stats.shard_mode == "process"
+    cases, results = merged["cases"], merged["results"]
+    assert len(results) == len(cases) == sharded.stats.cases_total > 0
+    assert all(result.case is case for result, case in zip(results, cases))
+    reported = [result for result in results if result.report is not None]
+    assert reported
+    assert all(result.report.case is result.case for result in reported)
+    generated = {id(case) for case in sharded.generation.test_cases}
+    assert all(id(report.case) in generated for report in sharded.reports)
+
+
 def test_forkless_fallback_runs_in_process(monkeypatch):
     """Without ``fork``, ``workers > 0`` executes in-process: the same
     verdicts as ``workers=0``, and no shard telemetry."""

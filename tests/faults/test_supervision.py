@@ -27,6 +27,7 @@ from repro.faults.retry import (
     tally,
 )
 from repro.kernel import linux_5_13
+from repro.store import RECORD_CASE, scan
 from repro.vm import fork_available
 from repro.vm.machine import MachineConfig
 from repro.vm.shardpool import run_sharded
@@ -235,6 +236,13 @@ class TestProcessSupervision:
 KERNEL_5_13 = MachineConfig(bugs=linux_5_13())
 
 
+def _case_records(store_dir, result):
+    """The journal's case records, with first-write-wins duplicates."""
+    replay = scan(os.path.join(store_dir, result.stats.campaign_id,
+                               "journal.jsonl"))
+    return replay.by_type(RECORD_CASE), replay.duplicates
+
+
 class TestPipelinePoisonAccounting:
     @needs_fork
     def test_crash_storm_quarantines_every_pair(self, tmp_path):
@@ -253,6 +261,11 @@ class TestPipelinePoisonAccounting:
         assert result.stats.faults_poisoned_total() > 0
         assert result.stats.faults_accounted(), plan.stats.snapshot()
         assert result.bugs_found() == set()
+        # Exactly one case record per pair, each journaled as poisoned.
+        records, duplicates = _case_records(str(tmp_path), result)
+        assert len({record["k"] for record in records}) == len(records) == 6
+        assert {record["outcome"] for record in records} == {"poisoned"}
+        assert duplicates == 0
 
     @needs_fork
     def test_kill_storm_quarantines_every_pair_process_mode(self, tmp_path):
@@ -267,3 +280,7 @@ class TestPipelinePoisonAccounting:
         assert result.stats.poisoned_cases == 6
         assert result.stats.faults_accounted(), plan.stats.snapshot()
         assert result.bugs_found() == set()
+        records, duplicates = _case_records(str(tmp_path), result)
+        assert len({record["k"] for record in records}) == len(records) == 6
+        assert {record["outcome"] for record in records} == {"poisoned"}
+        assert duplicates == 0

@@ -182,6 +182,79 @@ class TestCampaignJournal:
         assert plan.stats.accounted()
 
 
+class TestGroupCommit:
+    """``append(sync=False)`` flushes; ``sync()`` fsyncs the batch."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def test_unsynced_append_is_readable_without_fsync(self, tmp_path,
+                                                       fsyncs):
+        path = str(tmp_path / "j.jsonl")
+        journal = CampaignJournal(path)
+        for i in range(3):
+            assert journal.append_case(f"k{i}:r", "pass", 0, None,
+                                       sync=False)
+        # Flushed, so a fresh reader (a successor after SIGKILL) sees
+        # every record although none was fsynced.
+        assert [r["k"] for r in scan(path).records] \
+            == ["k0:r", "k1:r", "k2:r"]
+        assert fsyncs == []
+        journal.close()
+
+    def test_one_sync_covers_the_batch(self, tmp_path, fsyncs):
+        path = str(tmp_path / "j.jsonl")
+        with CampaignJournal(path) as journal:
+            for i in range(5):
+                journal.append_case(f"k{i}:r", "pass", 0, None, sync=False)
+            journal.sync()
+            assert len(fsyncs) == 1
+
+    def test_idle_sync_fsyncs_nothing(self, tmp_path, fsyncs):
+        path = str(tmp_path / "j.jsonl")
+        with CampaignJournal(path) as journal:
+            journal.sync()
+            assert fsyncs == []
+            journal.append_case("a:b", "pass", 0, None)  # syncs at once
+            journal.sync()
+            assert len(fsyncs) == 1
+        assert len(fsyncs) == 1  # close had nothing pending either
+
+    def test_close_syncs_pending_records(self, tmp_path, fsyncs):
+        path = str(tmp_path / "j.jsonl")
+        journal = CampaignJournal(path)
+        journal.append_case("a:b", "pass", 0, None, sync=False)
+        journal.append({"t": RECORD_END, "accounting": {}}, sync=False)
+        assert fsyncs == []
+        journal.close()
+        assert len(fsyncs) == 1
+        assert [r["t"] for r in scan(path).records] == [RECORD_CASE,
+                                                        RECORD_END]
+
+    def test_fsync_fault_fires_per_sync_not_per_record(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        plan = FaultPlan(seed=0, rates={SITE_STORE_FSYNC_FAIL: 1.0},
+                         max_retries=2)
+        with CampaignJournal(path, faults=plan) as journal:
+            for i in range(4):
+                journal.append_case(f"k{i}:r", "pass", 0, None, sync=False)
+            journal.sync()
+            assert journal.fsync_degraded == 1
+        assert len(scan(path).records) == 4
+        injected, recovered, infra, poisoned = plan.stats.snapshot()
+        assert injected[SITE_STORE_FSYNC_FAIL] == 3  # one batch: budget + 1
+        assert plan.stats.accounted()
+
+
 class TestResumeState:
     def test_from_records(self):
         records = [

@@ -11,6 +11,7 @@ seeds x kernels x chaos-seeds sweep is behind ``-m chaos``.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -127,6 +128,41 @@ class TestResumeEverywhere:
         assert _signature(resumed) == expected
 
 
+class TestGroupCommittedShards:
+    @needs_fork
+    def test_sharded_campaign_group_commits_and_resumes(self, tmp_path,
+                                                        monkeypatch):
+        """The shard supervisor journals every case but fsyncs per batch
+        of landed results; the journal still resumes completely."""
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def disk_fsync(fd):
+            # An fsync takes milliseconds on a disk, and results keep
+            # landing meanwhile; the stand-in does not depend on how
+            # fast the test's filesystem syncs.
+            fsyncs.append(fd)
+            time.sleep(0.02)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", disk_fsync)
+        store_dir = str(tmp_path)
+        clean = Kit(_config(store_dir, corpus_size=30, strategy="df",
+                            workers=2)).run()
+        assert clean.stats.shard_mode == "process"
+        path = _journal_path(store_dir, clean.stats.campaign_id)
+        case_records = scan(path).by_type(RECORD_CASE)
+        assert len(case_records) == clean.stats.cases_total > 100
+        # One fsync per batch, not per record, nor per supervisor wakeup
+        # (a wakeup reads at most one message per shard).
+        assert len(fsyncs) < len(case_records) // 4
+        resumed = Kit(_config(store_dir, corpus_size=30, strategy="df",
+                              workers=2, resume=True)).run()
+        assert resumed.stats.resumed_cases == resumed.stats.cases_total
+        assert resumed.stats.cases_executed == 0
+        assert _signature(resumed) == _signature(clean)
+
+
 class TestResumeInterleaved:
     def test_kill_and_resume_interleaved_campaign(self, tmp_path):
         """Byte parity for interleaved campaigns: culprit schedules and
@@ -202,6 +238,11 @@ class TestPoisonQuarantineDurability:
         assert resumed.stats.outcomes.get(Outcome.POISONED.value) == 1
         # Quarantine must subtract at most the victim from the bug set.
         assert set(resumed.bugs_found()) <= set(clean.bugs_found())
+        # The resumed run gives the victim its one case record.
+        victim_cases = [record for record in scan(path).by_type(RECORD_CASE)
+                        if record["k"] == victim]
+        assert [record["outcome"] for record in victim_cases] \
+            == [Outcome.POISONED.value]
 
 
 # -- the full sweep (deselected by default; run with -m chaos) ----------------

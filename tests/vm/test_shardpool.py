@@ -40,6 +40,25 @@ def test_results_merge_in_job_order():
     assert report.shards_spawned == 2 and report.shards_died == 0
 
 
+def test_before_wait_runs_between_landed_results():
+    """The supervisor calls before_wait only when it is about to block:
+    the hook sees every result that landed before it, and runs while
+    the shards still have work, not once at the end."""
+    landed, seen = [], []
+
+    def slow(machine, payload):
+        time.sleep(0.02)
+        return payload
+
+    report = run_sharded(
+        CONFIG, list(range(8)), slow, workers=2,
+        on_result=lambda job, result: landed.append(job.job_id),
+        before_wait=lambda: seen.append(len(landed)))
+    assert [r.outcome for r in report.results] == list(range(8))
+    assert seen == sorted(seen)
+    assert any(0 < count < 8 for count in seen), seen
+
+
 def test_pool_never_exceeds_job_count():
     report = run_sharded(CONFIG, [1, 2], lambda machine, payload: payload,
                          workers=8)
