@@ -95,15 +95,15 @@ def test_shard_scaling(bench_corpus, benchmark):
     benchmark.pedantic(campaign, args=(counts[-1],), rounds=1, iterations=1)
 
     lines = [f"{'mode':<10} {'workers':>7} {'exec (ms)':>10} "
-             f"{'cases/s':>9} {'stolen':>7} {'shards':>7}",
-             "-" * 56]
+             f"{'cases/s':>9} {'shards':>7}",
+             "-" * 48]
     for workers, run in sorted(runs.items()):
         stats = run.stats
         lines.append(
             f"{stats.shard_mode:<10} {stats.execution_workers:>7} "
             f"{stats.execution_seconds * 1e3:>10.1f} "
             f"{stats.executions_per_second():>9.0f} "
-            f"{stats.jobs_stolen:>7} {stats.shards_spawned:>7}")
+            f"{stats.shards_spawned:>7}")
     lines.append("")
     lines.append(f"host: {cpus} cpu(s); every shard count must report "
                  f"the serial bug set")

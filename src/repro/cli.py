@@ -99,8 +99,12 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
     stats = result.stats
     print(f"corpus: {stats.corpus_size} programs, "
           f"flows: {stats.flow_count}, clusters: {stats.cluster_count}")
-    print(f"cases: {stats.cases_total} executed "
-          f"({stats.executions_per_second():.0f}/s), outcomes: "
+    # A resumed campaign restores journaled cases instead of running them.
+    line = (f"cases: {stats.cases_total - stats.resumed_cases} executed "
+            f"({stats.executions_per_second():.0f}/s)")
+    if stats.resumed_cases:
+        line += f", {stats.resumed_cases} restored"
+    print(line + ", outcomes: "
           + ", ".join(f"{k}={v}" for k, v in sorted(stats.outcomes.items())))
     print(f"funnel: {stats.initial_reports} candidates -> "
           f"{stats.after_nondet} -> {stats.after_resource} reports")
@@ -109,9 +113,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
                 f"{stats.shard_mode} worker(s)")
         if stats.shard_mode == "process":
             line += (f", {stats.shards_spawned} shard(s) spawned"
-                     f" ({stats.shards_died} died), "
-                     f"{stats.steals_granted}/{stats.steals_attempted} "
-                     f"steals granted ({stats.jobs_stolen} jobs)")
+                     f" ({stats.shards_died} died)")
         print(line)
     if stats.profile_store_hits + stats.profile_store_misses:
         total = stats.profile_store_hits + stats.profile_store_misses

@@ -104,8 +104,8 @@ class CampaignConfig:
     #: profiling runs on that many threads.
     workers: int = 0
     #: How distributed execution shards.  ``process`` is the only mode:
-    #: forked shards that share nothing after the fork, with a
-    #: work-stealing dispatcher (docs/SHARDING.md).
+    #: forked shards that share nothing after the fork, each granted
+    #: chunks of one supervisor-owned job list (docs/SHARDING.md).
     shard_mode: str = "process"
     #: Memoize post-sender machine state (segmented delta per sender)
     #: so test cases sharing a sender restore it instead of re-running
@@ -178,14 +178,13 @@ class CampaignStats:
     #: resolved pool size.
     shard_mode: str = "in-process"
     execution_workers: int = 0
-    #: Work-stealing dispatcher telemetry (process mode only).
-    steals_attempted: int = 0
-    steals_granted: int = 0
-    jobs_stolen: int = 0
+    #: Process-mode shard telemetry.
     shards_spawned: int = 0
     shards_died: int = 0
-    #: Always 0 (shards share no memory); e2e benchmark metrics read it.
+    #: Always 0 (shards share no memory, and granted chunks never move
+    #: between shards); e2e benchmark metrics read them.
     shm_bytes: int = 0
+    jobs_stolen: int = 0
     #: Table 5 counters.
     initial_reports: int = 0
     after_nondet: int = 0
@@ -819,7 +818,7 @@ class Kit:
         fresh: List[DetectionResult] = []
         if config.workers > 0 and fork_available():
             stats.shard_mode = "process"
-            stats.execution_workers = min(config.workers, max(1, len(todo)))
+            stats.execution_workers = min(config.workers, len(todo))
             if todo:
                 fresh = self._execute_process(machine, todo, stats, caches,
                                               runner)
@@ -845,11 +844,11 @@ class Kit:
                            case_count: int) -> List[DetectionResult]:
         """Inverse-permutation merge back to original case order.
 
-        Independent of which shard (stolen range or not) executed each
-        job: job ids index the affinity schedule, and the inverse
-        permutation restores caller order.  A job that failed for good
-        (poisoned, or retries exhausted under chaos) reached no commit
-        hook, so its result is built and journaled here.
+        Independent of which shard executed each job: job ids index
+        the affinity schedule, and the inverse permutation restores
+        caller order.  A job that failed for good (poisoned, or retries
+        exhausted under chaos) reached no commit hook, so its result is
+        built and journaled here.
         """
         plan = self.config.faults
         results: List[Optional[DetectionResult]] = [None] * case_count
@@ -879,8 +878,8 @@ class Kit:
                          runner: _CaseRunner) -> List[DetectionResult]:
         """Execution on process shards that share only what fork gives.
 
-        Every forked shard runs its granted (and stolen) job ranges on
-        its own copy of the campaign *machine*, through its own copy of
+        Every forked shard runs the job chunks it is granted on its own
+        copy of the campaign *machine*, through its own copy of
         *runner*, filling its own copies of the campaign *caches*.
         Nothing crosses between processes after the fork except the
         shard protocol's pipe messages: verdicts (:func:`_verdict`), and
@@ -942,9 +941,6 @@ class Kit:
             # Group commit: one fsync per batch of landed results.
             before_wait=(handle.journal.sync if handle is not None
                          else None))
-        stats.steals_attempted = report.steals_attempted
-        stats.steals_granted = report.steals_granted
-        stats.jobs_stolen = report.jobs_stolen
         stats.shards_spawned = report.shards_spawned
         stats.shards_died = report.shards_died
         stats.worker_hangs += len(report.hung_shards)

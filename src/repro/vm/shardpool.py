@@ -1,32 +1,29 @@
-"""The multiprocess shard pool: shared-nothing workers, stolen ranges.
+"""The multiprocess shard pool: shared-nothing workers, granted chunks.
 
 KIT "can run distributed tests… When running in server mode, KIT exposes
 several RPC services to clients to distribute VM snapshots, transfer
 test cases, and collect test results" (§5.2), and runs every test case
 on its own VM with no state shared between VMs (§6.5).  This module is
 that job protocol across *processes*.  Each shard is forked from the
-supervisor, gets its own :class:`~repro.vm.machine.Machine` from the
-caller's *boot* (by default a fresh ``Machine(machine_config)``), and
-owns a contiguous, affinity-ordered *range* of the round's jobs instead
-of pulling from a single queue.  After the fork, shards and supervisor
-share nothing but the pipes of this protocol.
+supervisor and gets its own :class:`~repro.vm.machine.Machine` from the
+caller's *boot* (by default a fresh ``Machine(machine_config)``).  After
+the fork, shards and supervisor share nothing but the pipes of this
+protocol.
 
-Work stealing
--------------
+Granted chunks
+--------------
 
-A single shared queue would serialize shards on a lock; static ranges
-alone would strand a fast shard while a slow one drags its tail.  The
-dispatcher splits the difference with victim-acknowledged stealing:
-
-1. A shard that exhausts its range reports ``idle``.
-2. The supervisor picks the victim with the most unfinished jobs and
-   sends it a ``steal`` request (at most one outstanding per victim).
-3. The victim — the only authority on its own cursor — answers at its
-   next job boundary with the tail half of its remaining range (possibly
-   empty), which the supervisor grants to the thief.
-
-The split is at job-range granularity and never includes the victim's
-in-flight job, so a job runs on exactly one shard per round and the
+The supervisor is the only owner of a round's affinity-ordered job
+list; shards hold contiguous *chunks* of it.  Every grant takes
+⌈ungranted / (2 × shards in the round)⌉ jobs from the front of the
+ungranted queue (the factoring rule), so chunks shrink as the round
+drains and no shard is left with a long tail.  Each shard gets its first
+chunk at spawn.  When a landed result leaves a shard with at most one
+unfinished job, the supervisor sends it the next chunk, or ``stop`` when
+nothing is left, so the next range is already in the pipe when the
+shard finishes its current one.  The supervisor reads one message per
+case anyway, so the central queue costs it nothing and needs no lock.
+A job is granted to exactly one shard per round, and the
 inverse-permutation merge by job id stays byte-deterministic regardless
 of who executed what.
 
@@ -35,9 +32,10 @@ Supervision
 
 The supervisor runs in *rounds*: shards run until they exit, the
 supervisor settles the round (a dead shard's *held* job is charged a
-failed attempt, the rest of its range re-queued uncharged), and fresh
+failed attempt, the rest of its chunks re-queued uncharged), and fresh
 worker ids are spawned for whatever remains, so no two shards ever
-share an id.  A dead shard's local caches die with its process.
+share an id.  The surviving shards of a round keep draining its
+ungranted queue.  A dead shard's local caches die with its process.
 Only a job that exhausts its retry budget fails the run: loudly (a
 ``RuntimeError`` naming every unfinished job) under ``strict``, or
 gracefully (a ``JobResult`` carrying the error, for the pipeline to
@@ -53,8 +51,8 @@ Process death is observed on the sentinel, so a SIGKILLed shard — the
 — is detected without polling.  Fault accounting crosses the process
 boundary as counter *deltas* shipped in each shard's final message; a
 shard that dies silently loses only locally-balanced counters, so the
-campaign invariant ``injected == recovered + infra_failed`` holds
-regardless.
+campaign invariant ``injected == recovered + infra_failed + poisoned``
+holds regardless.
 Three chaos injection sites live in this layer (``worker.crash``,
 ``worker.kill``, ``result.drop``); see :mod:`repro.faults.plan`.
 """
@@ -173,9 +171,6 @@ class ShardRunReport:
     #: One entry per cleanly-retired shard: whatever the caller's
     #: ``telemetry_hook(machine)`` returned in that shard process.
     telemetry: List[Any] = field(default_factory=list)
-    steals_attempted: int = 0
-    steals_granted: int = 0
-    jobs_stolen: int = 0
     rounds: int = 0
     shards_spawned: int = 0
     shards_died: int = 0
@@ -214,12 +209,12 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 telemetry_hook: Optional[Callable[[Machine], Any]],
                 start: int, end: int,
                 heartbeat_interval: Optional[float] = None) -> None:
-    """One shard process: run ranges, answer steals, report, retire.
+    """One shard process: run each granted range, then report and retire.
 
-    All messages go child -> parent on *out*; the parent commands via
-    *ctrl* (``("steal", id)``, ``("range", start, end)``, ``("stop",)``).
-    Ranges index into *round_jobs*, the round-local job list inherited
-    through fork.
+    All messages go child -> parent on *out*; the parent grants on
+    *ctrl*.  The shard runs its range, then ``ctrl.recv()``s the next one
+    (``("range", start, end)``) or ``("stop",)``.  Ranges index into
+    *round_jobs*, the round-local job list inherited through fork.
 
     With a *heartbeat_interval*, a background thread sends
     ``("hb", worker_id, held_index)`` on that cadence after boot — the
@@ -242,9 +237,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
               _stats_delta(faults, base)))
         return
     machine.cluster_worker_id = worker_id
-    cursor, limit = start, end
     held: Optional[int] = None
-    stopping = False
 
     if heartbeat_interval is not None:
         beat_stop = threading.Event()
@@ -259,64 +252,34 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
         threading.Thread(target=beat, name=f"kit-shard-{worker_id}-hb",
                          daemon=True).start()
 
-    def handle(command: tuple) -> bool:
-        """Apply one control message; False means stop."""
-        nonlocal cursor, limit
-        kind = command[0]
-        if kind == "steal":
-            remaining = limit - cursor
-            give = remaining // 2
-            send(("steal_ack", worker_id, command[1],
-                  limit - give, limit))
-            limit -= give
-            return True
-        if kind == "range":
-            cursor, limit = command[1], command[2]
-            return True
-        return False  # "stop"
-
     try:
-        while True:
-            while ctrl.poll():
-                if not handle(ctrl.recv()):
-                    stopping = True
-                    break
-            if stopping:
-                break
-            if cursor >= limit:
-                send(("idle", worker_id))
-                while cursor >= limit:
-                    if not handle(ctrl.recv()):
-                        stopping = True
-                        break
-                if stopping:
-                    break
-                continue
-            index = cursor
-            held = index
-            job_id, payload, attempt = round_jobs[index]
-            if faults is not None:
-                occurrence = job_id + attempt * _ATTEMPT_STRIDE
-                if faults.fires_at(SITE_WORKER_CRASH, occurrence):
-                    faults.stats.note_injected(SITE_WORKER_CRASH)
-                    raise WorkerCrashInjected(
-                        f"injected crash on shard {worker_id} "
-                        f"holding job {job_id}")
-                if faults.fires_at(SITE_WORKER_KILL, occurrence):
-                    # Announce, then die: the supervisor accounts the
-                    # injection (this process's counters die with it)
-                    # and charges exactly the announced job.
-                    send(("killing", worker_id, index))
-                    os.kill(os.getpid(), signal.SIGKILL)
-            try:
-                outcome = case_runner(machine, payload)
-                error = None
-            except Exception as failure:  # defensive: report, keep shard
-                outcome = None
-                error = f"{type(failure).__name__}: {failure}"
-            send(("result", worker_id, index, outcome, error))
-            held = None
-            cursor += 1
+        command: tuple = ("range", start, end)
+        while command[0] == "range":
+            for index in range(command[1], command[2]):
+                held = index
+                job_id, payload, attempt = round_jobs[index]
+                if faults is not None:
+                    occurrence = job_id + attempt * _ATTEMPT_STRIDE
+                    if faults.fires_at(SITE_WORKER_CRASH, occurrence):
+                        faults.stats.note_injected(SITE_WORKER_CRASH)
+                        raise WorkerCrashInjected(
+                            f"injected crash on shard {worker_id} "
+                            f"holding job {job_id}")
+                    if faults.fires_at(SITE_WORKER_KILL, occurrence):
+                        # Announce, then die: the supervisor accounts the
+                        # injection (this process's counters die with it)
+                        # and charges exactly the announced job.
+                        send(("killing", worker_id, index))
+                        os.kill(os.getpid(), signal.SIGKILL)
+                try:
+                    outcome = case_runner(machine, payload)
+                    error = None
+                except Exception as failure:  # defensive: report, keep shard
+                    outcome = None
+                    error = f"{type(failure).__name__}: {failure}"
+                send(("result", worker_id, index, outcome, error))
+                held = None
+            command = ctrl.recv()
     except WorkerCrashInjected as error:
         send(("fatal", worker_id, held,
               f"{type(error).__name__}: {error}", [SITE_WORKER_CRASH],
@@ -341,9 +304,9 @@ class _Shard:
     out: Any
     #: Round-local indices granted and not yet executed, in order.
     remaining: List[int]
-    state: str = "running"  # running | waiting | granted | stopping
+    #: No further chunk: ``("stop",)`` was sent, or the shard exited.
+    stopping: bool = False
     booted: bool = False
-    steal_pending: bool = False
     exit_kind: Optional[str] = None  # done | fatal | killed | died | hung
     fatal_error: Optional[str] = None
     held_index: Optional[int] = None
@@ -363,7 +326,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 faults: Optional[FaultPlan] = None,
                 max_job_retries: int = 0,
                 strict: bool = True,
-                on_worker_death: Optional[Callable[[int], None]] = None,
                 telemetry_hook: Optional[Callable[[Machine], Any]] = None,
                 retry_policy: Optional[RetryPolicy] = None,
                 hang_timeout: Optional[float] = None,
@@ -378,14 +340,13 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
 
     Returns results ordered by job id, so the output is independent of
     which shard ran what.  The pool is clamped to the number of jobs.
-    When shards die before their ranges drain, the held jobs are
+    When shards die before their chunks drain, the held jobs are
     charged a failed attempt and re-queued up to *max_job_retries*
-    times on replacement shards with fresh ids.  *on_worker_death* is
-    called with each dead shard's id as soon as its round settles.  Only
-    a job whose retries are exhausted fails the run: with *strict* (the
-    default) a ``RuntimeError`` names every unfinished job with its
-    attempt count and last cause; with ``strict=False`` the job's
-    ``JobResult`` carries the error instead.  Extra hooks:
+    times on replacement shards with fresh ids.  Only a job whose
+    retries are exhausted fails the run: with *strict* (the default) a
+    ``RuntimeError`` names every unfinished job with its attempt count
+    and last cause; with ``strict=False`` the job's ``JobResult``
+    carries the error instead.  Extra hooks:
 
     * *boot* returns each shard's machine inside the shard process
       (default: ``Machine(machine_config)``; the pipeline hands each
@@ -433,7 +394,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     pool_size = min(max(1, workers), len(jobs))
     next_worker_id = 0
     dead_descriptions: List[str] = []
-    steal_seq = 0
 
     while True:
         outstanding = [job_id for job_id in sorted(jobs)
@@ -446,12 +406,18 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
         report.rounds += 1
         report.shards_spawned += spawn
         shards: Dict[int, _Shard] = {}
-        quotient, remainder = divmod(len(round_jobs), spawn)
-        position = 0
-        for slot in range(spawn):
-            size = quotient + (1 if slot < remainder else 0)
-            start, end = position, position + size
-            position = end
+        # Round-local index of the first ungranted job.
+        ungranted = 0
+
+        def next_chunk() -> Tuple[int, int]:
+            """Grant the next ⌈ungranted / (2 × shards)⌉ jobs in order."""
+            nonlocal ungranted
+            start = ungranted
+            ungranted += -(-(len(round_jobs) - start) // (2 * spawn))
+            return start, ungranted
+
+        for _slot in range(spawn):
+            start, end = next_chunk()
             worker_id = next_worker_id
             next_worker_id += 1
             ctrl_recv, ctrl_send = ctx.Pipe(duplex=False)
@@ -473,52 +439,23 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                                        last_message=now, held_since=now)
 
         dropped: set = set()
-        waiting: List[int] = []
-        #: steal id -> (thief, victim) worker ids, for grant routing.
-        grants_pending: Dict[int, Tuple[int, int]] = {}
 
-        def send_stop(shard: _Shard) -> None:
-            if shard.state != "stopping" and shard.exit_kind is None:
-                shard.state = "stopping"
-                try:
-                    shard.ctrl.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-
-        def match_thieves() -> None:
-            """Pair waiting thieves with the longest-running victims."""
-            nonlocal steal_seq
-            while waiting:
-                potential = [s for s in shards.values()
-                             if s.exit_kind is None and s.state == "running"
-                             and len(s.remaining) >= 2]
-                if not potential:
-                    if grants_pending:
-                        # A split is in flight; its ack may still feed
-                        # the queue, so thieves keep waiting for it.
-                        return
-                    for thief_id in waiting:
-                        send_stop(shards[thief_id])
-                    waiting.clear()
-                    return
-                available = [s for s in potential if not s.steal_pending]
-                if not available:
-                    return  # all victims mid-split; acks re-match
-                victim = max(available, key=lambda s: (len(s.remaining),
-                                                       -s.worker_id))
-                thief_id = waiting.pop(0)
-                steal_seq += 1
-                grants_pending[steal_seq] = (thief_id, victim.worker_id)
-                victim.steal_pending = True
-                shards[thief_id].state = "granted"
-                report.steals_attempted += 1
-                try:
-                    victim.ctrl.send(("steal", steal_seq))
-                except (BrokenPipeError, OSError):
-                    victim.steal_pending = False
-                    del grants_pending[steal_seq]
-                    waiting.insert(0, thief_id)
-                    return
+        def top_up(shard: _Shard) -> None:
+            """Queue a shard's next chunk (or stop) before it runs dry."""
+            if shard.stopping or shard.exit_kind is not None \
+                    or len(shard.remaining) > 1:
+                return
+            if ungranted < len(round_jobs):
+                start, end = next_chunk()
+                shard.remaining.extend(range(start, end))
+                command: tuple = ("range", start, end)
+            else:
+                shard.stopping = True
+                command = ("stop",)
+            try:
+                shard.ctrl.send(command)
+            except (BrokenPipeError, OSError):
+                pass  # shard died: round settlement re-queues its chunks
 
         def handle_message(message: tuple) -> None:
             kind = message[0]
@@ -535,6 +472,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 shard.booted = True
                 if index in shard.remaining:
                     shard.remaining.remove(index)
+                top_up(shard)
                 if shard.last_held == index:
                     shard.last_held = None
                 job_id = round_jobs[index][0]
@@ -558,42 +496,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     job.pending_sites = []
                 if committed is not None and on_result is not None:
                     on_result(job, committed)
-            elif kind == "idle":
-                _, worker_id = message
-                shard.booted = True
-                if shard.state in ("running", "granted"):
-                    shard.state = "waiting"
-                    waiting.append(worker_id)
-                match_thieves()
-            elif kind == "steal_ack":
-                _, _worker_id, steal_id, give_start, give_end = message
-                shard.steal_pending = False
-                stolen = [index for index in range(give_start, give_end)
-                          if index in shard.remaining]
-                for index in stolen:
-                    shard.remaining.remove(index)
-                routed = grants_pending.pop(steal_id, None)
-                thief = shards.get(routed[0]) if routed is not None else None
-                if thief is not None and thief.exit_kind is None \
-                        and stolen and thief.state == "granted":
-                    thief.remaining = stolen
-                    thief.state = "running"
-                    report.steals_granted += 1
-                    report.jobs_stolen += len(stolen)
-                    try:
-                        thief.ctrl.send(("range", give_start, give_end))
-                    except (BrokenPipeError, OSError):
-                        pass  # thief died: round settlement re-queues
-                else:
-                    if stolen:
-                        # Thief vanished between request and grant: the
-                        # jobs belong to no shard now; the settlement
-                        # re-queues them uncharged.
-                        pass
-                    if thief is not None and thief.exit_kind is None:
-                        thief.state = "waiting"
-                        waiting.append(thief.worker_id)
-                match_thieves()
             elif kind == "killing":
                 _, worker_id, index = message
                 shard.booted = True
@@ -621,28 +523,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 shard.exit_kind = "done"
                 shard.telemetry = telemetry
                 _merge_stats_delta(faults, delta)
-
-        def finalize(shard: _Shard) -> None:
-            if shard.exit_kind is None:
-                shard.exit_kind = "died"
-                shard.fatal_error = shard.fatal_error or \
-                    f"process exited (code {shard.proc.exitcode})"
-            if shard.worker_id in waiting:
-                waiting.remove(shard.worker_id)
-            if shard.steal_pending:
-                # Its ack will never come; un-route the thief parked on
-                # this victim so it can re-match or stop.
-                shard.steal_pending = False
-                for steal_id, (thief_id, victim_id) \
-                        in list(grants_pending.items()):
-                    if victim_id != shard.worker_id:
-                        continue
-                    thief = shards.get(thief_id)
-                    del grants_pending[steal_id]
-                    if thief is not None and thief.exit_kind is None \
-                            and thief.state == "granted":
-                        thief.state = "waiting"
-                        waiting.append(thief_id)
 
         def watchdog_sweep(live: Dict[int, _Shard]) -> None:
             """SIGKILL shards that stopped beating or sat on one job."""
@@ -705,6 +585,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                         continue
                     handle_message(message)
                 for shard in exited:
+                    shard.stopping = True  # gone: it takes no further chunk
                     # Drain anything the shard flushed before exiting.
                     try:
                         while shard.out.poll():
@@ -716,11 +597,12 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                         if fileobj in selector.get_map():
                             selector.unregister(fileobj)
                     del live[shard.worker_id]
-                    finalize(shard)
+                    if shard.exit_kind is None:
+                        shard.exit_kind = "died"
+                        shard.fatal_error = shard.fatal_error or \
+                            f"process exited (code {shard.proc.exitcode})"
                 if hang_timeout is not None:
                     watchdog_sweep(live)
-                if live:
-                    match_thieves()
 
         # -- round settlement ----------------------------------------------
         round_dead = [shard for shard in shards.values()
@@ -732,8 +614,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
         for shard in round_dead:
             dead_descriptions.append(
                 f"worker {shard.worker_id}: {shard.fatal_error}")
-            if on_worker_death is not None:
-                on_worker_death(shard.worker_id)
         cause = "; ".join(dead_descriptions) or "result lost in transit"
 
         def settle(job: Job) -> str:
@@ -810,9 +690,9 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             if held is None and shard.remaining \
                     and (shard.booted
                          or shard.exit_kind in ("died", "hung")):
-                # A silent death mid-range: charge the first unfinished
+                # A silent death mid-chunk: charge the first unfinished
                 # grant.  A boot failure (fatal with no held job)
-                # charges nothing — its untouched range just re-queues.
+                # charges nothing — its untouched chunk just re-queues.
                 held = shard.remaining[0]
             if held is None or held in dropped or held in charged:
                 continue
@@ -832,8 +712,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             if job_id not in completed and index not in charged:
                 charged.add(index)
                 charge(jobs[job_id])
-        # Everything else unfinished — the tail of a dead shard's range,
-        # a grant stranded by a dead thief — re-queues uncharged.
+        # Everything else unfinished — the rest of a dead shard's chunks
+        # and whatever the round never granted — re-queues uncharged.
         for shard in shards.values():
             for connection in (shard.ctrl, shard.out):
                 try:

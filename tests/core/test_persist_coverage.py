@@ -78,13 +78,16 @@ class TestPersistence:
         assert data["config"]["bugs_enabled"]
 
     def test_retired_prefilter_stats_still_load(self, campaign):
-        # A document saved while the static pre-filter existed carries
-        # its four counters; they are dropped, everything else loads.
+        # A document saved while the static pre-filter, or the
+        # work-stealing shard dispatcher, existed carries their
+        # counters; they are dropped, everything else loads.
         data = json.loads(json.dumps(campaign_to_dict(campaign)))
         data["stats"].update(prefilter_pairs_total=64,
                              prefilter_pairs_pruned=28,
                              prefilter_precision=0.8,
-                             prefilter_recall=0.8)
+                             prefilter_recall=0.8,
+                             steals_attempted=3,
+                             steals_granted=2)
         loaded = campaign_from_dict(data)
         assert loaded.stats == campaign.stats
         assert loaded.bugs_found() == campaign.bugs_found()

@@ -1,8 +1,8 @@
 """Process-shard campaigns are bit-equivalent to serial execution.
 
-Work stealing redistributes *where* test cases execute; the inverse-
-permutation merge guarantees the campaign cannot tell.  These tests pin
-the strongest form of that claim against the in-process (``workers=0``)
+Chunk grants decide *where* test cases execute; the inverse-permutation
+merge guarantees the campaign cannot tell.  These tests pin the
+strongest form of that claim against the in-process (``workers=0``)
 reference: identical bug sets, identical outcomes, identical culprit
 pairs, and byte-identical rendered reports.  A light slice runs in
 tier-1; the seeds-by-kernels sweep is behind ``-m chaos``.

@@ -105,12 +105,16 @@ class TestResumeEverywhere:
             assert resumed.stats.journal_torn_bytes == len(lines[keep]) - 7
 
     def test_resume_completed_campaign_executes_nothing(self, tmp_path):
-        store_dir = str(tmp_path)
-        clean = Kit(_config(store_dir)).run()
-        resumed = Kit(_config(store_dir, resume=True)).run()
-        assert _signature(resumed) == _signature(clean)
-        assert resumed.stats.resumed_cases == resumed.stats.cases_total
-        assert resumed.stats.execution_workers == 0
+        # A pool with nothing left to run reports no workers either.
+        for workers in (0, 2):
+            store_dir = str(tmp_path / f"workers-{workers}")
+            clean = Kit(_config(store_dir, workers=workers)).run()
+            resumed = Kit(_config(store_dir, resume=True,
+                                  workers=workers)).run()
+            assert _signature(resumed) == _signature(clean)
+            assert resumed.stats.resumed_cases == resumed.stats.cases_total
+            assert resumed.stats.execution_workers == 0, workers
+            assert resumed.stats.shards_spawned == 0
 
     def test_resume_across_pool_shapes(self, tmp_path):
         """The fingerprint excludes perf knobs, so one journal resumes

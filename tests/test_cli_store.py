@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the on-disk corpus store."""
 
 import os
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.cli import main
 from repro.corpus.generator import build_corpus
 from repro.corpus.program import prog
 from repro.corpus.store import load_corpus, save_corpus
+from repro.vm import fork_available
 
 
 class TestCorpusStore:
@@ -62,6 +64,21 @@ class TestCli:
         output = capsys.readouterr().out
         assert "bugs found:" in output
         assert "'1'" in output
+
+    def test_resumed_run_reports_restored_cases(self, tmp_path, capsys):
+        run = ["run", "--corpus-size", "20", "--workers", "2",
+               "--store", str(tmp_path)]
+        assert main(run) == 0
+        first = capsys.readouterr().out
+        assert main(run + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        total = re.search(r"cases: (\d+) executed", first).group(1)
+        assert f"cases: 0 executed (0/s), {total} restored, " in resumed
+        # Nothing was left to run, so no worker and no shard either.
+        assert "execution:" not in resumed
+        if fork_available():
+            assert "execution: 2 process worker(s), 2 shard(s) spawned " \
+                "(0 died)\n" in first
 
     def test_run_on_fixed_kernel_is_clean(self, capsys):
         assert main(["--kernel", "fixed", "run", "--corpus-size", "50"]) == 0

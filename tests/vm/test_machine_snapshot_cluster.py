@@ -122,7 +122,7 @@ class TestCluster:
         assert all("boom" in r.error for r in results)
 
     def test_workers_share_the_job_queue(self):
-        """Two shards split (and steal from) one affinity-ordered job
+        """Two shards are granted chunks of one affinity-ordered job
         list; the merge hides who ran what."""
         config = MachineConfig()
 

@@ -1,4 +1,4 @@
-"""Multiprocess shard pool: work stealing, supervision, determinism.
+"""Multiprocess shard pool: granted chunks, supervision, determinism.
 
 The single-shard forms of the supervision contracts; the multi-shard
 forms live in ``tests/faults/test_cluster_recovery.py``.  Worker-site
@@ -72,26 +72,66 @@ def test_empty_payloads_short_circuit():
     assert report.results == [] and report.rounds == 0
 
 
-def test_idle_shard_steals_from_loaded_victim():
-    """Half of shard 0's slow tail migrates to shard 1 once it drains
-    its own fast range; the merged results stay in job order."""
+def test_every_job_runs_exactly_once(tmp_path):
+    """A job is granted to one shard per round.  The count comes from
+    the runner itself: the merged results would hide a double grant."""
+    log = tmp_path / "runs.log"
 
-    def skewed(machine, payload):
-        if payload < 6:
-            time.sleep(0.05)
-        return payload * 2
+    def runner(machine, payload):
+        time.sleep(0.002 * (payload % 3))
+        with open(log, "a") as handle:
+            handle.write(f"{payload}\n")
+        return payload
 
-    report = run_sharded(CONFIG, list(range(12)), skewed, workers=2)
-    assert [r.outcome for r in report.results] == [i * 2 for i in range(12)]
-    assert report.steals_attempted >= 1
-    assert report.steals_granted >= 1
-    assert report.jobs_stolen >= 1
+    report = run_sharded(CONFIG, list(range(30)), runner, workers=3)
+    assert [r.outcome for r in report.results] == list(range(30))
+    assert sorted(int(line) for line in log.read_text().split()) \
+        == list(range(30))
+    assert {r.worker for r in report.results} == {0, 1, 2}
     assert report.shards_died == 0
 
 
+def test_slow_shard_runs_only_its_first_chunk(tmp_path):
+    """Job 0 blocks until the last job has run, so the other shard
+    drains the whole ungranted queue: the shard holding job 0 runs only
+    its first chunk of ⌈12 / (2 × 2)⌉ = 3 jobs."""
+    marker = tmp_path / "last-job-ran"
+
+    def runner(machine, payload):
+        if payload == 0:
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return marker.exists()
+        if payload == 11:
+            marker.write_text("ran")
+        return payload
+
+    report = run_sharded(CONFIG, list(range(12)), runner, workers=2)
+    assert [r.outcome for r in report.results] == [True, *range(1, 12)]
+    holder = report.results[0].worker
+    assert [r.job_id for r in report.results if r.worker == holder] \
+        == [0, 1, 2]
+
+
+def test_dead_shard_requeues_only_its_own_chunk():
+    """8 jobs on 2 shards: first chunks of ⌈8 / 4⌉ = 2.  Shard 0 crashes
+    on job 0; shard 1 keeps draining the queue in the same round, so
+    the replacement shards run only the dead shard's chunk {0, 1}."""
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
+    report = run_sharded(CONFIG, list(range(8)),
+                         lambda machine, payload: payload, workers=2,
+                         faults=plan, max_job_retries=1)
+    assert [r.outcome for r in report.results] == list(range(8))
+    assert report.rounds == 2 and report.shards_died == 1
+    # Worker ids 0 and 1 ran the first round; replacements get fresh ids.
+    assert {r.job_id for r in report.results if r.worker >= 2} == {0, 1}
+    assert plan.stats.accounted()
+
+
 def test_stolen_ranges_preserve_result_identity():
-    """Satellite 4: stealing redistributes *where* jobs run, never what
-    they produce — byte-identical outcomes to the no-steal pool."""
+    """Chunk grants redistribute *where* jobs run, never what they
+    produce — byte-identical outcomes to a single shard."""
 
     def skewed(machine, payload):
         if payload % 3 == 0:
@@ -102,18 +142,14 @@ def test_stolen_ranges_preserve_result_identity():
     pooled = run_sharded(CONFIG, list(range(10)), skewed, workers=3)
     assert [r.outcome for r in single.results] \
         == [r.outcome for r in pooled.results]
-    assert single.steals_granted == 0  # a lone shard has nobody to rob
 
 
 def test_crash_schedule_recovery():
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
-    dead = []
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload + 1, workers=1,
-                         faults=plan, max_job_retries=1,
-                         on_worker_death=dead.append)
+                         faults=plan, max_job_retries=1)
     assert [r.outcome for r in report.results] == [1, 2, 3, 4]
-    assert dead == [0]
     assert report.shards_died == 1 and report.rounds == 2
     # The replacement shard got a fresh worker id (ids never recycle).
     assert all(r.worker != 0 for r in report.results)
@@ -132,14 +168,14 @@ def test_kill_schedule_recovery_and_accounting():
     exactly the announced job and keeps the campaign ledger balanced
     (the dead process's own counters are lost with it)."""
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {1}})
-    dead = []
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload * 10, workers=2,
-                         faults=plan, max_job_retries=1,
-                         on_worker_death=dead.append)
+                         faults=plan, max_job_retries=1)
     assert [r.outcome for r in report.results] == [0, 10, 20, 30]
-    assert len(dead) == 1
     assert report.shards_died == 1
+    # The killed job re-ran on a replacement shard (ids 0 and 1 ran the
+    # first round).
+    assert report.results[1].worker >= 2
     assert plan.stats.injected.get(SITE_WORKER_KILL) == 1
     assert plan.stats.recovered.get(SITE_WORKER_KILL) == 1
     assert plan.stats.accounted()
