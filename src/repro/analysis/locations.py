@@ -49,8 +49,8 @@ carry inter-container interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, Tuple
 
 GLOBAL = "global"
 NAMESPACE = "namespace"
@@ -159,9 +159,3 @@ class FunctionSummary:
     #: lint).
     proc_wildcard: bool = False
 
-
-def merge_guard(summary: FunctionSummary) -> Tuple[Access, ...]:
-    """Finalize a summary: stamp the function-level guard onto accesses."""
-    if not summary.guarded:
-        return summary.accesses
-    return tuple(replace(a, guarded=True) for a in summary.accesses)

@@ -1,14 +1,15 @@
 """Flow- and alias-aware lockset lint for the pipeline's shared state.
 
-The pipeline shares a handful of mutable structures across threads —
-the baseline cache, the non-determinism store, the profiling pool's
-profiler list, the campaign journal, a shard's heartbeat pipe.
-Each is guarded by a ``threading.Lock``/``RLock``, and every access to a
-guarded structure must hold one of its guard locks.
-:func:`check_lock_discipline` is the entry point.  The lint keeps the
-lexical contract — a structure mutated under ``with <lock>:`` anywhere
-in its scope is *guarded*, and every other access must hold one of its
-guard locks — and layers three precision upgrades on top:
+Only the profiling pool shares a mutable structure across threads: its
+profiler list (:mod:`repro.core.profile`), guarded by a ``Lock``.  The
+caches, the non-determinism store, the campaign journal and the shard
+pipes are touched by one thread per process and take no lock.  Wherever
+a ``Lock``/``RLock`` guards a structure, every access to it must hold
+one of its guard locks.  :func:`check_lock_discipline` is the entry
+point.  The lint keeps the lexical contract — a structure mutated
+under ``with <lock>:`` anywhere in its scope is *guarded*, and every
+other access must hold one of its guard locks — and layers three
+precision upgrades on top:
 
 flow
     ``lock.acquire()`` / ``lock.release()`` statement pairs toggle the
@@ -493,8 +494,8 @@ def lint_module(path: str, rel: str) -> List[LockFinding]:
                 walker.visit(item)
             _check_scope(walker, rel, findings)
         elif isinstance(node, ast.FunctionDef):
-            # Function-local locks shared with nested closures
-            # (``send_lock`` in a shard's main function).
+            # Function-local locks shared with nested closures (the
+            # profiling pool's ``lock``).
             locks = _collect_locks(
                 [stmt for stmt in node.body if isinstance(stmt, ast.Assign)],
                 self_attrs=False)
@@ -547,9 +548,9 @@ def lint_modules(src_dir: Optional[str] = None,
     return findings
 
 
-#: Default scan set, relative to the source dir: the modules hosting the
-#: pipeline's cross-thread shared state (plus the shard-pool supervisor,
-#: whose shards send on one pipe from two threads).
+#: Default scan set, relative to the source dir: the modules that host,
+#: or used to host, the pipeline's cross-thread shared state, so a lock
+#: added back to any of them is checked.
 DEFAULT_LOCK_MODULES = (
     os.path.join("repro", "core", "pipeline.py"),
     os.path.join("repro", "core", "execution.py"),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Container constructors that allocate from the traced arena.
 _ARENA_KINDS = {"KList": "klist", "KDict": "kdict", "KCell": "kcell",
@@ -190,10 +190,6 @@ class KernelSourceIndex:
 
     # -- lookups ----------------------------------------------------------
 
-    def module_of_class(self, class_name: str) -> Optional[ModuleInfo]:
-        cls = self.classes.get(class_name)
-        return self.modules.get(cls.module) if cls else None
-
     def method_def(self, class_name: str, method: str
                    ) -> Optional[Tuple[ClassInfo, ast.FunctionDef]]:
         """Find *method* on *class_name*, chasing base classes by name."""
@@ -265,15 +261,6 @@ class KernelSourceIndex:
                 continue
             return None
         return None
-
-    def is_class_name(self, module: str, name: str) -> bool:
-        """Does *name* (possibly imported) refer to a known class?"""
-        if name in self.classes:
-            return True
-        info = self.modules.get(module)
-        if info and name in info.imports:
-            return info.imports[name][1] in self.classes
-        return False
 
     def relative_path(self, path: str) -> str:
         try:

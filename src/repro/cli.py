@@ -707,8 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(requires an identical result-affecting "
                           "configuration)")
     run.add_argument("--hang-timeout", type=float, metavar="SECONDS",
-                     help="self-healing watchdog: reap any execution "
-                          "worker silent for this long and retry its "
+                     help="self-healing watchdog: SIGKILL an execution "
+                          "shard that reports nothing (no boot message, "
+                          "no job result) for this long, and retry its "
                           "job elsewhere")
     run.add_argument("--interleave", action="store_true",
                      help="controlled-concurrency mode: re-run passing "

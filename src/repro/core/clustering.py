@@ -36,10 +36,6 @@ class ClusteringStrategy:
     def read_key(self, point: AccessPoint) -> Hashable:
         raise NotImplementedError
 
-    def flow_key(self, write_point: AccessPoint,
-                 read_point: AccessPoint) -> Hashable:
-        return (self.write_key(write_point), self.read_key(read_point))
-
 
 class DfIaStrategy(ClusteringStrategy):
     """Same write/read instruction addresses => same cluster."""

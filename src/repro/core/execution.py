@@ -15,7 +15,6 @@ non-determinism cache.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -40,40 +39,28 @@ class BaselineCache:
     machine, since all machines restore the same snapshot.  Each
     process shard works on its own forked copy, whose entries die with
     the shard.  ``put`` keeps the first result stored for a receiver.
+    Only one thread ever touches a cache (the campaign's main thread,
+    or a single-threaded shard), so it takes no lock.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._results: Dict[str, ExecutionResult] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, receiver_hash: str) -> Optional[ExecutionResult]:
-        with self._lock:
-            result = self._results.get(receiver_hash)
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return result
+        result = self._results.get(receiver_hash)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
 
     def put(self, receiver_hash: str, result: ExecutionResult) -> None:
-        with self._lock:
-            self._results.setdefault(receiver_hash, result)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._results.clear()
+        self._results.setdefault(receiver_hash, result)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._results)
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+        return len(self._results)
 
 
 @dataclass
@@ -129,13 +116,10 @@ class SenderStateCache:
     Entries are LRU-ordered under a byte budget (``max_bytes``); an
     eviction only costs the next user one sender re-execution.
     Each process shard works on its own forked copy, whose entries die
-    with the shard.
+    with the shard.  Like :class:`BaselineCache`, it takes no lock.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_SENDER_CACHE_BYTES) -> None:
-        # Reentrant because _remove is called lexically under put, and
-        # the lock-discipline checker reasons purely lexically.
-        self._lock = threading.RLock()
         #: (snapshot id, sender hash) -> entry, LRU order (oldest first).
         self._entries: "OrderedDict[Tuple[str, str], SenderState]" \
             = OrderedDict()
@@ -149,14 +133,13 @@ class SenderStateCache:
     def get(self, snapshot_id: str,
             sender_hash: str) -> Optional[SenderState]:
         key = (snapshot_id, sender_hash)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry
 
     def put(self, snapshot_id: str, sender_hash: str,
             entry: SenderState) -> None:
@@ -166,40 +149,25 @@ class SenderStateCache:
         this sender, which is correct (just slower) by construction.
         """
         key = (snapshot_id, sender_hash)
-        with self._lock:
-            if entry.size_bytes > self.max_bytes or key in self._entries:
-                return
-            self._entries[key] = entry
-            self._bytes += entry.size_bytes
-            while self._bytes > self.max_bytes and len(self._entries) > 1:
-                oldest = next(iter(self._entries))
-                self._remove(oldest)
-                self.evictions += 1
-
-    def _remove(self, key: Tuple[str, str]) -> None:
-        with self._lock:
-            entry = self._entries.pop(key)
-            self._bytes -= entry.size_bytes
+        if entry.size_bytes > self.max_bytes or key in self._entries:
+            return
+        self._entries[key] = entry
+        self._bytes += entry.size_bytes
+        while self._bytes > self.max_bytes and len(self._entries) > 1:
+            _oldest, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted.size_bytes
+            self.evictions += 1
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        self._entries.clear()
+        self._bytes = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def bytes_held(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+        return self._bytes
 
 
 class TestCaseRunner:
@@ -286,8 +254,3 @@ class TestCaseRunner:
     @property
     def sender_states(self) -> Optional[SenderStateCache]:
         return self._sender_states
-
-    def clear_caches(self) -> None:
-        self._baselines.clear()
-        if self._sender_states is not None:
-            self._sender_states.clear()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..corpus.program import TestProgram
@@ -48,13 +47,14 @@ class NondetStore:
     layout backward compatible.  Disk writes go through a temp file +
     ``os.replace`` so concurrent writers can never expose a torn file;
     a damaged file (a crash mid-write, a foreign file) reads as a miss,
-    and the recomputed verdict's ``put`` rewrites it.
+    and the recomputed verdict's ``put`` rewrites it.  Only one thread
+    ever touches a store (the campaign's main thread, or a
+    single-threaded shard), so it takes no lock.
     """
 
     def __init__(self, directory: Optional[str] = None):
         self._directory = directory
         self._memory: Dict[Tuple[str, str], FrozenSet[Path]] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         if directory is not None:
@@ -63,31 +63,28 @@ class NondetStore:
     def get(self, program_hash: str,
             offsets_key: str = "") -> Optional[FrozenSet[Path]]:
         key = (program_hash, offsets_key)
-        with self._lock:
-            marks = self._memory.get(key)
-            if marks is None:
-                marks = self._load(program_hash, offsets_key)
-            if marks is None:
-                self.misses += 1
-                return None
-            self._memory[key] = marks
-            self.hits += 1
-            return marks
+        marks = self._memory.get(key)
+        if marks is None:
+            marks = self._load(program_hash, offsets_key)
+        if marks is None:
+            self.misses += 1
+            return None
+        self._memory[key] = marks
+        self.hits += 1
+        return marks
 
     def put(self, program_hash: str, marks: FrozenSet[Path],
             offsets_key: str = "") -> None:
-        key = (program_hash, offsets_key)
-        with self._lock:
-            self._memory[key] = marks
-            if self._directory is None:
-                return
-            file_path = self._file_for(program_hash, offsets_key)
-            # Forked shards share the directory and their main threads
-            # share an ident, so the pid keeps their temp files apart.
-            tmp_path = f"{file_path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp_path, "w") as handle:
-                json.dump(sorted(list(path) for path in marks), handle)
-            os.replace(tmp_path, file_path)
+        self._memory[(program_hash, offsets_key)] = marks
+        if self._directory is None:
+            return
+        file_path = self._file_for(program_hash, offsets_key)
+        # Forked shards share the directory: the pid keeps their temp
+        # files apart.
+        tmp_path = f"{file_path}.tmp.{os.getpid()}"
+        with open(tmp_path, "w") as handle:
+            json.dump(sorted(list(path) for path in marks), handle)
+        os.replace(tmp_path, file_path)
 
     def _load(self, program_hash: str,
               offsets_key: str) -> Optional[FrozenSet[Path]]:
@@ -114,15 +111,8 @@ class NondetStore:
         stem = program_hash if not offsets_key else f"{program_hash}.{offsets_key}"
         return os.path.join(self._directory, f"{stem}.nondet.json")
 
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
+        return len(self._memory)
 
 
 class NondetAnalyzer:

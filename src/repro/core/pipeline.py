@@ -37,13 +37,9 @@ from .aggregation import ReportGroups, aggregate
 from .clustering import strategy_by_name
 from .detection import DetectionResult, Detector, Outcome
 from .diagnosis import Diagnoser
-from .execution import (
-    DEFAULT_SENDER_CACHE_BYTES,
-    BaselineCache,
-    SenderStateCache,
-)
+from .execution import BaselineCache, SenderStateCache
 from .generation import GenerationResult, TestCase, TestCaseGenerator
-from .nondet import DEFAULT_OFFSET_SECONDS, NondetAnalyzer, NondetStore
+from .nondet import NondetAnalyzer, NondetStore
 from .oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from .accessindex import ColumnarAccessIndex
 from .profile import Profiler, profile_corpus_distributed
@@ -82,8 +78,6 @@ class CampaignConfig:
     rep_seed: int = 0
     #: Cap on executed test cases (None = exercise every cluster).
     max_test_cases: Optional[int] = None
-    #: Receiver re-run boot offsets for non-determinism identification.
-    nondet_offsets: tuple = DEFAULT_OFFSET_SECONDS
     #: Directory for the on-disk non-determinism cache (None = in-memory).
     nondet_dir: Optional[str] = None
     #: Directory for the on-disk profile cache (None = profile every run).
@@ -111,8 +105,6 @@ class CampaignConfig:
     #: so test cases sharing a sender restore it instead of re-running
     #: it; off falls back to re-executing every sender.
     sender_cache: bool = True
-    #: Byte budget for memoized post-sender deltas (LRU beyond it).
-    sender_cache_bytes: int = DEFAULT_SENDER_CACHE_BYTES
     #: Chaos fault plan (None = no injection).  When set, the plan is
     #: threaded through every layer — machines, shards, the store — and
     #: the campaign degrades gracefully instead of aborting: a test case
@@ -127,9 +119,10 @@ class CampaignConfig:
     #: its journal in ``store_dir``: already-journaled pairs are
     #: restored instead of re-executed, in-flight pairs re-run.
     resume: bool = False
-    #: Heartbeat watchdog timeout in seconds for distributed execution:
-    #: a shard silent — or stuck on one job — longer than this is
-    #: SIGKILLed and its job re-queued.  None disables the watchdog.
+    #: Watchdog timeout in seconds for distributed execution: a shard
+    #: from which no message (its boot's ``up``, a job's result) arrives
+    #: for longer than this is SIGKILLed and its job re-queued.  None
+    #: disables the watchdog.
     hang_timeout: Optional[float] = None
     #: Controlled-interleaving exploration (docs/SCHEDULING.md): run a
     #: bounded, deterministically replayable schedule set for every
@@ -252,7 +245,7 @@ class CampaignStats:
     journal_records_replayed: int = 0
     journal_torn_bytes: int = 0
     journal_fsync_degraded: int = 0
-    #: Workers/shards the heartbeat watchdog wrote off as hung.
+    #: Shards the watchdog wrote off as hung (silent past the timeout).
     worker_hangs: int = 0
     #: Controlled-interleaving telemetry (zero unless interleave is on):
     #: schedules executed across all explored cases, and how many
@@ -505,8 +498,7 @@ class Kit:
         caches = _Caches(
             BaselineCache(),
             NondetStore(config.nondet_dir),
-            SenderStateCache(max_bytes=config.sender_cache_bytes)
-            if config.sender_cache else None)
+            SenderStateCache() if config.sender_cache else None)
 
         generation = self._generate(machine, corpus, stats, say)
         cases = generation.test_cases
@@ -1014,8 +1006,7 @@ class Kit:
 
     def _make_detector(self, machine: Machine, caches: _Caches) -> Detector:
         config = self.config
-        analyzer = NondetAnalyzer(machine, store=caches.nondet,
-                                  offsets=config.nondet_offsets)
+        analyzer = NondetAnalyzer(machine, store=caches.nondet)
         explorer = None
         if self._sched_policy is not None:
             explorer = ScheduleExplorer(machine, config.spec, analyzer,

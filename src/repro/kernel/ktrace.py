@@ -31,7 +31,6 @@ kernel thread servicing the profiled test program.
 from __future__ import annotations
 
 import functools
-import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -313,12 +312,6 @@ def kfunc(func: Optional[Callable] = None, *, instrument: bool = True) -> Callab
     if func is not None:
         return decorate(func)
     return decorate
-
-
-def caller_instruction(depth: int = 2) -> int:
-    """Synthesize the instruction address of the caller *depth* frames up."""
-    frame = sys._getframe(depth)
-    return INSTRUCTIONS.address_for(frame.f_code.co_filename, frame.f_lineno)
 
 
 def walk_with_stack(entries: List[TraceEntry]) -> Iterator[Tuple[MemAccess, Tuple[int, ...]]]:

@@ -53,10 +53,6 @@ class SyscallDecl:
     #: Relative probability in the random corpus generator.
     weight: float = 1.0
 
-    @property
-    def produces_resource(self) -> bool:
-        return self.ret_resource is not None
-
     def resource_args(self) -> Tuple[ArgSpec, ...]:
         return tuple(a for a in self.args if a.kind in ("fd", "res"))
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Set
@@ -152,13 +151,13 @@ class CampaignJournal:
     :meth:`sync` before it waits for more results).  Opening an existing
     journal repairs its tail (truncating torn bytes) before the first
     append, so a journal is always in its longest-valid-prefix state
-    while a writer owns it.
+    while a writer owns it.  Only the campaign's main thread writes, so
+    the journal takes no lock.
     """
 
     def __init__(self, path: str, faults: Optional[FaultPlan] = None):
         self.path = path
         self.faults = faults
-        self._lock = threading.Lock()
         self._seen_keys: Set[str] = set()
         #: Records written and flushed since the last fsync.
         self._unsynced = 0
@@ -197,28 +196,21 @@ class CampaignJournal:
         offer the same result twice (re-run after a dropped transfer, a
         resumed in-flight pair) and the first commit wins.
         """
-        with self._lock:
-            key = record.get("k")
-            dedup_key = None
-            if key is not None and record.get("t") in (RECORD_CASE,
-                                                       RECORD_POISONED):
-                dedup_key = f"{record.get('t')}:{key}"
-                if dedup_key in self._seen_keys:
-                    return False
-            line = encode_line(record)
-            self._write_line(line)
-            if dedup_key is not None:
-                self._seen_keys.add(dedup_key)
-            self.appended += 1
-            self._unsynced += 1
-            if sync:
-                self._sync()
-            return True
-
-    def sync(self) -> None:
-        """Fsync every record appended since the last sync, if any."""
-        with self._lock:
-            self._sync()
+        key = record.get("k")
+        dedup_key = None
+        if key is not None and record.get("t") in (RECORD_CASE,
+                                                   RECORD_POISONED):
+            dedup_key = f"{record.get('t')}:{key}"
+            if dedup_key in self._seen_keys:
+                return False
+        self._write_line(encode_line(record))
+        if dedup_key is not None:
+            self._seen_keys.add(dedup_key)
+        self.appended += 1
+        self._unsynced += 1
+        if sync:
+            self.sync()
+        return True
 
     def _write_line(self, line: str) -> None:
         faults = self.faults
@@ -240,7 +232,8 @@ class CampaignJournal:
         self._handle.write(line)
         self._handle.flush()
 
-    def _sync(self) -> None:
+    def sync(self) -> None:
+        """Fsync every record appended since the last sync, if any."""
         if not self._unsynced:
             return
         self._unsynced = 0
@@ -285,11 +278,10 @@ class CampaignJournal:
 
     def close(self) -> None:
         """Sync pending records, then close the file."""
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._sync()
-                self._handle.close()
+        if not self._handle.closed:
+            self._handle.flush()
+            self.sync()
+            self._handle.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self

@@ -67,6 +67,9 @@ def summarize_config(config: Any) -> Dict[str, Any]:
     deliberately excluded so a campaign can resume under a different
     pool shape.
     """
+    # Imported here: the core package imports this module.
+    from ..core.nondet import DEFAULT_OFFSET_SECONDS
+
     machine = config.machine
     corpus = None
     if config.corpus is not None:
@@ -85,7 +88,9 @@ def summarize_config(config: Any) -> Dict[str, Any]:
         "rand_seed": config.rand_seed,
         "rep_seed": config.rep_seed,
         "max_test_cases": config.max_test_cases,
-        "nondet_offsets": list(config.nondet_offsets),
+        # Campaigns always run the default offsets; the key stays so
+        # existing fingerprints (and journals) keep their ids.
+        "nondet_offsets": list(DEFAULT_OFFSET_SECONDS),
         # Retired option, kept constant so existing journals resume.
         "static_prefilter": False,
         "diagnose": config.diagnose,

@@ -54,7 +54,6 @@ from __future__ import annotations
 import enum
 import io
 import pickle
-import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..faults.plan import (
@@ -282,21 +281,23 @@ class _GroupPickler(pickle.Pickler):
         return self._root_pids.get(id(obj))
 
 
-#: Thread-local binding of the image a delta is being applied to, so the
-#: module-level resolvers below (pickled *by reference* into delta
-#: payloads) can find the applier's live objects.
-_DELTA_CONTEXT = threading.local()
+#: The image a delta is being applied to, bound for the length of one
+#: :meth:`SegmentedImage.apply_delta`, so the module-level resolvers
+#: below (pickled *by reference* into delta payloads) can find the
+#: applier's live objects.  Plain module state: a process applies
+#: deltas on one thread only.
+_DELTA_IMAGE: Optional["SegmentedImage"] = None
 
 
 def _resolve_root(key: RootKey) -> Any:
     """Delta-payload stub: a snapshot root, resolved by root key."""
-    return _DELTA_CONTEXT.image.roots[key]
+    return _DELTA_IMAGE.roots[key]
 
 
 def _resolve_interior(addrs: Tuple[int, ...]) -> Any:
     """Delta-payload stub: a clean-group traced interior object,
     resolved by its kernel-memory address tuple."""
-    image = _DELTA_CONTEXT.image
+    image = _DELTA_IMAGE
     return image._interior_addr_map(image._addr_to_group[addrs[0]])[addrs]
 
 
@@ -735,17 +736,18 @@ class SegmentedImage:
         point of view an applied delta is indistinguishable from the
         producer's own execution.
         """
+        global _DELTA_IMAGE
         if not self.attached:
             raise RuntimeError("image not attached to its kernel")
         if delta.group_count != len(self.payloads):
             raise ValueError(
                 "state delta captured from an incompatible image "
                 f"({delta.group_count} groups vs {len(self.payloads)})")
-        _DELTA_CONTEXT.image = self
+        _DELTA_IMAGE = self
         try:
             entries = pickle.loads(delta.payload)
         finally:
-            _DELTA_CONTEXT.image = None
+            _DELTA_IMAGE = None
         for key, state in entries:
             _apply_state(key, self.roots[key], state)
         for group in delta.groups:
@@ -776,11 +778,6 @@ class SegmentedImage:
     @property
     def group_count(self) -> int:
         return len(self.payloads)
-
-    def describe_groups(self) -> List[Tuple[List[RootKey], int]]:
-        """(member keys, payload size) per group, for benchmarks/docs."""
-        return [(list(keys), len(payload))
-                for keys, payload in zip(self.group_members, self.payloads)]
 
 
 #: Type of the arena's dirty hook, for reference by the kernel layer.

@@ -43,6 +43,14 @@ record as ``infra_failed``) otherwise.  Jobs are pure functions of
 (payload, snapshot), so a re-run on a fresh machine is equivalent to
 the first attempt.
 
+Each shard runs one thread: it sends ``up`` once its machine has
+booted, then a result as each job finishes.  Once a shard has sent
+``up``, its death — announced, silent, or a watchdog kill — charges
+its first unfinished job as a worker death; a round in which no shard
+sent ``up`` charges every open job.  With a hang timeout the watchdog
+SIGKILLs a live shard from which nothing has arrived for that long,
+which covers a frozen shard and a stuck job alike.
+
 Each round the supervisor registers every shard's message pipe and
 process sentinel once with one :mod:`selectors` selector, reads one
 message per readiness event, and unregisters both when the shard exits.
@@ -63,7 +71,6 @@ import multiprocessing
 import os
 import selectors
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -174,9 +181,9 @@ class ShardRunReport:
     rounds: int = 0
     shards_spawned: int = 0
     shards_died: int = 0
-    #: Worker ids of shards the heartbeat watchdog SIGKILLed (they went
-    #: silent, or sat on one job, longer than ``hang_timeout``).  Hung
-    #: shards also count in ``shards_died``.
+    #: Worker ids of shards the watchdog SIGKILLed (nothing arrived
+    #: from them for ``hang_timeout``).  Hung shards also count in
+    #: ``shards_died``.
     hung_shards: List[int] = field(default_factory=list)
 
 
@@ -207,51 +214,27 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 case_runner: Callable[[Machine, Any], Any],
                 faults: Optional[FaultPlan],
                 telemetry_hook: Optional[Callable[[Machine], Any]],
-                start: int, end: int,
-                heartbeat_interval: Optional[float] = None) -> None:
+                start: int, end: int) -> None:
     """One shard process: run each granted range, then report and retire.
 
     All messages go child -> parent on *out*; the parent grants on
-    *ctrl*.  The shard runs its range, then ``ctrl.recv()``s the next one
+    *ctrl*.  The shard sends ``("up", worker_id)`` once its machine has
+    booted, runs its range, then ``ctrl.recv()``s the next one
     (``("range", start, end)``) or ``("stop",)``.  Ranges index into
-    *round_jobs*, the round-local job list inherited through fork.
-
-    With a *heartbeat_interval*, a background thread sends
-    ``("hb", worker_id, held_index)`` on that cadence after boot — the
-    supervisor's watchdog input.  The heartbeat thread shares *out* with
-    the main thread, so every send goes through one lock: pipe writes
-    from two threads must never interleave mid-message.
+    *round_jobs*, the round-local job list inherited through fork.  The
+    shard runs one thread, so nothing else ever writes to *out*.
     """
     base = faults.stats.snapshot() if faults is not None else None
-    send_lock = threading.Lock()
-
-    def send(message: tuple) -> None:
-        with send_lock:
-            out.send(message)
-
     try:
         machine = boot()
     except Exception as error:
-        send(("fatal", worker_id, None,
-              f"{type(error).__name__}: {error}", [],
-              _stats_delta(faults, base)))
+        out.send(("fatal", worker_id, None,
+                  f"{type(error).__name__}: {error}", [],
+                  _stats_delta(faults, base)))
         return
     machine.cluster_worker_id = worker_id
+    out.send(("up", worker_id))
     held: Optional[int] = None
-
-    if heartbeat_interval is not None:
-        beat_stop = threading.Event()
-
-        def beat() -> None:
-            while not beat_stop.wait(heartbeat_interval):
-                try:
-                    send(("hb", worker_id, held))
-                except (BrokenPipeError, OSError):
-                    return
-
-        threading.Thread(target=beat, name=f"kit-shard-{worker_id}-hb",
-                         daemon=True).start()
-
     try:
         command: tuple = ("range", start, end)
         while command[0] == "range":
@@ -269,7 +252,7 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                         # Announce, then die: the supervisor accounts the
                         # injection (this process's counters die with it)
                         # and charges exactly the announced job.
-                        send(("killing", worker_id, index))
+                        out.send(("killing", worker_id, index))
                         os.kill(os.getpid(), signal.SIGKILL)
                 try:
                     outcome = case_runner(machine, payload)
@@ -277,21 +260,21 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 except Exception as failure:  # defensive: report, keep shard
                     outcome = None
                     error = f"{type(failure).__name__}: {failure}"
-                send(("result", worker_id, index, outcome, error))
+                out.send(("result", worker_id, index, outcome, error))
                 held = None
             command = ctrl.recv()
     except WorkerCrashInjected as error:
-        send(("fatal", worker_id, held,
-              f"{type(error).__name__}: {error}", [SITE_WORKER_CRASH],
-              _stats_delta(faults, base)))
+        out.send(("fatal", worker_id, held,
+                  f"{type(error).__name__}: {error}", [SITE_WORKER_CRASH],
+                  _stats_delta(faults, base)))
         return
     except BaseException as error:  # genuine shard death
-        send(("fatal", worker_id, held,
-              f"{type(error).__name__}: {error}", [],
-              _stats_delta(faults, base)))
+        out.send(("fatal", worker_id, held,
+                  f"{type(error).__name__}: {error}", [],
+                  _stats_delta(faults, base)))
         return
     telemetry = telemetry_hook(machine) if telemetry_hook is not None else None
-    send(("done", worker_id, telemetry, _stats_delta(faults, base)))
+    out.send(("done", worker_id, telemetry, _stats_delta(faults, base)))
 
 
 @dataclass
@@ -306,17 +289,15 @@ class _Shard:
     remaining: List[int]
     #: No further chunk: ``("stop",)`` was sent, or the shard exited.
     stopping: bool = False
+    #: The shard sent ``up``: its machine booted.
     booted: bool = False
     exit_kind: Optional[str] = None  # done | fatal | killed | died | hung
     fatal_error: Optional[str] = None
     held_index: Optional[int] = None
     pending_sites: List[str] = field(default_factory=list)
     telemetry: Any = None
-    #: Watchdog inputs: time of the last message received from this
-    #: shard, and how long it has reported the same held job.
+    #: Watchdog input: when the last message from this shard arrived.
     last_message: float = 0.0
-    last_held: Optional[int] = None
-    held_since: float = 0.0
 
 
 def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
@@ -356,13 +337,13 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
 
     Self-healing extensions: *retry_policy* (per-cause budgets and
     poison quarantine; see
-    :class:`~repro.faults.retry.RetryPolicy`), *hang_timeout* (shards
-    heartbeat every ``hang_timeout / 4`` seconds; one silent — or stuck
-    on the same held job — longer than the timeout is SIGKILLed and
-    settled like any other dead shard, with its id recorded in
-    ``report.hung_shards``), *on_result* / *on_job_failure* commit
-    hooks, and *prior_deaths* (job id → shard deaths journaled by
-    earlier runs) quarantine seeding for resumed campaigns.
+    :class:`~repro.faults.retry.RetryPolicy`), *hang_timeout* (a shard
+    from which nothing — not ``up``, not a result — arrives for longer
+    than the timeout is SIGKILLed and settled like any other dead
+    shard, with its id recorded in ``report.hung_shards``), *on_result*
+    / *on_job_failure* commit hooks, and *prior_deaths* (job id → shard
+    deaths journaled by earlier runs) quarantine seeding for resumed
+    campaigns.
     *on_result* runs in the supervisor as each result lands, on the
     very ``JobResult`` that ``report.results`` returns, so it may
     replace ``result.outcome`` (the pipeline rebuilds its verdicts
@@ -388,7 +369,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
         for job_id, deaths in prior_deaths.items():
             if job_id in jobs:
                 jobs[job_id].worker_deaths = deaths
-    heartbeat_interval = hang_timeout / 4 if hang_timeout else None
     completed: Dict[int, JobResult] = {}
     failed: Dict[int, JobResult] = {}
     pool_size = min(max(1, workers), len(jobs))
@@ -425,18 +405,16 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             proc = ctx.Process(
                 target=_shard_main,
                 args=(worker_id, ctrl_recv, out_send, boot, round_jobs,
-                      case_runner, faults, telemetry_hook,
-                      start, end, heartbeat_interval),
+                      case_runner, faults, telemetry_hook, start, end),
                 name=f"kit-shard-{worker_id}", daemon=True)
             proc.start()
             # The parent's copies of the child-side ends must close so
             # the pipes belong to exactly one process each.
             ctrl_recv.close()
             out_send.close()
-            now = time.monotonic()
             shards[worker_id] = _Shard(worker_id, proc, ctrl_send, out_recv,
                                        remaining=list(range(start, end)),
-                                       last_message=now, held_since=now)
+                                       last_message=time.monotonic())
 
         dropped: set = set()
 
@@ -461,20 +439,13 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             kind = message[0]
             shard = shards[message[1]]
             shard.last_message = time.monotonic()
-            if kind == "hb":
-                _, _worker_id, held = message
+            if kind == "up":
                 shard.booted = True
-                if held != shard.last_held:
-                    shard.last_held = held
-                    shard.held_since = shard.last_message
             elif kind == "result":
                 _, worker_id, index, outcome, error = message
-                shard.booted = True
                 if index in shard.remaining:
                     shard.remaining.remove(index)
                 top_up(shard)
-                if shard.last_held == index:
-                    shard.last_held = None
                 job_id = round_jobs[index][0]
                 job = jobs[job_id]
                 if faults is not None \
@@ -498,7 +469,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     on_result(job, committed)
             elif kind == "killing":
                 _, worker_id, index = message
-                shard.booted = True
                 shard.exit_kind = "killed"
                 shard.held_index = index
                 shard.pending_sites = [SITE_WORKER_KILL]
@@ -514,38 +484,24 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 shard.fatal_error = error
                 shard.held_index = held
                 shard.pending_sites = list(pending)
-                if held is not None:
-                    shard.booted = True
                 _merge_stats_delta(faults, delta)
             elif kind == "done":
                 _, _worker_id, telemetry, delta = message
-                shard.booted = True
                 shard.exit_kind = "done"
                 shard.telemetry = telemetry
                 _merge_stats_delta(faults, delta)
 
         def watchdog_sweep(live: Dict[int, _Shard]) -> None:
-            """SIGKILL shards that stopped beating or sat on one job."""
+            """SIGKILL shards from which nothing arrived for too long."""
             now = time.monotonic()
             for shard in live.values():
-                if shard.exit_kind is not None:
-                    continue
                 silent = now - shard.last_message
-                stuck = (now - shard.held_since
-                         if shard.last_held is not None else 0.0)
-                if silent <= hang_timeout and stuck <= hang_timeout:
+                if shard.exit_kind is not None or silent <= hang_timeout:
                     continue
                 shard.exit_kind = "hung"
-                shard.held_index = shard.last_held
-                if stuck > hang_timeout:
-                    shard.fatal_error = (
-                        f"hung: shard {shard.worker_id} stuck on job "
-                        f"{round_jobs[shard.last_held][0]} for "
-                        f"{stuck:.3f}s (> {hang_timeout:.3f}s watchdog)")
-                else:
-                    shard.fatal_error = (
-                        f"hung: shard {shard.worker_id} silent for "
-                        f"{silent:.3f}s (> {hang_timeout:.3f}s watchdog)")
+                shard.fatal_error = (
+                    f"hung: shard {shard.worker_id} silent for "
+                    f"{silent:.3f}s (> {hang_timeout:.3f}s watchdog)")
                 report.hung_shards.append(shard.worker_id)
                 try:
                     shard.proc.kill()
@@ -676,9 +632,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 on_job_failure(job, settlement)
             job.death_attributed = False
 
-        round_booted = any(shard.booted for shard in shards.values())
-        if not round_booted:
-            # No shard in the round ever booted: charge everything still
+        if not any(shard.booted for shard in shards.values()):
+            # No shard in the round sent ``up``: charge everything still
             # open, or a pool that can never boot would respawn forever.
             for job_id in outstanding:
                 if job_id not in completed and job_id not in failed:
@@ -687,12 +642,10 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
         charged: set = set()
         for shard in round_dead:
             held = shard.held_index
-            if held is None and shard.remaining \
-                    and (shard.booted
-                         or shard.exit_kind in ("died", "hung")):
-                # A silent death mid-chunk: charge the first unfinished
-                # grant.  A boot failure (fatal with no held job)
-                # charges nothing — its untouched chunk just re-queues.
+            if held is None and shard.booted and shard.remaining:
+                # A silent death or a watchdog kill after boot: charge
+                # the first unfinished grant.  A shard that never sent
+                # ``up`` charges nothing — its chunk just re-queues.
                 held = shard.remaining[0]
             if held is None or held in dropped or held in charged:
                 continue

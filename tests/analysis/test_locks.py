@@ -166,8 +166,9 @@ def test_mutating_method_establishes_guard(tmp_path):
 
 
 def test_repo_modules_are_clean():
-    """The pipeline's shared structures keep the lock discipline —
-    including the shard-pool supervisor and the shared-memory store."""
+    """The scanned pipeline modules keep the lock discipline: the
+    profiling pool's lock, and any lock added back to the caches or the
+    shard-pool supervisor."""
     assert check_lock_discipline() == []
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -191,6 +192,71 @@ class TestThreadSupervision:
 
         report = run_sharded(MACHINE, ["a", "b"], runner, workers=2)
         assert [r.outcome for r in report.results] == ["a", "b"]
+        assert report.hung_shards == []
+        assert report.shards_died == 0
+
+    def test_silent_deaths_poison_the_pair(self):
+        """A runner that ``os._exit``s on every attempt dies without a
+        word, alone in its round after the first: its shard's ``up``
+        message still pins each death on the pair, which is poisoned
+        after ``poison_after`` deaths instead of burning the transit
+        budget."""
+        def runner(machine, payload):
+            if payload == "poison":
+                os._exit(3)
+            return f"done:{payload}"
+
+        report = run_sharded(
+            MACHINE, ["a", "poison", "b"], runner, workers=2,
+            retry_policy=RetryPolicy(poison_after=3), strict=False)
+        a, poisoned, b = report.results
+        assert (a.outcome, b.outcome) == ("done:a", "done:b")
+        assert poisoned.poisoned
+        assert "poisoned: killed 3 worker(s)" in poisoned.error
+        assert f"{CAUSE_WORKER_DEATH}x3" in poisoned.error
+        assert report.shards_died == 3
+
+    def test_one_silent_death_charges_only_its_job(self, tmp_path):
+        """The only shard dies silently in its first job, before any
+        result: that job alone is charged, as a worker death, and the
+        rest of the chunk re-queues uncharged."""
+        flag = str(tmp_path / "already-died")
+
+        def runner(machine, payload):
+            if payload == "a" and not os.path.exists(flag):
+                with open(flag, "w") as handle:
+                    handle.write("x")
+                os._exit(3)
+            return f"done:{payload}"
+
+        report = run_sharded(MACHINE, ["a", "b", "c"], runner, workers=1,
+                             max_job_retries=3)
+        assert [r.outcome for r in report.results] \
+            == ["done:a", "done:b", "done:c"]
+        assert [r.attempts for r in report.results] == [1, 0, 0]
+        assert report.results[0].last_fault_site == CAUSE_WORKER_DEATH
+
+    def test_shard_with_hang_timeout_runs_one_thread(self):
+        """The watchdog needs nothing from the shard but its messages:
+        a shard runs on its main thread alone."""
+        report = run_sharded(
+            MACHINE, ["a", "b", "c"],
+            lambda machine, payload: threading.active_count(),
+            workers=2, hang_timeout=5.0)
+        assert [r.outcome for r in report.results] == [1, 1, 1]
+
+    def test_steady_progress_outlives_hang_timeout(self):
+        """Each result resets the watchdog: a shard whose chunk takes
+        longer than the timeout, one short job at a time, is never
+        killed."""
+        def runner(machine, payload):
+            time.sleep(0.1)
+            return payload
+
+        # One shard, 12 jobs: the first chunk alone is 6 jobs (0.6 s).
+        report = run_sharded(MACHINE, list(range(12)), runner, workers=1,
+                             hang_timeout=0.5)
+        assert [r.outcome for r in report.results] == list(range(12))
         assert report.hung_shards == []
         assert report.shards_died == 0
 
