@@ -9,8 +9,8 @@ Also hosts the performance gates of the fast-restore engine (segmented
 restore must beat full restore by the PR's acceptance margin, the
 per-reset latency must stay within budget, and campaign execution rate
 must not regress below its floor) and the static-analysis gate (the
-clean kernel lints clean, the injected bugs are rediscovered without
-execution, the shared caches keep their lock discipline).
+clean kernel lints clean, and the injected bugs are rediscovered
+without execution).
 """
 
 import time
@@ -475,14 +475,12 @@ MIN_REDISCOVERY_RATE = 0.6
 def test_static_analysis_gate(benchmark):
     """The `analyze --check` invariants, regenerated as a results table."""
     from repro.analysis import analyze, rediscover_bugs
-    from repro.analysis.locksets import check_lock_discipline
     from repro.analysis.sources import KernelSourceIndex
     from repro.cli import main as cli_main
 
     index = KernelSourceIndex()
     clean = analyze(bugs=fixed_kernel(), kernel_name="fixed")
     rediscovery = benchmark(rediscover_bugs, index)
-    lock_findings = check_lock_discipline()
 
     lines = [f"{'bug flag':<28} {'expected':>9} {'found':>6} {'path hit':>9}",
              "-" * 56]
@@ -499,7 +497,6 @@ def test_static_analysis_gate(benchmark):
     lines.append(f"rediscovery rate: {len(rediscovery.found)}/"
                  f"{len(rediscovery.per_bug)} = {rediscovery.rate():.0%} "
                  f"(gate: >={MIN_REDISCOVERY_RATE:.0%})")
-    lines.append(f"lock-discipline findings: {len(lock_findings)}")
     emit_table("static_analysis", "Static interference analysis gate", lines)
 
     assert clean.unsuppressed() == [], \
@@ -511,8 +508,6 @@ def test_static_analysis_gate(benchmark):
     for flag, result in rediscovery.per_bug.items():
         if result.expected:
             assert result.findings, f"{flag}: no fresh static finding"
-    assert lock_findings == [], \
-        "shared pipeline caches broke the lexical lock discipline"
     assert cli_main(["analyze", "--check"]) == 0
 
 
@@ -530,20 +525,13 @@ MIN_WARM_SPEEDUP = 5.0
 def test_race_analysis_gate(tmp_path, benchmark):
     """The lockset race analyzer's gate.
 
-    Three invariants: the repo's own concurrency lint is clean (zero
-    unsuppressed L1/L2 findings over ``src/``), the kernel race-pair
-    candidate counts match their frozen values per preset, and the
-    incremental cache makes a warm ``analyze --races`` run at least
-    ``MIN_WARM_SPEEDUP``x faster than a cold one.
+    Three invariants: the kernel race-pair candidate counts match their
+    frozen values per preset, the incremental cache makes a warm
+    ``analyze --races`` run at least ``MIN_WARM_SPEEDUP``x faster than
+    a cold one, and race rediscovery matches the bug registry.
     """
     from repro.analysis import analyze, rediscover_races
     from repro.analysis.cache import AnalysisCache
-    from repro.analysis.locksets import check_lock_discipline
-
-    lint = check_lock_discipline()
-    by_code = {}
-    for finding in lint:
-        by_code.setdefault(finding.code, []).append(finding)
 
     counts = {}
     for preset, bugs in (("5.13", linux_5_13()), ("fixed", fixed_kernel())):
@@ -568,8 +556,6 @@ def test_race_analysis_gate(tmp_path, benchmark):
     lines = [
         f"{'gate':<42} {'measured':>10} {'threshold':>10}",
         "-" * 66,
-        f"{'unsuppressed L1/L2 findings (src/)':<42} "
-        f"{len(lint):>10} {'0':>10}",
         f"{'race candidates, kernel 5.13':<42} {counts['5.13']:>10} "
         f"{FROZEN_RACE_CANDIDATES['5.13']:>10}",
         f"{'race candidates, kernel fixed':<42} {counts['fixed']:>10} "
@@ -586,9 +572,6 @@ def test_race_analysis_gate(tmp_path, benchmark):
     ]
     emit_table("race_gate", "Lockset race analysis gate", lines)
 
-    assert lint == [], "unsuppressed concurrency-lint findings: " + \
-        "; ".join(f.render() for f in lint)
-    assert not by_code.get("L2")
     assert counts == FROZEN_RACE_CANDIDATES, \
         f"race candidate counts drifted: {counts}"
     assert speedup >= MIN_WARM_SPEEDUP, \

@@ -6,16 +6,14 @@ same relation *statically*: an abstract interpreter walks the ``ast`` of
 every syscall handler, resolves attribute chains to a canonical
 kernel-state location lattice, and emits per-syscall read/write sets.
 
-On top of the access maps sit three consumers:
+On top of the access maps sit two consumers:
 
 * :mod:`repro.analysis.escape` — the namespace-escape lint, which flags
   handlers touching global state without a namespace guard and
   statically rediscovers the injected bugs of :mod:`repro.kernel.bugs`;
 * :mod:`repro.analysis.races` — the lockset race analyzer, joining
   held-lockset-annotated access maps across syscall pairs into ranked
-  static race-pair candidates;
-* :mod:`repro.analysis.locksets` — the flow- and alias-aware
-  concurrency lint (L1/L2) for the pipeline's shared structures.
+  static race-pair candidates.
 
 Results cache incrementally on disk via
 :class:`repro.analysis.cache.AnalysisCache`, keyed by source digests.
@@ -35,7 +33,6 @@ from .locations import (
     Access,
     StateLocation,
 )
-from .locksets import LockFinding, check_lock_discipline
 from .races import (
     RaceCandidate,
     RaceRediscoveryReport,
@@ -55,14 +52,12 @@ __all__ = [
     "analyze",
     "GLOBAL",
     "INIT",
-    "LockFinding",
     "NAMESPACE",
     "RaceCandidate",
     "RaceRediscoveryReport",
     "StateLocation",
     "SyscallSummary",
     "TASK",
-    "check_lock_discipline",
     "extract_access_map",
     "find_race_candidates",
     "render_json",

@@ -3,17 +3,10 @@
 Every cached result is keyed by the **content digests** of the source
 files it was computed from, so the cache never needs an invalidation
 protocol: edit a file, its digest flips, and exactly the results that
-read it recompute.  Two grains are stored:
-
-per-module
-    The concurrency lint (L1/L2) analyzes each module
-    independently, so its findings cache one file at a time — editing
-    ``vm/shardpool.py`` re-lints only ``vm/shardpool.py``.
-per-analysis
-    The kernel-wide results (access maps joined into race-pair
-    candidates) depend on every kernel source file at once; they cache
-    under the digest set of the whole kernel tree plus a label for the
-    bug configuration.
+read it recompute.  The results are kernel-wide (access maps joined
+into race-pair candidates): they depend on every kernel source file at
+once, so each entry is keyed by the digest set of the whole kernel tree
+plus a label for the bug configuration.
 
 Entries are JSON files under the cache root (default
 ``.kit-analysis-cache/`` at the repo root, ignored by git).  Corrupt
@@ -32,7 +25,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .accessmap import AccessMap, SyscallSummary
 from .locations import Access, StateLocation
-from .locksets import LockFinding
 from .races import RaceCandidate
 
 
@@ -113,21 +105,6 @@ class AnalysisCache:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    # -- per-module lint findings ------------------------------------------
-
-    def get_lint(self, path: str) -> Optional[List[LockFinding]]:
-        payload = self.get(f"lint:{path}", {path: file_digest(path)})
-        if payload is None:
-            return None
-        try:
-            return [LockFinding(**f) for f in payload]
-        except TypeError:
-            return None
-
-    def put_lint(self, path: str, findings: Sequence[LockFinding]) -> None:
-        self.put(f"lint:{path}", {path: file_digest(path)},
-                 [asdict(f) for f in findings])
 
     # -- kernel-wide access maps -------------------------------------------
 

@@ -1,14 +1,14 @@
 """Human-readable and JSON reports for ``repro analyze``.
 
 :func:`analyze` runs the full static pipeline for one kernel version —
-access-map extraction, the namespace-escape lint, the concurrency
-lint, optionally the race-pair join, and (optionally) the differential
-bug rediscovery — and the two renderers turn the result into a
-terminal report or a JSON document for tooling.
+access-map extraction, the namespace-escape lint, optionally the
+race-pair join, and (optionally) the differential bug rediscovery — and
+the two renderers turn the result into a terminal report or a JSON
+document for tooling.
 
 Finding order is fully deterministic — escape findings sort by
-(rule, file, line, entry) and lock findings by (code, file, line,
-name) — so two ``--json`` reports from the same tree diff empty.
+(rule, file, line, entry) — so two ``--json`` reports from the same
+tree diff empty.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .escape import (
     RediscoveryReport,
     rediscover_bugs,
 )
-from .locksets import LockFinding, check_lock_discipline
 from .races import RaceCandidate, find_race_candidates
 from .sources import KernelSourceIndex
 
@@ -37,7 +36,6 @@ class AnalysisReport:
     kernel: str
     access_map: AccessMap
     escape_findings: List[EscapeFinding]
-    lock_findings: List[LockFinding]
     rediscovery: Optional[RediscoveryReport] = None
     races: Optional[List[RaceCandidate]] = None
 
@@ -45,17 +43,13 @@ class AnalysisReport:
         return [f for f in self.escape_findings if not f.suppressed]
 
     def clean(self) -> bool:
-        """No unsuppressed escape findings and no lock violations."""
-        return not self.unsuppressed() and not self.lock_findings
+        """No unsuppressed escape findings."""
+        return not self.unsuppressed()
 
 
 def _escape_sort_key(finding: EscapeFinding):
     return (finding.rule, finding.access.file, finding.access.line,
             finding.entry)
-
-
-def _lock_sort_key(finding: LockFinding):
-    return (finding.code, finding.file, finding.line, finding.name)
 
 
 def analyze(bugs=None, kernel_name: str = "", spec=None,
@@ -91,8 +85,6 @@ def analyze(bugs=None, kernel_name: str = "", spec=None,
         kernel=kernel,
         access_map=access_map,
         escape_findings=sorted(linter.run(), key=_escape_sort_key),
-        lock_findings=sorted(check_lock_discipline(cache=cache),
-                             key=_lock_sort_key),
     )
     if races:
         report.races = _race_candidates(kernel, access_map, paths, cache)
@@ -144,11 +136,6 @@ def render_text(report: AnalysisReport, verbose: bool = False) -> str:
     for finding in report.escape_findings:
         if finding.suppressed and not verbose:
             continue
-        lines.append(f"  {finding.render()}")
-
-    lines += ["",
-              f"lock discipline: {len(report.lock_findings)} finding(s)"]
-    for finding in report.lock_findings:
         lines.append(f"  {finding.render()}")
 
     if report.races is not None:
@@ -224,15 +211,6 @@ def render_json(report: AnalysisReport, indent: int = 2) -> str:
             for name, summary in sorted(entries.items())
         },
         "escape_findings": [_finding_json(f) for f in report.escape_findings],
-        "lock_findings": [
-            {
-                "code": f.code,
-                "file": f.file, "line": f.line, "function": f.function,
-                "lock": f.lock, "name": f.name, "kind": f.kind,
-                "message": f.message,
-            }
-            for f in report.lock_findings
-        ],
         "clean": report.clean(),
     }
     if report.races is not None:

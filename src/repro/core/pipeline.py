@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..corpus.generator import build_corpus
@@ -42,7 +43,7 @@ from .generation import GenerationResult, TestCase, TestCaseGenerator
 from .nondet import NondetAnalyzer, NondetStore
 from .oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from .accessindex import ColumnarAccessIndex
-from .profile import Profiler, profile_corpus_distributed
+from .profile import Profiler, profile_corpus_distributed, profile_range
 from .report import TestReport
 from .reportcodec import decode_report, encode_report
 from .schedule import (
@@ -95,7 +96,8 @@ class CampaignConfig:
     #: Parallel workers (0 = in-process).  Execution runs on that many
     #: forked process shards (in-process where ``fork`` is missing),
     #: each on its forked copy of the campaign machine and caches;
-    #: profiling runs on that many threads.
+    #: profiling splits the corpus into that many contiguous ranges,
+    #: each profiled on a thread with a machine of its own.
     workers: int = 0
     #: How distributed execution shards.  ``process`` is the only mode:
     #: forked shards that share nothing after the fork, each granted
@@ -746,28 +748,28 @@ class Kit:
             + (f", {config.workers} workers)" if config.workers > 0 else ")"))
         start = time.monotonic()
         before = machine.stats.copy()
-        worker_machines: List[Machine] = []
-        if config.workers > 0:
-            profiles, profilers, worker_machines = profile_corpus_distributed(
-                config.machine, corpus, config.workers,
-                profile_dir=config.profile_dir, faults=config.faults)
-        else:
-            if config.profile_dir is not None:
-                from .profile_store import CachingProfiler
+        new_profiler: Callable[[Machine], Any] = Profiler
+        if config.profile_dir is not None:
+            from .profile_store import CachingProfiler
 
-                profiler = CachingProfiler(machine, config.profile_dir)
-            else:
-                profiler = Profiler(machine)
-            profilers = [profiler]
-            # Profiles feed generation, so a fault mid-profile retries
-            # the whole (pure) profiling run rather than degrading — a
-            # skipped profile would change the generated case set.  They
-            # stream in corpus order straight into the index; the
-            # profile list is never materialized.
-            profiles = (call_with_fault_retries(
-                            config.faults, profiler.profile, program,
-                            position, context=f"profile {position}")
-                        for position, program in enumerate(corpus))
+            new_profiler = partial(CachingProfiler,
+                                   directory=config.profile_dir)
+        if config.workers > 0:
+            # Each pool thread profiles one contiguous corpus range on a
+            # machine of its own, booted here before the pool starts.
+            pool_machines = [Machine(config.machine)
+                             for _ in range(min(config.workers, len(corpus)))]
+            profilers = [new_profiler(each) for each in pool_machines]
+            profiles = profile_corpus_distributed(profilers, corpus,
+                                                  config.faults)
+        else:
+            # The campaign machine profiles, and profiles stream in
+            # corpus order straight into the index; the profile list is
+            # never materialized.
+            pool_machines = []
+            profilers = [new_profiler(machine)]
+            profiles = profile_range(profilers[0], corpus, 0, len(corpus),
+                                     config.faults)
         index = ColumnarAccessIndex.build(profiles, config.spec,
                                           directory=config.index_dir)
         stats.profile_runs = sum(p.runs_executed for p in profilers)
@@ -775,11 +777,10 @@ class Kit:
             store = getattr(each, "store", None)
             if store is not None:
                 stats.absorb_profile_store(store)
-        # The campaign machine profiles at workers=0 (its delta is zero
-        # otherwise); each pool thread boots a machine of its own.
+        # The campaign machine's delta is zero at workers > 0.
         stats.absorb_machine(machine.stats.since(before), stage="profile")
-        for worker in worker_machines:
-            stats.absorb_machine(worker.stats, stage="profile")
+        for each in pool_machines:
+            stats.absorb_machine(each.stats, stage="profile")
         stats.profile_seconds = time.monotonic() - start
         stats.index_run_segments = index.run_segments
         stats.index_bytes = index.bytes_on_disk()

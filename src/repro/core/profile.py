@@ -13,15 +13,14 @@ the program alone (the stable execution environment of §4.1.1).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence
 
 from ..corpus.program import TestProgram
 from ..faults.plan import FaultPlan, call_with_fault_retries
 from ..kernel.ktrace import KernelTracer
 from ..vm.executor import CallAccesses, SyscallRecord
-from ..vm.machine import RECEIVER, SENDER, Machine, MachineConfig
+from ..vm.machine import RECEIVER, SENDER, Machine
 
 
 @dataclass
@@ -80,55 +79,50 @@ class Profiler:
         return [self.profile(program, index) for index, program in enumerate(corpus)]
 
 
+def profile_range(profiler: Any, corpus: Sequence[TestProgram],
+                  start: int, stop: int,
+                  faults: Optional[FaultPlan] = None
+                  ) -> Iterator[ProgramProfile]:
+    """Profile ``corpus[start:stop]`` on *profiler*, in corpus order.
+
+    Profiles feed generation, so there is no graceful degradation: an
+    injected fault retries the whole (pure) profiling run from a fresh
+    restore, and exhaustion raises; a skipped profile would change the
+    generated case set.
+    """
+    for index in range(start, stop):
+        yield call_with_fault_retries(faults, profiler.profile,
+                                      corpus[index], index,
+                                      context=f"profile {index}")
+
+
 def profile_corpus_distributed(
-        machine_config: MachineConfig, corpus: Sequence[TestProgram],
-        workers: int, profile_dir: Optional[str] = None,
-        faults: Optional[FaultPlan] = None,
-) -> Tuple[List[ProgramProfile], List[Any], List[Machine]]:
-    """Profile *corpus* on a pool of *workers* threads (one job per program).
+        profilers: Sequence[Any], corpus: Sequence[TestProgram],
+        faults: Optional[FaultPlan] = None) -> List[ProgramProfile]:
+    """Profile *corpus* on one pool thread per profiler.
 
     Profiles are pure functions of (program, snapshot), and every
-    machine restores the same snapshot, so fanning the corpus out over
-    the pool is semantics-preserving.  Each pool thread lazily boots its
-    own machine and :class:`Profiler` (or :class:`~repro.core
-    .profile_store.CachingProfiler` when *profile_dir* is set).  Profiles
-    feed generation, so there is no graceful degradation: an injected
-    fault retries the run from a fresh restore, and exhaustion raises.
-    Results come back in corpus order regardless of scheduling, and the
-    pool is shut down before this returns, so no thread outlives it.
-
-    Returns ``(profiles, profilers, machines)`` so the caller can sum
-    run counts and fold restore telemetry into the campaign stats.
+    profiler's machine restores the same snapshot, so splitting the
+    corpus is semantics-preserving.  Thread ``k`` profiles the ``k``-th
+    of ``len(profilers)`` contiguous corpus ranges on ``profilers[k]``
+    alone: no two threads share a profiler, a machine or a list, so
+    nothing here takes a lock.  Results come back in corpus order, and
+    the pool is shut down before this returns, so no thread outlives it.
     """
+    if not corpus:
+        return []
     # Imported here: concurrent.futures costs ~9 ms, which every
     # in-process campaign would otherwise pay at ``import repro``.
     from concurrent.futures import ThreadPoolExecutor
 
-    local = threading.local()
-    profilers: List[Any] = []
-    machines: List[Machine] = []
-    lock = threading.Lock()
+    count = len(profilers)
+    bounds = [len(corpus) * k // count for k in range(count + 1)]
 
-    def profile(index: int, program: TestProgram) -> ProgramProfile:
-        profiler = getattr(local, "profiler", None)
-        if profiler is None:
-            machine = Machine(machine_config)
-            if profile_dir is not None:
-                from .profile_store import CachingProfiler
+    def run(k: int) -> List[ProgramProfile]:
+        return list(profile_range(profilers[k], corpus, bounds[k],
+                                  bounds[k + 1], faults))
 
-                profiler = CachingProfiler(machine, profile_dir)
-            else:
-                profiler = Profiler(machine)
-            local.profiler = profiler
-            with lock:
-                profilers.append(profiler)
-                machines.append(machine)
-        return call_with_fault_retries(faults, profiler.profile, program,
-                                       index, context=f"profile {index}")
-
-    pool_size = max(1, min(workers, len(corpus)))
-    with ThreadPoolExecutor(max_workers=pool_size,
+    with ThreadPoolExecutor(max_workers=count,
                             thread_name_prefix="kit-profile") as pool:
-        profiles = list(pool.map(profile, range(len(corpus)), corpus))
-    with lock:
-        return profiles, list(profilers), list(machines)
+        ranges = list(pool.map(run, range(count)))
+    return [profile for chunk in ranges for profile in chunk]

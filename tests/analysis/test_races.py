@@ -175,7 +175,7 @@ def test_summary_cache_is_deterministic(index):
 
 def test_race_rediscovery_mirrors_escape_expectations(index):
     """Every statically detectable injected bug perturbs the candidate
-    set (the 14/15 mirror of the escape lint's rediscovery)."""
+    set (the 17/18 mirror of the escape lint's rediscovery)."""
     report = rediscover_races(index)
     assert report.matches_expectations()
     assert report.missed == ["msg_stat_global_pid"]  # value-level by design
@@ -208,46 +208,38 @@ def test_race_cache_roundtrip(tmp_path, clean_map, index):
     assert [c.key() for c in warmed] == [c.key() for c in candidates]
 
 
-def test_digest_flip_invalidates_only_that_module(tmp_path):
-    """Per-module lint entries: editing one file re-runs only it."""
-    import textwrap
-
-    from repro.analysis.locksets import check_lock_discipline
-
-    clean = textwrap.dedent("""
-        import threading
-
-        class Cache:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._data = {}
-
-            def put(self, k, v):
-                with self._lock:
-                    self._data[k] = v
-        """)
+def test_digest_flip_invalidates_only_that_module(tmp_path, clean_map):
+    """An entry is keyed by the digests of the files it read: editing
+    one file misses exactly the entries that read it."""
     mod_a = tmp_path / "a.py"
     mod_b = tmp_path / "b.py"
-    mod_a.write_text(clean)
-    mod_b.write_text(clean)
+    mod_a.write_text("A = 1\n")
+    mod_b.write_text("B = 1\n")
     cache = AnalysisCache(str(tmp_path / "cache"))
-    modules = [str(mod_a), str(mod_b)]
+    reads = {"a": [str(mod_a)], "ab": [str(mod_a), str(mod_b)]}
+    candidates = find_race_candidates(clean_map)[:3]
 
-    assert check_lock_discipline(modules=modules, cache=cache) == []
+    assert [cache.get_races(label, paths) for label, paths
+            in reads.items()] == [None, None]
     assert cache.misses == 2 and cache.hits == 0
 
-    assert check_lock_discipline(modules=modules, cache=cache) == []
+    for label, paths in reads.items():
+        cache.put_races(label, paths, candidates)
+    for label, paths in reads.items():
+        assert cache.get_races(label, paths) is not None
     assert cache.hits == 2 and cache.misses == 2
 
-    # Edit b: introduce an unlocked read.  Only b re-analyzes.
-    mod_b.write_text(clean + "\n    def size(self):\n"
-                     "        return len(self._data)\n")
-    findings = check_lock_discipline(modules=modules, cache=cache)
+    # Edit b: only the entry that read b misses.
+    mod_b.write_text("B = 2\n")
+    assert cache.get_races("a", reads["a"]) is not None
+    assert cache.get_races("ab", reads["ab"]) is None
     assert cache.hits == 3 and cache.misses == 3
-    assert [f.function for f in findings] == ["size"]
 
-    # And the new result is itself cached.
-    assert check_lock_discipline(modules=modules, cache=cache) == findings
+    # And the re-put result is itself cached.
+    cache.put_races("ab", reads["ab"], candidates)
+    for label, paths in reads.items():
+        warmed = cache.get_races(label, paths)
+        assert [c.key() for c in warmed] == [c.key() for c in candidates]
     assert cache.hits == 5 and cache.misses == 3
 
 

@@ -163,8 +163,8 @@ class TestThreadSupervision:
         assert "killed 5 worker(s)" in report.results[0].error
 
     def test_hang_watchdog_abandons_silent_worker(self, tmp_path):
-        """A shard that freezes outright (SIGSTOP: its heartbeat thread
-        stops too) is written off by the watchdog; its job is retried
+        """A shard that freezes outright (SIGSTOP: nothing arrives from
+        it any more) is written off by the watchdog; its job is retried
         on a replacement and still completes."""
         flag = str(tmp_path / "already-frozen")
 
