@@ -155,18 +155,20 @@ def test_chaos_smoke_gate(campaign_513, bench_corpus, chaos_seeds, benchmark):
     benchmark(faulted, chaos_seeds[0])
 
     lines = [f"{'seed':>4} {'injected':>9} {'recovered':>10} {'infra':>6} "
-             f"{'lost cases':>11} {'bug set':>8}",
-             "-" * 54]
+             f"{'poisoned':>9} {'lost cases':>11} {'bug set':>8}",
+             "-" * 64]
     for seed, run in sorted(runs.items()):
         stats = run.stats
         lines.append(
             f"{seed:>4} {stats.faults_injected_total():>9} "
             f"{stats.faults_recovered_total():>10} "
             f"{stats.faults_infra_total():>6} "
-            f"{stats.infra_failed_cases:>11} "
+            f"{stats.faults_poisoned_total():>9} "
+            f"{stats.infra_failed_cases + stats.poisoned_cases:>11} "
             f"{'same' if sorted(run.bugs_found()) == clean_bugs else 'DIFF':>8}")
     lines.append("")
-    lines.append(f"gate invariant: injected == recovered + infra_failed and "
+    lines.append(f"gate invariant: injected == recovered + infra_failed + "
+                 f"poisoned and "
                  f"every faulted campaign reports the clean bug set "
                  f"({len(clean_bugs)} bugs) at rate {CHAOS_RATE}")
     lines.append("the injected count is one draw, not a pinned value: "

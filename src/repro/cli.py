@@ -150,7 +150,8 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
               f"{stats.faults_infra_total()} infra-failed / "
               f"{stats.faults_poisoned_total()} poisoned "
               f"(accounted: {'yes' if stats.faults_accounted() else 'NO'}), "
-              f"cases lost: {stats.infra_failed_cases}, "
+              f"cases lost: "
+              f"{stats.infra_failed_cases + stats.poisoned_cases}, "
               f"recovery restores: {stats.recovery_restores}")
         print("  per site: " + ", ".join(
             f"{site}={count}"

@@ -24,7 +24,7 @@ from ..faults.plan import (
     FaultRetriesExhausted,
     call_with_fault_retries,
 )
-from ..faults.retry import RetryPolicy, describe_failures
+from ..faults.retry import describe_failures
 from ..store import (
     RECORD_END,
     CampaignHandle,
@@ -608,13 +608,6 @@ class Kit:
             f"{infra} infra_failed, {poisoned} poisoned "
             f"({stats.resumed_cases} resumed); result at {path}")
 
-    def _effective_retry_policy(self) -> Optional[RetryPolicy]:
-        if self.config.store_dir is not None:
-            # Stored campaigns always get self-healing supervision, so
-            # quarantine decisions exist to journal.
-            return RetryPolicy()
-        return None
-
     @staticmethod
     def _case_journal_key(case: TestCase) -> str:
         return case_key(case.sender.hash_hex, case.receiver.hash_hex)
@@ -839,9 +832,13 @@ class Kit:
 
         Independent of which shard executed each job: job ids index
         the affinity schedule, and the inverse permutation restores
-        caller order.  A job that failed for good (poisoned, or retries
-        exhausted under chaos) reached no commit hook, so its result is
-        built and journaled here.
+        caller order.  This is the one place that decides what a failed
+        job becomes, after every shard has exited.  A poisoned job is
+        ``POISONED`` and a job whose retries ran out is
+        ``INFRA_FAILED`` under a fault plan; neither reached a commit
+        hook, so its result is built and journaled here.  Retries
+        exhausted without a plan, or a case runner that raised, fail
+        the campaign, as they do in-process.
         """
         plan = self.config.faults
         results: List[Optional[DetectionResult]] = [None] * case_count
@@ -854,13 +851,20 @@ class Kit:
                 # Quarantined poison pair: no verdict about the kernel,
                 # but the campaign completes and the books balance.
                 outcome = Outcome.POISONED
+            elif job.worker >= 0:
+                # The case runner raised: a bug, not an infrastructure
+                # fault, so no plan excuses it.
+                raise RuntimeError(
+                    f"worker failure on job {job.job_id}: {job.error}")
             elif plan is not None:
                 # Retries exhausted under chaos: the case degrades to
                 # infra_failed instead of failing the campaign.
                 outcome = Outcome.INFRA_FAILED
             else:
                 raise RuntimeError(
-                    f"worker failure on job {job.job_id}: {job.error}")
+                    f"shard job {job.job_id} unfinished after "
+                    f"{job.attempts} attempt(s), last cause "
+                    f"{job.last_fault_site or 'unknown'}: {job.error}")
             detection = DetectionResult(scheduled[job.job_id], outcome)
             self._journal_detection(detection, sync=False)
             results[order[job.job_id]] = detection
@@ -922,10 +926,7 @@ class Kit:
         report = run_sharded(
             config.machine, scheduled, run_case,
             workers=config.workers, boot=boot, faults=plan,
-            max_job_retries=(plan.max_job_retries if plan else 0),
-            strict=(plan is None),
             telemetry_hook=shard_telemetry,
-            retry_policy=self._effective_retry_policy(),
             hang_timeout=config.hang_timeout,
             on_result=self._land_job_result,
             on_job_failure=(self._journal_job_failure

@@ -258,8 +258,7 @@ class FaultPlan:
                  rates: Optional[Mapping[str, float]] = None,
                  schedule: Optional[Mapping[str, Iterable[int]]] = None,
                  sites: Optional[Iterable[str]] = None,
-                 max_retries: int = 5,
-                 max_job_retries: int = 12):
+                 max_retries: int = 5):
         self.seed = seed
         enabled = tuple(sites) if sites is not None else ALL_SITES
         for site in enabled:
@@ -279,15 +278,10 @@ class FaultPlan:
         for site in self._schedule:
             if site not in ALL_SITES:
                 raise ValueError(f"unknown fault site {site!r}")
-        #: Bounded-retry budget shared by every recovery path.
+        #: Bounded-retry budget of :func:`call_with_fault_retries` and
+        #: the store's recovery paths (shard jobs settle by a
+        #: :class:`~repro.faults.retry.RetryPolicy` instead).
         self.max_retries = max_retries
-        #: Re-queue budget for shard jobs, deliberately deeper than
-        #: ``max_retries``: a lost attempt (crashed shard, dropped
-        #: result) costs one cheap re-run, and at rate *r* with both
-        #: losing sites enabled an attempt is lost with probability
-        #: ≈ 2r — the budget keeps exhaustion vanishingly rare at the
-        #: rates chaos campaigns actually use.
-        self.max_job_retries = max_job_retries
         self.stats = FaultStats()
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
@@ -360,7 +354,9 @@ class FaultPlan:
             "schedule": {site: sorted(indices) for site, indices
                          in sorted(self._schedule.items())},
             "max_retries": self.max_retries,
-            "max_job_retries": self.max_job_retries,
+            # Retired option (shard jobs settle by RetryPolicy), kept
+            # constant so existing journals resume.
+            "max_job_retries": 12,
         }
 
     # -- construction helpers ------------------------------------------------
@@ -398,7 +394,6 @@ class FaultPlan:
 
 
 def call_with_fault_retries(plan: Optional[FaultPlan], fn, *args,
-                            budget: Optional[int] = None,
                             context: str = ""):
     """Run *fn*, retrying on injected faults within the plan's budget.
 
@@ -413,14 +408,13 @@ def call_with_fault_retries(plan: Optional[FaultPlan], fn, *args,
     """
     if plan is None:
         return fn(*args)
-    limit = plan.max_retries if budget is None else budget
     pending: List[str] = []
     while True:
         try:
             value = fn(*args)
         except FaultInjectedError as error:
             pending.append(error.site)
-            if len(pending) > limit:
+            if len(pending) > plan.max_retries:
                 plan.record_infra_failed(pending)
                 raise FaultRetriesExhausted(pending, context=context)
             continue

@@ -1,30 +1,30 @@
-"""Self-healing retry policy: per-site budgets and poison quarantine.
+"""Self-healing retry policy: a per-cause budget and poison quarantine.
 
-The flat ``max_job_retries`` budget of the original supervisor treats
-every failure the same: a dropped result (cheap, transient) and a job
-that SIGKILLs its worker every single time (expensive, almost certainly
-deterministic) both get the same number of blind re-runs.  A
-:class:`RetryPolicy` replaces that with two mechanisms:
+The shard supervisor in :mod:`repro.vm.shardpool` settles every job
+whose attempt failed (its shard died, or its result was lost) by one
+:class:`RetryPolicy`, on every ``run_sharded`` call.  A dropped result
+(cheap, transient) and a job that SIGKILLs its worker every single
+time (expensive, almost certainly deterministic) are told apart by two
+mechanisms:
 
-* **per-site budgets** — each failure is attributed to a cause (the
+* **a per-cause budget** — each failure is attributed to a cause (the
   injected fault site that produced it, or the synthetic
   :data:`CAUSE_WORKER_DEATH` / :data:`CAUSE_TRANSIT` causes for real
-  deaths and lost results), and each cause has its own retry budget;
+  deaths and lost results), and a job whose failures of any one cause
+  exceed ``budget`` is exhausted (the pipeline records it as
+  ``infra_failed`` under a fault plan, and fails the campaign without
+  one);
 * **poison quarantine** — a job that *kills its worker*
   ``poison_after`` times is quarantined as a poison pair: it is
   reported with ``JobResult.poisoned`` set (the pipeline records the
-  case as ``Outcome.POISONED`` and journals it), and is never retried
-  again — not in this run, and, via the campaign journal, not in any
-  resumed run either.
-
-The policy is pure configuration: the shard supervisor in
-:mod:`repro.vm.shardpool` consults it when one is passed and keeps the
-historical flat-budget behaviour when not.
+  case as ``Outcome.POISONED``), and is never retried again in this
+  run.  A stored campaign journals the quarantine, so no resumed run
+  retries the pair either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 #: Synthetic failure cause for a worker that died holding the job when
@@ -38,28 +38,23 @@ CAUSE_TRANSIT = "transit"
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-site retry budgets with poison quarantine."""
+    """A per-cause retry budget with poison quarantine."""
 
-    #: Retry budget per failure cause; causes not listed fall back to
-    #: ``default_budget``.  A job whose failures attributed to one cause
-    #: exceed that cause's budget is exhausted (``infra_failed``).
-    site_budgets: Mapping[str, int] = field(default_factory=dict)
-    default_budget: int = 12
+    #: Retries per cause: a job is exhausted once its failures
+    #: attributed to any one cause exceed this.
+    budget: int = 12
     #: Worker deaths (crashes, SIGKILLs, watchdog kills) attributed to
-    #: one job before it is quarantined as a poison pair.
+    #: one job before it is quarantined as a poison pair (0 = never).
     poison_after: int = 5
-
-    def budget_for(self, cause: str) -> int:
-        return self.site_budgets.get(cause, self.default_budget)
 
     def should_poison(self, worker_deaths: int) -> bool:
         return self.poison_after > 0 and worker_deaths >= self.poison_after
 
     def exhausted_cause(self, site_failures: Mapping[str, int]
                         ) -> Optional[str]:
-        """The first cause over its budget, or None while budgets hold."""
+        """The first cause over the budget, or None while it holds."""
         for cause, count in sorted(site_failures.items()):
-            if count > self.budget_for(cause):
+            if count > self.budget:
                 return cause
         return None
 

@@ -36,12 +36,14 @@ failed attempt, the rest of its chunks re-queued uncharged), and fresh
 worker ids are spawned for whatever remains, so no two shards ever
 share an id.  The surviving shards of a round keep draining its
 ungranted queue.  A dead shard's local caches die with its process.
-Only a job that exhausts its retry budget fails the run: loudly (a
-``RuntimeError`` naming every unfinished job) under ``strict``, or
-gracefully (a ``JobResult`` carrying the error, for the pipeline to
-record as ``infra_failed``) otherwise.  Jobs are pure functions of
-(payload, snapshot), so a re-run on a fresh machine is equivalent to
-the first attempt.
+Every charged job is settled by one
+:class:`~repro.faults.retry.RetryPolicy`: it is re-run until its
+failures of one cause exceed the budget, or quarantined as a poison
+pair once it has killed ``poison_after`` shards.  Either way the run
+returns one ``JobResult`` per job, and the caller decides what a failed
+job means (the pipeline: ``poisoned``, ``infra_failed`` under a fault
+plan, or an error).  Jobs are pure functions of (payload, snapshot), so
+a re-run on a fresh machine is equivalent to the first attempt.
 
 Each shard runs one thread: it sends ``up`` once its machine has
 booted, then a result as each job finishes.  Once a shard has sent
@@ -142,6 +144,8 @@ class JobResult:
 
     job_id: int
     outcome: Any
+    #: The shard that ran the job, or -1 for a job the retry policy
+    #: gave up on (retries exhausted, or poisoned).
     worker: int
     error: Optional[str] = None
     #: Failed attempts the job survived before this result (or before
@@ -305,10 +309,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 workers: int = 2, *,
                 boot: Optional[Callable[[], Machine]] = None,
                 faults: Optional[FaultPlan] = None,
-                max_job_retries: int = 0,
-                strict: bool = True,
                 telemetry_hook: Optional[Callable[[Machine], Any]] = None,
-                retry_policy: Optional[RetryPolicy] = None,
+                retry_policy: RetryPolicy = RetryPolicy(),
                 hang_timeout: Optional[float] = None,
                 on_result: Optional[Callable[[Job, JobResult],
                                              None]] = None,
@@ -321,13 +323,16 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
 
     Returns results ordered by job id, so the output is independent of
     which shard ran what.  The pool is clamped to the number of jobs.
-    When shards die before their chunks drain, the held jobs are
-    charged a failed attempt and re-queued up to *max_job_retries*
-    times on replacement shards with fresh ids.  Only a job whose
-    retries are exhausted fails the run: with *strict* (the default) a
-    ``RuntimeError`` names every unfinished job with its attempt count
-    and last cause; with ``strict=False`` the job's ``JobResult``
-    carries the error instead.  Extra hooks:
+    When shards die before their chunks drain, or a result is lost,
+    the held job is charged a failed attempt and re-queued on a
+    replacement shard with a fresh id, as *retry_policy* allows (see
+    :class:`~repro.faults.retry.RetryPolicy`).  Every job gets one
+    ``JobResult``: its outcome, or, for a job the policy gave up on,
+    ``worker=-1`` and an ``error`` naming its attempts, their causes
+    and the dead shards' errors (``poisoned`` set for a quarantined
+    job).  A job whose *case_runner* raised keeps the worker that ran
+    it and carries the exception text as its ``error``; it is never
+    retried.  Extra hooks:
 
     * *boot* returns each shard's machine inside the shard process
       (default: ``Machine(machine_config)``; the pipeline hands each
@@ -335,9 +340,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     * *telemetry_hook* runs in the shard at clean retirement; its
       (picklable) return value lands in ``report.telemetry``.
 
-    Self-healing extensions: *retry_policy* (per-cause budgets and
-    poison quarantine; see
-    :class:`~repro.faults.retry.RetryPolicy`), *hang_timeout* (a shard
+    Self-healing extensions: *hang_timeout* (a shard
     from which nothing — not ``up``, not a result — arrives for longer
     than the timeout is SIGKILLed and settled like any other dead
     shard, with its id recorded in ``report.hung_shards``), *on_result*
@@ -574,19 +577,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
 
         def settle(job: Job) -> str:
             """Settle one charged job: ``retry`` | ``infra`` | ``poisoned``."""
-            if retry_policy is None:
-                # Historical flat budget: every failure counts the same.
-                if job.failures <= max_job_retries:
-                    return "retry"  # stays outstanding: next round re-runs
-                failed[job.job_id] = JobResult(
-                    job.job_id, None, worker=-1,
-                    error=f"retries exhausted after {job.failures} "
-                          f"failed attempt(s) ({cause})",
-                    attempts=job.failures, last_fault_site=job.last_cause)
-                if faults is not None and job.pending_sites:
-                    faults.record_infra_failed(job.pending_sites)
-                    job.pending_sites = []
-                return "infra"
             if retry_policy.should_poison(job.worker_deaths):
                 # Poison-pair quarantine: this job keeps taking shards
                 # down with it — stop feeding it workers, forever.
@@ -602,12 +592,12 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 return "poisoned"
             exhausted = retry_policy.exhausted_cause(job.site_failures)
             if exhausted is None:
-                return "retry"
+                return "retry"  # stays outstanding: next round re-runs
             failed[job.job_id] = JobResult(
                 job.job_id, None, worker=-1,
                 error=f"retry budget for {exhausted!r} exhausted after "
                       f"{job.failures} failed attempt(s) "
-                      f"({describe_failures(job.site_failures)})",
+                      f"({describe_failures(job.site_failures)}): {cause}",
                 attempts=job.failures, last_fault_site=job.last_cause)
             if faults is not None and job.pending_sites:
                 faults.record_infra_failed(job.pending_sites)
@@ -674,16 +664,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 except OSError:  # pragma: no cover
                     pass
 
-    if failed and strict:
-        missing = sorted(failed)
-        boot_errors = "; ".join(dead_descriptions) or "unknown cause"
-        details = "; ".join(
-            f"job {job_id}: {failed[job_id].attempts} attempt(s), "
-            f"last cause {failed[job_id].last_fault_site or 'unknown'}"
-            for job_id in missing)
-        raise RuntimeError(
-            f"shard pool finished with {len(missing)} unfinished job(s) "
-            f"{missing} ({boot_errors}) [{details}]")
     merged = {**completed, **failed}
     report.results = [merged[job_id] for job_id in sorted(merged)]
     return report

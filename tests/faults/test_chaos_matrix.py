@@ -15,6 +15,7 @@ from repro.core.pipeline import CampaignConfig, Kit
 from repro.core.race_scenarios import race_campaign_config
 from repro.faults.plan import (
     ALL_SITES,
+    SITE_RESULT_DROP,
     SITE_SCHED_PREEMPT,
     SITE_WORKER_CRASH,
     SITE_WORKER_KILL,
@@ -96,20 +97,43 @@ needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="process shards require fork")
 
 
-@needs_fork
-def test_graceful_degradation_when_cluster_unusable():
-    """Every shard crashes on every job: the campaign still completes,
-    each case degrades to infra_failed, and nothing leaks into reports."""
-    plan = FaultPlan(seed=0, rates={SITE_WORKER_CRASH: 1.0},
-                     max_job_retries=1)
-    # rand has no profiling stage, so the crash storm hits execution only.
+def _storm(plan):
+    """The 6-case campaign on two shards, without a store."""
+    # rand has no profiling stage, so the storm hits execution only.
     config = CampaignConfig(machine=KERNELS["5.13"], corpus_size=6,
                             strategy="rand", rand_budget=6, workers=2,
                             faults=plan, diagnose=False)
-    result = Kit(config).run()
+    return Kit(config).run()
+
+
+@needs_fork
+def test_graceful_degradation_when_cluster_unusable():
+    """Every shard crashes on every job: the campaign still completes,
+    each pair is quarantined as poison once it has killed five shards,
+    and nothing leaks into reports."""
+    plan = FaultPlan(seed=0, rates={SITE_WORKER_CRASH: 1.0})
+    result = _storm(plan)
+    assert result.reports == []
+    assert result.stats.outcomes == {"poisoned": 6}
+    assert result.stats.poisoned_cases == 6
+    assert result.stats.faults_accounted(), plan.stats.snapshot()
+    assert result.bugs_found() == set()
+
+
+@needs_fork
+def test_graceful_degradation_when_every_result_is_dropped():
+    """Every result is lost in transit: no shard dies, so nothing is
+    poisoned, and each case degrades to infra_failed once it has lost
+    more results than the default budget allows."""
+    plan = FaultPlan(seed=0, rates={SITE_RESULT_DROP: 1.0})
+    result = _storm(plan)
     assert result.reports == []
     assert result.stats.outcomes == {"infra_failed": 6}
     assert result.stats.infra_failed_cases == 6
+    assert result.stats.shards_died == 0
+    # Thirteen lost results per case: the twelve-retry budget, plus one.
+    assert result.stats.faults_injected == {SITE_RESULT_DROP: 6 * 13}
+    assert result.stats.faults_infra == {SITE_RESULT_DROP: 6 * 13}
     assert result.stats.faults_accounted(), plan.stats.snapshot()
     assert result.bugs_found() == set()
 
@@ -139,17 +163,13 @@ def test_chaos_process_campaign_reports_same_bugs(seed, clean_bugs):
 @needs_fork
 def test_graceful_degradation_when_every_shard_is_killed():
     """The SIGKILL twin of the crash-storm test: every job attempt
-    SIGKILLs its shard, yet the campaign completes with every case
-    degraded to infra_failed and balanced books."""
-    plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0},
-                     max_job_retries=1)
-    config = CampaignConfig(machine=KERNELS["5.13"], corpus_size=6,
-                            strategy="rand", rand_budget=6, workers=2,
-                            faults=plan, diagnose=False)
-    result = Kit(config).run()
+    SIGKILLs its shard, yet the campaign completes with every pair
+    quarantined as poison and balanced books."""
+    plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
+    result = _storm(plan)
     assert result.reports == []
-    assert result.stats.outcomes == {"infra_failed": 6}
-    assert result.stats.infra_failed_cases == 6
+    assert result.stats.outcomes == {"poisoned": 6}
+    assert result.stats.poisoned_cases == 6
     assert result.stats.faults_accounted(), plan.stats.snapshot()
     assert result.bugs_found() == set()
     assert result.stats.shards_died > 0

@@ -17,6 +17,7 @@ from repro.faults.plan import (
     SITE_WORKER_KILL,
     FaultPlan,
 )
+from repro.faults.retry import RetryPolicy
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, fork_available, run_sharded
 
@@ -31,7 +32,8 @@ def test_single_worker_death_then_recovery():
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload + 100,
-                         workers=2, faults=plan, max_job_retries=1)
+                         workers=2, faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == [100, 101, 102, 103]
     assert report.shards_died == 1 and report.rounds == 2
     # The replacement got a fresh id — dead ids are never recycled.
@@ -41,14 +43,20 @@ def test_single_worker_death_then_recovery():
 
 
 def test_death_with_no_retries_raises_by_default():
-    """The strict contract: an unfinished job fails the run loudly,
-    even while a sibling shard completes its own range."""
+    """With no retries, the dead shard's job comes back unfinished —
+    its error, attempt and cause on its ``JobResult`` (the pipeline
+    raises on it without a fault plan) — while a sibling shard
+    completes its own range."""
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
-    with pytest.raises(RuntimeError) as excinfo:
-        run_sharded(CONFIG, list(range(4)),
-                    lambda machine, payload: payload,
-                    workers=2, faults=plan, max_job_retries=0)
-    assert "1 unfinished job(s) [0]" in str(excinfo.value)
+    report = run_sharded(CONFIG, list(range(4)),
+                         lambda machine, payload: payload,
+                         workers=2, faults=plan,
+                         retry_policy=RetryPolicy(budget=0, poison_after=0))
+    unfinished = [r for r in report.results if r.error is not None]
+    assert [r.job_id for r in unfinished] == [0]
+    assert (unfinished[0].attempts, unfinished[0].last_fault_site) \
+        == (1, SITE_WORKER_CRASH)
+    assert [r.outcome for r in report.results[1:]] == [1, 2, 3]
     assert plan.stats.accounted()
 
 
@@ -58,11 +66,11 @@ def test_exhausted_retries_degrade_gracefully_when_not_strict():
     plan = FaultPlan(seed=0, rates={SITE_WORKER_CRASH: 1.0})
     report = run_sharded(CONFIG, ["only-job"],
                          lambda machine, payload: payload,
-                         workers=1, faults=plan, max_job_retries=2,
-                         strict=False)
+                         workers=1, faults=plan,
+                         retry_policy=RetryPolicy(budget=2, poison_after=0))
     assert len(report.results) == 1
     assert report.results[0].outcome is None
-    assert "retries exhausted after 3 failed attempt(s)" \
+    assert "exhausted after 3 failed attempt(s)" \
         in report.results[0].error
     assert plan.stats.infra_failed.get(SITE_WORKER_CRASH) == 3
     assert plan.stats.accounted()
@@ -72,7 +80,8 @@ def test_dropped_result_is_requeued_and_recovered():
     plan = FaultPlan(seed=0, schedule={SITE_RESULT_DROP: {0}})
     report = run_sharded(CONFIG, list(range(6)),
                          lambda machine, payload: payload * 3,
-                         workers=2, faults=plan, max_job_retries=1)
+                         workers=2, faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == [0, 3, 6, 9, 12, 15]
     assert plan.stats.recovered.get(SITE_RESULT_DROP) == 1
     assert plan.stats.accounted()
@@ -88,8 +97,8 @@ def test_genuine_job_exception_is_not_retried():
         return payload
 
     report = run_sharded(CONFIG, [0, 1, 2, 3], runner, workers=2,
-                         faults=FaultPlan(seed=0), max_job_retries=5,
-                         strict=False)
+                         faults=FaultPlan(seed=0),
+                         retry_policy=RetryPolicy(budget=5, poison_after=0))
     assert report.rounds == 1
     assert "ValueError" in report.results[1].error
     assert [r.outcome for r in report.results] == [0, None, 2, 3]

@@ -1,8 +1,9 @@
-"""Self-healing supervision: retry budgets, poison pairs, hang watchdog.
+"""Self-healing supervision: the retry policy, poison pairs, hang watchdog.
 
 Covers the :class:`~repro.faults.retry.RetryPolicy` configuration
 itself, the shard supervisor (:mod:`repro.vm.shardpool`), and the
-pipeline wiring that turns a quarantined job into ``Outcome.POISONED``.
+pipeline's one decision about what a failed job becomes:
+``Outcome.POISONED``, ``infra_failed`` under a fault plan, or an error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import time
 
 import pytest
 
+from repro.core import pipeline
+from repro.core.generation import TestCaseGenerator
 from repro.core.pipeline import CampaignConfig, Kit
+from repro.corpus import build_corpus
 from repro.faults.plan import (
     SITE_WORKER_CRASH,
     SITE_WORKER_KILL,
@@ -28,7 +32,7 @@ from repro.faults.retry import (
     tally,
 )
 from repro.kernel import linux_5_13
-from repro.store import RECORD_CASE, scan
+from repro.store import RECORD_CASE, RECORD_END, scan
 from repro.vm import fork_available
 from repro.vm.machine import MachineConfig
 from repro.vm.shardpool import run_sharded
@@ -40,19 +44,15 @@ MACHINE = MachineConfig(bugs=linux_5_13())
 
 
 class TestRetryPolicy:
-    def test_budget_lookup_falls_back_to_default(self):
-        policy = RetryPolicy(site_budgets={"worker.crash": 3},
-                             default_budget=7)
-        assert policy.budget_for("worker.crash") == 3
-        assert policy.budget_for("result.drop") == 7
-
     def test_exhausted_cause(self):
-        policy = RetryPolicy(site_budgets={"worker.crash": 2},
-                             default_budget=5)
+        policy = RetryPolicy(budget=2)
         assert policy.exhausted_cause({"worker.crash": 2}) is None
         assert policy.exhausted_cause({"worker.crash": 3}) == "worker.crash"
-        assert policy.exhausted_cause({"result.drop": 5}) is None
-        assert policy.exhausted_cause({"result.drop": 6}) == "result.drop"
+        # The budget holds per cause, not for the sum of causes.
+        assert policy.exhausted_cause(
+            {"result.drop": 2, "worker.crash": 2}) is None
+        assert policy.exhausted_cause(
+            {"result.drop": 3, "worker.crash": 2}) == "result.drop"
 
     def test_poison_threshold(self):
         policy = RetryPolicy(poison_after=3)
@@ -106,10 +106,10 @@ class TestThreadSupervision:
     run on the shard supervisor, which took over every contract."""
 
     def test_poison_pair_quarantined(self):
-        policy = RetryPolicy(poison_after=2, default_budget=50)
+        policy = RetryPolicy(budget=50, poison_after=2)
         report = run_sharded(
             MACHINE, ["ok", "poison"], _deadly_runner({"poison": None}),
-            workers=2, retry_policy=policy, strict=False)
+            workers=2, retry_policy=policy)
         assert report.results[0].outcome == "done:ok"
         poisoned = report.results[1]
         assert poisoned.poisoned
@@ -118,11 +118,10 @@ class TestThreadSupervision:
         assert f"{CAUSE_WORKER_DEATH}x2" in poisoned.error
 
     def test_per_site_budget_exhausts_to_infra(self):
-        policy = RetryPolicy(site_budgets={CAUSE_WORKER_DEATH: 1},
-                             poison_after=0)
+        policy = RetryPolicy(budget=1, poison_after=0)
         report = run_sharded(
             MACHINE, ["victim"], _deadly_runner({"victim": None}),
-            workers=1, retry_policy=policy, strict=False)
+            workers=1, retry_policy=policy)
         result = report.results[0]
         assert not result.poisoned
         assert f"retry budget for {CAUSE_WORKER_DEATH!r} exhausted" \
@@ -133,7 +132,7 @@ class TestThreadSupervision:
         report = run_sharded(
             MACHINE, ["flaky", "ok"],
             _deadly_runner({"flaky": 1}, flag_dir=str(tmp_path)),
-            workers=2, max_job_retries=3)
+            workers=2, retry_policy=RetryPolicy(budget=3, poison_after=0))
         flaky, ok = report.results
         assert flaky.outcome == "done:flaky"
         assert flaky.attempts == 1
@@ -142,22 +141,25 @@ class TestThreadSupervision:
         assert ok.last_fault_site is None
 
     def test_strict_error_names_attempts_and_cause(self):
-        with pytest.raises(RuntimeError) as excinfo:
-            run_sharded(MACHINE, ["victim"],
-                        _deadly_runner({"victim": None}),
-                        workers=1, max_job_retries=1)
-        message = str(excinfo.value)
-        assert "unfinished job(s)" in message
-        assert f"last cause {CAUSE_WORKER_DEATH}" in message
-        assert "attempt(s)" in message
+        """The unfinished job's result names its attempts and last
+        cause: what the pipeline raises with when no plan is set."""
+        report = run_sharded(
+            MACHINE, ["victim"], _deadly_runner({"victim": None}),
+            workers=1, retry_policy=RetryPolicy(budget=1, poison_after=0))
+        [result] = report.results
+        assert result.outcome is None and not result.poisoned
+        assert result.attempts == 2
+        assert result.last_fault_site == CAUSE_WORKER_DEATH
+        assert "exhausted after 2 failed attempt(s)" in result.error
+        assert "worker shot by 'victim'" in result.error
 
     def test_prior_deaths_seed_quarantine(self):
         """Deaths journaled by earlier runs keep counting: one more
         kill tips an almost-quarantined pair over the edge."""
-        policy = RetryPolicy(poison_after=5, default_budget=50)
+        policy = RetryPolicy(budget=50, poison_after=5)
         report = run_sharded(
             MACHINE, ["poison"], _deadly_runner({"poison": None}),
-            workers=1, retry_policy=policy, strict=False,
+            workers=1, retry_policy=policy,
             prior_deaths={0: 4})
         assert report.results[0].poisoned
         assert "killed 5 worker(s)" in report.results[0].error
@@ -177,7 +179,8 @@ class TestThreadSupervision:
 
         report = run_sharded(
             MACHINE, ["a", "hang", "b"], runner, workers=2,
-            max_job_retries=3, hang_timeout=0.5)
+            retry_policy=RetryPolicy(budget=3, poison_after=0),
+            hang_timeout=0.5)
         assert [r.outcome for r in report.results] == ["done:a", "done:hang",
                                                        "done:b"]
         assert len(report.hung_shards) == 1
@@ -208,7 +211,7 @@ class TestThreadSupervision:
 
         report = run_sharded(
             MACHINE, ["a", "poison", "b"], runner, workers=2,
-            retry_policy=RetryPolicy(poison_after=3), strict=False)
+            retry_policy=RetryPolicy(poison_after=3))
         a, poisoned, b = report.results
         assert (a.outcome, b.outcome) == ("done:a", "done:b")
         assert poisoned.poisoned
@@ -229,8 +232,9 @@ class TestThreadSupervision:
                 os._exit(3)
             return f"done:{payload}"
 
-        report = run_sharded(MACHINE, ["a", "b", "c"], runner, workers=1,
-                             max_job_retries=3)
+        report = run_sharded(
+            MACHINE, ["a", "b", "c"], runner, workers=1,
+            retry_policy=RetryPolicy(budget=3, poison_after=0))
         assert [r.outcome for r in report.results] \
             == ["done:a", "done:b", "done:c"]
         assert [r.attempts for r in report.results] == [1, 0, 0]
@@ -265,11 +269,10 @@ class TestThreadSupervision:
 class TestProcessSupervision:
     def test_poison_pair_quarantined(self):
         plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
-        policy = RetryPolicy(poison_after=2, default_budget=50)
+        policy = RetryPolicy(budget=50, poison_after=2)
         report = run_sharded(MACHINE, ["only"],
                              lambda machine, payload: payload,
-                             workers=1, faults=plan, retry_policy=policy,
-                             strict=False)
+                             workers=1, faults=plan, retry_policy=policy)
         result = report.results[0]
         assert result.poisoned
         assert "poisoned: killed 2 worker(s)" in result.error
@@ -288,9 +291,10 @@ class TestProcessSupervision:
                 time.sleep(30.0)
             return f"done:{payload}"
 
-        report = run_sharded(MACHINE, ["a", "hang", "b"], runner,
-                             workers=2, max_job_retries=3,
-                             hang_timeout=0.5)
+        report = run_sharded(
+            MACHINE, ["a", "hang", "b"], runner, workers=2,
+            retry_policy=RetryPolicy(budget=3, poison_after=0),
+            hang_timeout=0.5)
         assert [r.outcome for r in report.results] \
             == ["done:a", "done:hang", "done:b"]
         assert len(report.hung_shards) == 1
@@ -350,3 +354,111 @@ class TestPipelinePoisonAccounting:
         assert len({record["k"] for record in records}) == len(records) == 6
         assert {record["outcome"] for record in records} == {"poisoned"}
         assert duplicates == 0
+
+
+def _sabotage_one_pair(monkeypatch, config, action):
+    """Make the case runner call *action* instead of checking one pair.
+
+    The pair is the last job of the affinity schedule (the largest
+    sender/receiver hash pair).  Forked shards inherit the patch.
+    """
+    corpus = build_corpus(config.corpus_size, seed=config.corpus_seed)
+    cases = TestCaseGenerator(corpus).generate_random(
+        config.rand_budget, seed=config.rand_seed).test_cases
+    target = max((case.sender.hash_hex, case.receiver.hash_hex)
+                 for case in cases)
+    check = pipeline._CaseRunner.__call__
+
+    def sabotaged(runner, machine, case):
+        if (case.sender.hash_hex, case.receiver.hash_hex) == target:
+            action()
+        return check(runner, machine, case)
+
+    monkeypatch.setattr(pipeline._CaseRunner, "__call__", sabotaged)
+
+
+def _six_case_config(**overrides):
+    return CampaignConfig(machine=KERNEL_5_13, corpus_size=6,
+                          strategy="rand", rand_budget=6, diagnose=False,
+                          **overrides)
+
+
+class TestPipelineSettlement:
+    """What a failed shard job becomes is decided in one place, the
+    same way with or without a store or a fault plan."""
+
+    @needs_fork
+    @pytest.mark.parametrize("stored", [False, True],
+                             ids=["no-store", "store"])
+    def test_poison_pair_completes_the_campaign(self, monkeypatch,
+                                                tmp_path, stored):
+        """A pair that kills its shard on every attempt is quarantined
+        after five deaths, and the campaign completes, with no fault
+        plan; a stored run is sealed with its end record and
+        ``result.json``."""
+        config = _six_case_config(
+            workers=2, store_dir=str(tmp_path) if stored else None)
+        _sabotage_one_pair(monkeypatch, config, lambda: os._exit(3))
+        result = Kit(config).run()
+        outcomes = result.stats.outcomes
+        assert outcomes.get("poisoned") == 1
+        assert sum(outcomes.values()) == 6
+        assert result.stats.poisoned_cases == 1
+        assert result.stats.shards_died == RetryPolicy().poison_after
+        if stored:
+            path = os.path.join(str(tmp_path), result.stats.campaign_id)
+            replay = scan(os.path.join(path, "journal.jsonl"))
+            [end] = replay.by_type(RECORD_END)
+            assert end["accounting"]["poisoned"] == 1
+            assert os.path.exists(os.path.join(path, "result.json"))
+
+    @pytest.mark.parametrize("with_plan", [False, True],
+                             ids=["no-plan", "plan"])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_case_runner_exception_fails_the_campaign(self, monkeypatch,
+                                                      workers, with_plan):
+        """A case runner that raises is a bug, never an infrastructure
+        fault: the campaign fails at every worker count, with or
+        without a fault plan, instead of recording ``infra_failed``."""
+        if workers and not fork_available():
+            pytest.skip("process shards require fork")
+        config = _six_case_config(
+            workers=workers, faults=FaultPlan(seed=0) if with_plan else None)
+
+        def fail():
+            raise ValueError("checker bug on one pair")
+
+        _sabotage_one_pair(monkeypatch, config, fail)
+        with pytest.raises((ValueError, RuntimeError),
+                           match="checker bug on one pair"):
+            Kit(config).run()
+
+    @needs_fork
+    @pytest.mark.parametrize("with_plan", [False, True],
+                             ids=["no-plan", "plan"])
+    def test_unbootable_pool_exhausts_every_job(self, monkeypatch,
+                                                with_plan):
+        """No shard ever boots, so every round charges every job until
+        the default budget is spent: each case degrades to
+        ``infra_failed`` under a plan, and without one the campaign
+        fails naming the attempts, the last cause and the boot error."""
+        def no_machine():
+            raise RuntimeError("no machine for you")
+
+        # Shard boot is the only caller of MachineStats in the pipeline.
+        monkeypatch.setattr(pipeline, "MachineStats", no_machine)
+        plan = FaultPlan(seed=0) if with_plan else None
+        config = _six_case_config(workers=2, faults=plan)
+        attempts = RetryPolicy().budget + 1
+        if not with_plan:
+            with pytest.raises(RuntimeError) as excinfo:
+                Kit(config).run()
+            message = str(excinfo.value)
+            assert f"{attempts} attempt(s), last cause {CAUSE_TRANSIT}" \
+                in message
+            assert "no machine for you" in message
+            return
+        result = Kit(config).run()
+        assert result.stats.outcomes == {"infra_failed": 6}
+        assert result.stats.shards_died == 2 * attempts
+        assert result.stats.faults_accounted(), plan.stats.snapshot()

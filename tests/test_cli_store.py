@@ -80,6 +80,19 @@ class TestCli:
             assert "execution: 2 process worker(s), 2 shard(s) spawned " \
                 "(0 died)\n" in first
 
+    @pytest.mark.skipif(not fork_available(),
+                        reason="process shards require fork")
+    def test_poisoned_cases_count_as_lost(self, capsys):
+        """Every attempt SIGKILLs its shard, so every pair is poisoned;
+        the faults line counts them as lost cases."""
+        assert main(["run", "--corpus-size", "6", "--strategy", "rand",
+                     "--rand-budget", "6", "--workers", "2",
+                     "--faults", "0:1.0:worker.kill"]) == 0
+        output = capsys.readouterr().out
+        assert "0 infra-failed / " in output
+        assert "cases lost: 6," in output
+        assert "supervision: 6 pair(s) quarantined" in output
+
     def test_run_on_fixed_kernel_is_clean(self, capsys):
         assert main(["--kernel", "fixed", "run", "--corpus-size", "50"]) == 0
         assert "bugs found: none" in capsys.readouterr().out

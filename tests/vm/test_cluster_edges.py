@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.faults.retry import RetryPolicy
 from repro.kernel import linux_5_13
 from repro.vm import Machine, MachineConfig, fork_available, run_sharded
 
@@ -81,19 +82,21 @@ def test_worker_machines_get_worker_ids():
 
 
 def test_boot_failure_reports_unfinished_jobs():
-    """A pool dying at boot raises instead of returning a short list."""
+    """A pool dying at boot returns every job unfinished, never a
+    short list: under the default policy each round charges every job,
+    so the run ends once the budget is spent."""
 
     def exploding_boot():
         raise RuntimeError("no memory for VM")
 
-    with pytest.raises(RuntimeError) as excinfo:
-        run_sharded(CONFIG, ["x", "y", "z"],
-                    lambda machine, payload: payload, workers=2,
-                    boot=exploding_boot)
-    message = str(excinfo.value)
-    assert "3 unfinished job(s)" in message
-    assert "[0, 1, 2]" in message
-    assert "no memory for VM" in message
+    report = run_sharded(CONFIG, ["x", "y", "z"],
+                         lambda machine, payload: payload, workers=2,
+                         boot=exploding_boot)
+    assert [r.job_id for r in report.results] == [0, 1, 2]
+    for result in report.results:
+        assert result.outcome is None and not result.poisoned
+        assert result.attempts == RetryPolicy().budget + 1
+        assert "no memory for VM" in result.error
 
 
 def test_one_worker_booting_still_drains_queue(tmp_path):

@@ -21,6 +21,7 @@ from repro.faults.plan import (
     SITE_WORKER_KILL,
     FaultPlan,
 )
+from repro.faults.retry import RetryPolicy
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, Machine, fork_available, run_sharded
 from repro.vm.shardpool import _ATTEMPT_STRIDE
@@ -121,7 +122,8 @@ def test_dead_shard_requeues_only_its_own_chunk():
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
     report = run_sharded(CONFIG, list(range(8)),
                          lambda machine, payload: payload, workers=2,
-                         faults=plan, max_job_retries=1)
+                         faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == list(range(8))
     assert report.rounds == 2 and report.shards_died == 1
     # Worker ids 0 and 1 ran the first round; replacements get fresh ids.
@@ -148,7 +150,8 @@ def test_crash_schedule_recovery():
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload + 1, workers=1,
-                         faults=plan, max_job_retries=1)
+                         faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == [1, 2, 3, 4]
     assert report.shards_died == 1 and report.rounds == 2
     # The replacement shard got a fresh worker id (ids never recycle).
@@ -170,7 +173,8 @@ def test_kill_schedule_recovery_and_accounting():
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {1}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload * 10, workers=2,
-                         faults=plan, max_job_retries=1)
+                         faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == [0, 10, 20, 30]
     assert report.shards_died == 1
     # The killed job re-ran on a replacement shard (ids 0 and 1 ran the
@@ -187,7 +191,8 @@ def test_retried_attempt_draws_a_fresh_fault_decision():
     plan = FaultPlan(seed=0, schedule={
         SITE_WORKER_CRASH: {0, _ATTEMPT_STRIDE}})
     report = run_sharded(CONFIG, [7], lambda machine, payload: payload,
-                         workers=1, faults=plan, max_job_retries=2)
+                         workers=1, faults=plan,
+                         retry_policy=RetryPolicy(budget=2, poison_after=0))
     assert report.results[0].outcome == 7
     assert report.shards_died == 2 and report.rounds == 3
     assert plan.stats.recovered.get(SITE_WORKER_CRASH) == 2
@@ -195,15 +200,20 @@ def test_retried_attempt_draws_a_fresh_fault_decision():
 
 
 def test_death_with_no_retries_raises_by_default():
+    """With no retries the crashed job comes back unfinished; its
+    ``JobResult`` names its attempts and last cause (the pipeline
+    raises on it without a fault plan)."""
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
-    with pytest.raises(RuntimeError) as excinfo:
-        run_sharded(CONFIG, list(range(3)),
-                    lambda machine, payload: payload,
-                    workers=1, faults=plan, max_job_retries=0)
-    message = str(excinfo.value)
-    assert "1 unfinished job(s) [0]" in message
-    # The strict error names each job's attempts and last cause.
-    assert f"job 0: 1 attempt(s), last cause {SITE_WORKER_CRASH}" in message
+    report = run_sharded(CONFIG, list(range(3)),
+                         lambda machine, payload: payload,
+                         workers=1, faults=plan,
+                         retry_policy=RetryPolicy(budget=0, poison_after=0))
+    unfinished = [r for r in report.results if r.error is not None]
+    assert [r.job_id for r in unfinished] == [0]
+    assert (unfinished[0].attempts, unfinished[0].last_fault_site) \
+        == (1, SITE_WORKER_CRASH)
+    assert "exhausted after 1 failed attempt(s)" in unfinished[0].error
+    assert [r.outcome for r in report.results] == [None, 1, 2]
     assert plan.stats.accounted()
 
 
@@ -211,10 +221,11 @@ def test_kill_storm_degrades_gracefully_when_not_strict():
     plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
     report = run_sharded(CONFIG, ["only-job"],
                          lambda machine, payload: payload, workers=1,
-                         faults=plan, max_job_retries=2, strict=False)
+                         faults=plan,
+                         retry_policy=RetryPolicy(budget=2, poison_after=0))
     assert len(report.results) == 1
     assert report.results[0].outcome is None
-    assert "retries exhausted after 3 failed attempt(s)" \
+    assert "exhausted after 3 failed attempt(s)" \
         in report.results[0].error
     assert plan.stats.infra_failed.get(SITE_WORKER_KILL) == 3
     assert plan.stats.accounted()
@@ -224,7 +235,8 @@ def test_dropped_result_is_requeued_and_recovered():
     plan = FaultPlan(seed=0, schedule={SITE_RESULT_DROP: {0}})
     report = run_sharded(CONFIG, list(range(3)),
                          lambda machine, payload: payload * 3, workers=1,
-                         faults=plan, max_job_retries=1)
+                         faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == [0, 3, 6]
     assert plan.stats.recovered.get(SITE_RESULT_DROP) == 1
     assert plan.stats.accounted()
@@ -240,8 +252,8 @@ def test_genuine_job_exception_is_not_retried():
         return payload
 
     report = run_sharded(CONFIG, [0, 1, 2], runner, workers=1,
-                         faults=FaultPlan(seed=0), max_job_retries=5,
-                         strict=False)
+                         faults=FaultPlan(seed=0),
+                         retry_policy=RetryPolicy(budget=5, poison_after=0))
     assert report.rounds == 1
     assert "ValueError" in report.results[1].error
     assert report.results[0].outcome == 0
@@ -261,21 +273,27 @@ def test_boot_failure_charges_nothing_until_pool_cannot_boot(tmp_path):
 
     report = run_sharded(CONFIG, list(range(3)),
                          lambda machine, payload: payload + 5, workers=1,
-                         boot=flaky_boot, max_job_retries=1)
+                         boot=flaky_boot,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
     assert [r.outcome for r in report.results] == [5, 6, 7]
     assert report.rounds == 2 and report.shards_died == 1
 
 
 def test_pool_that_can_never_boot_raises():
+    """Every round charges every job when no shard boots, so the run
+    ends with each job unfinished and the boot error in its result."""
     def broken_boot():
         raise RuntimeError("no machine for you")
 
-    with pytest.raises(RuntimeError) as excinfo:
-        run_sharded(CONFIG, list(range(2)),
-                    lambda machine, payload: payload, workers=2,
-                    boot=broken_boot, max_job_retries=1)
-    assert "unfinished job(s)" in str(excinfo.value)
-    assert "no machine for you" in str(excinfo.value)
+    report = run_sharded(CONFIG, list(range(2)),
+                         lambda machine, payload: payload, workers=2,
+                         boot=broken_boot,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0))
+    assert [r.job_id for r in report.results] == [0, 1]
+    for result in report.results:
+        assert result.outcome is None and not result.poisoned
+        assert result.attempts == 2
+        assert "no machine for you" in result.error
 
 
 def test_telemetry_hook_collects_from_retired_shards():
@@ -289,7 +307,8 @@ def test_killed_shard_ships_no_telemetry():
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload, workers=2,
-                         faults=plan, max_job_retries=1,
+                         faults=plan,
+                         retry_policy=RetryPolicy(budget=1, poison_after=0),
                          telemetry_hook=lambda m: m.cluster_worker_id)
     # Worker 0 was SIGKILLed; only cleanly-retired shards report.
     assert 0 not in report.telemetry
