@@ -13,12 +13,14 @@ Subcommands
 ``compare``
     Compare generation strategies on one corpus (Table 4's experiment).
 ``corpus``
-    Generate a corpus and save it to a directory, or inspect one.
+    Stream a generated corpus into a directory (``gen``), or summarize
+    one (``stats``).
 ``show``
     Decode a ``.prog`` file and execute it against a preset kernel,
     printing the strace-style trace.
 ``inspect``
-    Reload a saved campaign JSON and summarize it.
+    Reload a campaign result document (a ``run --save`` file or a
+    store's ``result.json``) and summarize it.
 ``coverage``
     Profile a corpus and report kernel coverage.
 ``spec``
@@ -49,14 +51,13 @@ from .core.known_bugs import SCENARIOS, reproduce_known_bug
 from .core.detection import Detector
 from .core.minimize import minimize_report
 from .core.nondet import NondetAnalyzer
-from .core.persist import load_campaign, save_campaign
 from .core.spec import default_specification
 from .core.pipeline import CampaignConfig, CampaignResult, Kit
 from .core.profile import Profiler
 from .faults.plan import FaultPlan
 from .corpus.generator import build_corpus
 from .corpus.program import TestProgram
-from .corpus.store import load_corpus, save_corpus
+from .corpus.store import iter_corpus
 from .kernel.bugs import (
     RACE_BUGS,
     BugFlags,
@@ -66,7 +67,7 @@ from .kernel.bugs import (
     linux_5_13,
     race_kernel,
 )
-from .store import StoreError
+from .store import StoreError, publish_document, read_document
 from .kernel.kernel import KernelConfig
 from .vm.machine import Machine, MachineConfig, RECEIVER
 
@@ -99,8 +100,11 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
     stats = result.stats
     print(f"corpus: {stats.corpus_size} programs, "
           f"flows: {stats.flow_count}, clusters: {stats.cluster_count}")
-    # A resumed campaign restores journaled cases instead of running them.
-    line = (f"cases: {stats.cases_total - stats.resumed_cases} executed "
+    # A resumed campaign restores journaled verdicts instead of running
+    # them, and a poisoned or infra-failed case has no verdict at all.
+    executed = (stats.cases_total - stats.resumed_cases
+                - stats.poisoned_cases - stats.infra_failed_cases)
+    line = (f"cases: {executed} executed "
             f"({stats.executions_per_second():.0f}/s)")
     if stats.resumed_cases:
         line += f", {stats.resumed_cases} restored"
@@ -226,15 +230,14 @@ def _resolve_workers(requested: Optional[int]) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    corpus: Optional[List[TestProgram]] = None
     if args.corpus_dir:
-        loaded = load_corpus(args.corpus_dir)
-        if not loaded.ok:
-            for name, error in loaded.errors:
+        errors: List = []
+        corpus = list(iter_corpus(args.corpus_dir, errors=errors))
+        if errors:
+            for name, error in errors:
                 print(f"corpus error: {name}: {error}", file=sys.stderr)
             return 1
-        corpus: Optional[List[TestProgram]] = loaded.programs
-    else:
-        corpus = None
     config = CampaignConfig(
         machine=_machine_config(args),
         corpus=corpus,
@@ -277,7 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(minimize_report(detector, report).render())
             print()
     if args.save:
-        save_campaign(result, args.save)
+        publish_document(args.save, result.to_document())
         print(f"campaign saved to {args.save}")
     if args.markdown:
         from .core.render_md import save_campaign_markdown
@@ -288,7 +291,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    result = load_campaign(args.campaign)
+    result = CampaignResult.from_document(read_document(args.campaign))
     print(f"kernel {result.config.strategy} campaign, "
           f"{len(result.reports)} reports")
     _print_campaign(result, show_reports=args.reports)
@@ -456,18 +459,16 @@ def _corpus_gen(args: argparse.Namespace) -> int:
     on disk, so an interrupted run finishes into a byte-identical
     directory.
     """
-    from .corpus.generator import (CoverageDeduper, StreamStats,
-                                   stream_corpus_batches)
+    from .corpus.generator import CoverageDeduper, StreamStats, stream_corpus
     from .corpus.store import CorpusWriter
 
     stats = StreamStats()
     deduper = CoverageDeduper() if args.dedup else None
     with CorpusWriter(args.directory) as writer:
-        for batch in stream_corpus_batches(
-                args.corpus_size, args.batch_size, seed=args.seed,
-                deduper=deduper, diversify=args.diversify, stats=stats):
-            for program in batch:
-                writer.add(program)
+        for program in stream_corpus(args.corpus_size, seed=args.seed,
+                                     deduper=deduper,
+                                     diversify=args.diversify, stats=stats):
+            writer.add(program)
     drops = (f"{stats.duplicate_drops} duplicate / "
              f"{stats.coverage_drops} coverage drops")
     if stats.diversified:
@@ -484,8 +485,6 @@ def _corpus_gen(args: argparse.Namespace) -> int:
 def _corpus_stats(args: argparse.Namespace) -> int:
     """``corpus stats DIR``: stream a corpus directory and summarize it."""
     from collections import Counter
-
-    from .corpus.store import iter_corpus
 
     errors: List = []
     programs = calls = prog_bytes = 0
@@ -505,25 +504,6 @@ def _corpus_stats(args: argparse.Namespace) -> int:
     for name, error in errors:
         print(f"  {name}: {error}", file=sys.stderr)
     return 0 if not errors else 1
-
-
-def cmd_corpus(args: argparse.Namespace) -> int:
-    if args.target in ("gen", "stats"):
-        if not args.directory:
-            raise SystemExit(f"corpus {args.target} requires a directory")
-        return (_corpus_gen if args.target == "gen" else _corpus_stats)(args)
-    # Legacy form: the first positional is the directory itself.
-    args.directory = args.target
-    if args.generate:
-        corpus = build_corpus(args.corpus_size, seed=args.seed)
-        written = save_corpus(args.directory, corpus)
-        print(f"wrote {written} programs to {args.directory}")
-        return 0
-    loaded = load_corpus(args.directory)
-    print(f"{len(loaded.programs)} programs, {len(loaded.errors)} errors")
-    for name, error in loaded.errors:
-        print(f"  {name}: {error}", file=sys.stderr)
-    return 0 if loaded.ok else 1
 
 
 def cmd_store(args: argparse.Namespace) -> int:
@@ -743,8 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verbose", action="store_true")
     run.set_defaults(handler=cmd_run)
 
-    inspect = subparsers.add_parser("inspect",
-                                    help="reload and summarize a saved campaign")
+    inspect = subparsers.add_parser(
+        "inspect", help="reload and summarize a campaign result document "
+                        "(run --save, or a store's result.json)")
     inspect.add_argument("campaign")
     inspect.add_argument("--reports", action="store_true")
     inspect.set_defaults(handler=cmd_inspect)
@@ -770,26 +751,27 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = subparsers.add_parser(
         "corpus",
         help="manage corpus directories: 'corpus gen DIR' streams a "
-             "generation run to disk, 'corpus stats DIR' summarizes one, "
-             "and the legacy 'corpus DIR [--generate]' form still works")
-    corpus.add_argument("target",
-                        help="'gen', 'stats', or a corpus directory "
-                             "(legacy form)")
-    corpus.add_argument("directory", nargs="?",
-                        help="corpus directory for gen/stats")
-    corpus.add_argument("--generate", action="store_true",
-                        help="legacy form: generate into DIR")
-    corpus.add_argument("--corpus-size", type=int, default=200)
-    corpus.add_argument("--seed", type=int, default=1)
-    corpus.add_argument("--batch-size", type=int, default=64,
-                        help="programs per streamed generation batch")
-    corpus.add_argument("--dedup", action="store_true",
-                        help="drop programs whose static access map adds "
-                             "no new (location, r/w) coverage fact")
-    corpus.add_argument("--diversify", action="store_true",
-                        help="mine admitted programs' syscall profiles and "
-                             "generate focused programs for unused syscalls")
-    corpus.set_defaults(handler=cmd_corpus)
+             "generation run to disk, 'corpus stats DIR' summarizes one")
+    corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
+    corpus_gen = corpus_sub.add_parser(
+        "gen", help="stream a deterministic, resumable generation run "
+                    "into DIR")
+    corpus_gen.add_argument("directory", metavar="DIR")
+    corpus_gen.add_argument("--corpus-size", type=int, default=200)
+    corpus_gen.add_argument("--seed", type=int, default=1)
+    corpus_gen.add_argument("--dedup", action="store_true",
+                            help="drop programs whose static access map "
+                                 "adds no new (location, r/w) coverage "
+                                 "fact")
+    corpus_gen.add_argument("--diversify", action="store_true",
+                            help="mine admitted programs' syscall profiles "
+                                 "and generate focused programs for unused "
+                                 "syscalls")
+    corpus_gen.set_defaults(handler=_corpus_gen)
+    corpus_stats = corpus_sub.add_parser(
+        "stats", help="stream a corpus directory and summarize it")
+    corpus_stats.add_argument("directory", metavar="DIR")
+    corpus_stats.set_defaults(handler=_corpus_stats)
 
     spec = subparsers.add_parser("spec",
                                  help="print the default protected-resource "

@@ -7,12 +7,6 @@ Generation (§4.1) → execution (§4.2) → detection (§4.3) → aggregation
 from .aggregation import ReportGroups, aggregate, call_signature
 from .bounds import BoundsDetector, BoundViolation, PathProfile
 from .coverage import CoverageReport, coverage_of_profiles
-from .persist import (
-    campaign_from_dict,
-    campaign_to_dict,
-    load_campaign,
-    save_campaign,
-)
 from .clustering import (
     ClusteringStrategy,
     DfFullStrategy,
@@ -85,8 +79,6 @@ __all__ = [
     "machine_fingerprint",
     "save_campaign_markdown",
     "CoverageReport",
-    "campaign_from_dict",
-    "campaign_to_dict",
     "coverage_of_profiles",
     "ClusteringStrategy",
     "ColumnarAccessIndex",
@@ -129,11 +121,9 @@ __all__ = [
     "decode_record",
     "decode_trace",
     "default_specification",
-    "load_campaign",
     "MinimizedCase",
     "minimize_report",
     "reduce_to",
-    "save_campaign",
     "nondet_paths_from_runs",
     "PathProfile",
     "profile_corpus_distributed",

@@ -13,7 +13,7 @@ oracle) the set of injected bugs the campaign discovered.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -331,6 +331,11 @@ class CampaignStats:
         self.profile_store_bytes_written += store.bytes_written
 
 
+#: Version of the result document :meth:`CampaignResult.to_document`
+#: writes and :meth:`CampaignResult.from_document` accepts.
+RESULT_FORMAT_VERSION = 1
+
+
 @dataclass
 class CampaignResult:
     """Everything a campaign produced."""
@@ -359,6 +364,68 @@ class CampaignResult:
             label for label in self.labels()
             if label not in (FALSE_POSITIVE, UNDER_INVESTIGATION)
         }
+
+    def to_document(self) -> Dict[str, Any]:
+        """The self-contained JSON result document.
+
+        Reports keep their programs and records (``reportcodec``), so a
+        reloaded result re-aggregates and classifies; the configuration
+        is summarized, not round-tripped, so reloading rebuilds no
+        kernel.
+        """
+        config = self.config
+        generation = self.generation
+        return {
+            "format_version": RESULT_FORMAT_VERSION,
+            "config": {
+                "strategy": config.strategy,
+                "corpus_size": config.corpus_size,
+                "corpus_seed": config.corpus_seed,
+                "rep_seed": config.rep_seed,
+                "kernel_version": config.machine.kernel.version,
+                "bugs_enabled": config.machine.bugs.enabled(),
+            },
+            "stats": asdict(self.stats),
+            "generation": {
+                "strategy": generation.strategy,
+                "cluster_count": generation.cluster_count,
+                "flow_count": generation.flow_count,
+                "overlap_addresses": generation.overlap_addresses,
+            },
+            "reports": [encode_report(report) for report in self.reports],
+        }
+
+    @classmethod
+    def from_document(cls, data: Dict[str, Any]) -> "CampaignResult":
+        """Rebuild a result from :meth:`to_document`'s output.
+
+        Raises ``ValueError`` for any ``format_version`` but
+        :data:`RESULT_FORMAT_VERSION`.
+        """
+        if data.get("format_version") != RESULT_FORMAT_VERSION:
+            raise ValueError(f"unsupported campaign format "
+                             f"{data.get('format_version')!r}")
+        # Decode only the fields CampaignStats still defines: documents
+        # saved before a counter was retired keep loading.
+        known = {stat.name for stat in fields(CampaignStats)}
+        stats = CampaignStats(**{name: value
+                                 for name, value in data["stats"].items()
+                                 if name in known})
+        reports = [decode_report(report) for report in data["reports"]]
+        generation = GenerationResult(
+            strategy=data["generation"]["strategy"],
+            test_cases=[],
+            cluster_count=data["generation"]["cluster_count"],
+            flow_count=data["generation"]["flow_count"],
+            overlap_addresses=data["generation"]["overlap_addresses"],
+        )
+        config = CampaignConfig(
+            strategy=data["config"]["strategy"],
+            corpus_size=data["config"]["corpus_size"],
+            corpus_seed=data["config"]["corpus_seed"],
+            rep_seed=data["config"]["rep_seed"],
+        )
+        return cls(config, stats, generation, reports, aggregate(reports))
 
 
 @dataclass
@@ -585,8 +652,6 @@ class Kit:
     def _finish_store(self, result: CampaignResult, stats: CampaignStats,
                       say: Progress) -> None:
         """Seal the campaign: end record, then the result document."""
-        from .persist import campaign_to_dict
-
         handle = self._store_handle
         infra = stats.outcomes.get(Outcome.INFRA_FAILED.value, 0)
         poisoned = stats.outcomes.get(Outcome.POISONED.value, 0)
@@ -602,7 +667,7 @@ class Kit:
             "bugs": sorted(result.bugs_found()),
         }
         handle.journal.append({"t": RECORD_END, "accounting": accounting})
-        path = handle.write_result(campaign_to_dict(result))
+        path = handle.write_result(result.to_document())
         say(f"campaign {handle.campaign_id}: "
             f"{accounting['completed']}/{stats.cases_total} completed, "
             f"{infra} infra_failed, {poisoned} poisoned "
@@ -695,12 +760,16 @@ class Kit:
             return results, list(range(len(cases))), list(cases)
         todo_map: List[int] = []
         todo: List[TestCase] = []
+        lost = (Outcome.POISONED, Outcome.INFRA_FAILED)
         for index, case in enumerate(cases):
             key = self._case_journal_key(case)
             record = state.cases.get(key)
             if record is not None:
                 results[index] = self._restore_detection(case, record)
-                stats.resumed_cases += 1
+                # Only a verdict counts as restored: a lost case counts
+                # as lost, so executed + restored + lost tile the total.
+                if results[index].outcome not in lost:
+                    stats.resumed_cases += 1
                 continue
             if key in state.poisoned:
                 # Quarantine is durable: a poison pair is never offered
@@ -708,7 +777,6 @@ class Kit:
                 # its poisoned record left it without a case record.
                 results[index] = DetectionResult(case, Outcome.POISONED)
                 self._journal_detection(results[index])
-                stats.resumed_cases += 1
                 continue
             todo_map.append(index)
             todo.append(case)

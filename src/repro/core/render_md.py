@@ -2,7 +2,8 @@
 
 The artifact a campaign leaves behind for humans: the funnel, the group
 table, one decoded representative per AGG-RS group, and (when available)
-culprit pairs.  Pairs with :mod:`repro.core.persist` — save the JSON for
+culprit pairs.  Pairs with the JSON result document
+(:meth:`~repro.core.pipeline.CampaignResult.to_document`) — the JSON for
 machines, the markdown for the review thread.
 """
 

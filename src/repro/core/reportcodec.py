@@ -1,6 +1,7 @@
 """JSON codecs for syscall records, reports, and detection results.
 
-Shared by :mod:`repro.core.persist` (whole-campaign JSON documents) and
+Shared by the result document of
+:meth:`repro.core.pipeline.CampaignResult.to_document` and
 :mod:`repro.store` (the write-ahead campaign journal), which must not
 import the pipeline module — keeping the codec here breaks the cycle.
 

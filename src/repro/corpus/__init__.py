@@ -6,17 +6,10 @@ from .generator import (
     StreamStats,
     build_corpus,
     stream_corpus,
-    stream_corpus_batches,
 )
 from .program import Arg, Call, ConstArg, ResultArg, TestProgram, prog
 from .seeds import seed_list, seed_programs
-from .store import (
-    CorpusWriter,
-    LoadReport,
-    iter_corpus,
-    load_corpus,
-    save_corpus,
-)
+from .store import CorpusWriter, iter_corpus
 
 __all__ = [
     "Arg",
@@ -28,13 +21,9 @@ __all__ = [
     "ResultArg",
     "StreamStats",
     "TestProgram",
-    "LoadReport",
     "build_corpus",
     "iter_corpus",
-    "load_corpus",
-    "save_corpus",
     "stream_corpus",
-    "stream_corpus_batches",
     "prog",
     "seed_list",
     "seed_programs",

@@ -6,56 +6,25 @@ order, so campaigns are reproducible from disk.  Programs that fail to
 parse are reported, not silently dropped — a corrupted corpus should be
 loud.
 
-Loading and saving both *stream*: :func:`iter_corpus` yields programs
-one at a time straight off the index (a 100k-program corpus never sits
-in memory as a list on the load path), and :class:`CorpusWriter` admits
-a generation stream incrementally, appending to the index as it goes —
-reopening the writer on an existing directory resumes it, skipping the
-hashes already present, so an interrupted deterministic generation run
-finishes into a byte-identical directory.
+A corpus directory has one writer and one reader, and both *stream*:
+:class:`CorpusWriter` admits a generation stream incrementally,
+appending to the index as it goes — reopening the writer on an existing
+directory resumes it, skipping the hashes already present, so an
+interrupted deterministic generation run finishes into a byte-identical
+directory — and :func:`iter_corpus` yields programs one at a time
+straight off the index (a 100k-program corpus never sits in memory as a
+list on the load path).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .program import TestProgram
 
 _INDEX_NAME = "index.txt"
 _SUFFIX = ".prog"
-
-
-@dataclass
-class LoadReport:
-    """Outcome of loading a corpus directory."""
-
-    programs: List[TestProgram] = field(default_factory=list)
-    #: (filename, error message) for entries that failed to load.
-    errors: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def save_corpus(directory: str, corpus: Iterable[TestProgram]) -> int:
-    """Write *corpus* under *directory*; returns the number written.
-
-    *corpus* may be any iterable, including a lazy generation stream —
-    each program is written as it arrives.
-    """
-    os.makedirs(directory, exist_ok=True)
-    count = 0
-    with open(os.path.join(directory, _INDEX_NAME), "w") as index:
-        for program in corpus:
-            name = program.hash_hex + _SUFFIX
-            with open(os.path.join(directory, name), "w") as handle:
-                handle.write(program.serialize() + "\n")
-            index.write(name + "\n")
-            count += 1
-    return count
 
 
 def _iter_index_names(directory: str) -> Iterator[str]:
@@ -101,18 +70,6 @@ def iter_corpus(directory: str,
                 (name, f"content hash {program.hash_hex} != filename"))
             continue
         yield program
-
-
-def load_corpus(directory: str) -> LoadReport:
-    """Load a corpus directory written by :func:`save_corpus`.
-
-    Without an index (e.g. a hand-assembled directory), ``*.prog`` files
-    are loaded in sorted-name order.
-    """
-    report = LoadReport()
-    for program in iter_corpus(directory, errors=report.errors):
-        report.programs.append(program)
-    return report
 
 
 class CorpusWriter:

@@ -25,10 +25,11 @@ from .plan import (
     call_with_fault_retries,
     decision,
 )
-from .retry import CAUSE_TRANSIT, CAUSE_WORKER_DEATH, RetryPolicy
+from .retry import CAUSE_BOOT, CAUSE_TRANSIT, CAUSE_WORKER_DEATH, RetryPolicy
 
 __all__ = [
     "ALL_SITES",
+    "CAUSE_BOOT",
     "CAUSE_TRANSIT",
     "CAUSE_WORKER_DEATH",
     "ExecTimeoutInjected",

@@ -9,8 +9,9 @@ mechanisms:
 
 * **a per-cause budget** — each failure is attributed to a cause (the
   injected fault site that produced it, or the synthetic
-  :data:`CAUSE_WORKER_DEATH` / :data:`CAUSE_TRANSIT` causes for real
-  deaths and lost results), and a job whose failures of any one cause
+  :data:`CAUSE_WORKER_DEATH` / :data:`CAUSE_TRANSIT` /
+  :data:`CAUSE_BOOT` causes for real deaths, lost results and rounds
+  in which no shard booted), and a job whose failures of any one cause
   exceed ``budget`` is exhausted (the pipeline records it as
   ``infra_failed`` under a fault plan, and fails the campaign without
   one);
@@ -34,6 +35,9 @@ CAUSE_WORKER_DEATH = "worker.death"
 #: attribution (should not occur outside chaos, but the books need a
 #: column for it).
 CAUSE_TRANSIT = "transit"
+#: Synthetic failure cause charged to every open job in a round in
+#: which no shard booted.
+CAUSE_BOOT = "boot"
 
 
 @dataclass(frozen=True)

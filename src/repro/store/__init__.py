@@ -26,6 +26,8 @@ from .store import (
     StoreError,
     campaign_fingerprint,
     case_key,
+    publish_document,
+    read_document,
     summarize_config,
 )
 
@@ -48,6 +50,8 @@ __all__ = [
     "decode_line",
     "encode_line",
     "iter_records",
+    "publish_document",
+    "read_document",
     "scan",
     "summarize_config",
 ]

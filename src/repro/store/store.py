@@ -9,6 +9,9 @@ Layout under a ``--store DIR`` root::
         journal.jsonl.1 ...     # archived journals of earlier runs
         result.json             # full campaign result, written at completion
 
+:func:`publish_document` writes both JSON files (and ``run --save``
+files) atomically, and :func:`read_document` decodes them.
+
 The campaign id is derived from the **config fingerprint** — a SHA-256
 over every result-affecting knob (kernel preset, corpus identity,
 strategy and seeds, spec, offsets, chaos plan signature).  Resume
@@ -47,6 +50,35 @@ class StoreError(RuntimeError):
 
 class ResumeMismatchError(StoreError):
     """--resume pointed at a journal written by a different config."""
+
+
+def publish_document(path: str, document: Dict[str, Any]) -> str:
+    """Atomically write *document* as JSON to *path*; returns *path*.
+
+    The one writer of ``campaign.json``, ``result.json`` and ``run
+    --save`` files: a temp file, an fsync, then a rename, so a reader
+    sees the old document or the new one, never a torn one.
+    """
+    staging = path + ".tmp"
+    with open(staging, "w") as handle:
+        json.dump(document, handle, indent=1)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(staging, path)
+    return path
+
+
+def read_document(path: str) -> Dict[str, Any]:
+    """Decode a JSON document written by :func:`publish_document`.
+
+    Raises ``ValueError`` for a file that is not valid JSON or does not
+    hold a JSON object, and ``OSError`` for one that cannot be read.
+    """
+    with open(path) as handle:
+        document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ValueError("not a JSON object")
+    return document
 
 
 def case_key(sender_hash: str, receiver_hash: str) -> str:
@@ -131,6 +163,8 @@ class ResumeState:
     records: int = 0
     #: The prior run completed (an end record landed).
     completed: bool = False
+    #: The end record's accounting, when one landed.
+    accounting: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def from_records(cls, records: List[Dict[str, Any]],
@@ -147,6 +181,7 @@ class ResumeState:
                 state.poisoned.setdefault(key, record)
             elif kind == RECORD_END:
                 state.completed = True
+                state.accounting = record.get("accounting", {})
         return state
 
 
@@ -180,15 +215,9 @@ class CampaignHandle:
         self.journal = journal
 
     def write_result(self, document: Dict[str, Any]) -> str:
-        """Atomically publish the final result document."""
-        target = os.path.join(self.path, RESULT_FILE)
-        staging = target + ".tmp"
-        with open(staging, "w") as handle:
-            json.dump(document, handle, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(staging, target)
-        return target
+        """Publish the final result document."""
+        return publish_document(os.path.join(self.path, RESULT_FILE),
+                                document)
 
     def close(self) -> None:
         self.journal.close()
@@ -216,8 +245,12 @@ class CampaignStore:
                 raise ResumeMismatchError(
                     f"nothing to resume: campaign {campaign_id} has no "
                     f"journal under {self.root}")
-            with open(meta_path) as handle:
-                stored = json.load(handle)
+            try:
+                stored = read_document(meta_path)
+            except (OSError, ValueError) as error:
+                raise ResumeMismatchError(
+                    f"campaign {campaign_id}: cannot read {meta_path}: "
+                    f"{error}")
             if stored.get("fingerprint") != fingerprint:
                 raise ResumeMismatchError(
                     f"campaign {campaign_id}: stored fingerprint "
@@ -230,11 +263,8 @@ class CampaignStore:
             stale_result = os.path.join(path, RESULT_FILE)
             if os.path.exists(stale_result):
                 os.replace(stale_result, stale_result + ".old")
-            with open(meta_path, "w") as handle:
-                json.dump({"fingerprint": fingerprint, "summary": summary},
-                          handle, indent=1)
-                handle.flush()
-                os.fsync(handle.fileno())
+            publish_document(meta_path, {"fingerprint": fingerprint,
+                                         "summary": summary})
 
         journal = CampaignJournal(journal_path, faults=faults)
         if resume:
@@ -275,26 +305,19 @@ class CampaignStore:
         if not os.path.isfile(meta_path):
             return None
         try:
-            with open(meta_path) as handle:
-                stored = json.load(handle)
-        except ValueError:
+            stored = read_document(meta_path)
+        except (OSError, ValueError):
             return None
-        entry = CampaignEntry(campaign_id=campaign_id, path=path,
-                              summary=stored.get("summary", {}),
-                              fingerprint=stored.get("fingerprint", ""))
-        replay = scan(os.path.join(path, JOURNAL_FILE))
-        for record in replay.records:
-            kind = record.get("t")
-            if kind == RECORD_CASE:
-                entry.cases_done += 1
-            elif kind == RECORD_POISONED:
-                entry.poisoned += 1
-            elif kind == RECORD_ATTEMPT:
-                entry.attempts += 1
-            elif kind == RECORD_END:
-                entry.completed = True
-                entry.accounting = record.get("accounting", {})
-        return entry
+        state = ResumeState.from_records(
+            scan(os.path.join(path, JOURNAL_FILE)).records)
+        return CampaignEntry(campaign_id=campaign_id, path=path,
+                             summary=stored.get("summary", {}),
+                             fingerprint=stored.get("fingerprint", ""),
+                             cases_done=len(state.cases),
+                             poisoned=len(state.poisoned),
+                             attempts=sum(state.deaths.values()),
+                             completed=state.completed,
+                             accounting=state.accounting)
 
     def entry(self, campaign_id: str) -> CampaignEntry:
         entry = self._load_entry(campaign_id)

@@ -85,6 +85,7 @@ from ..faults.plan import (
     WorkerCrashInjected,
 )
 from ..faults.retry import (
+    CAUSE_BOOT,
     CAUSE_TRANSIT,
     CAUSE_WORKER_DEATH,
     RetryPolicy,
@@ -126,8 +127,9 @@ class Job:
     #: recovered when a result finally lands, infra on exhaustion.
     pending_sites: List[str] = field(default_factory=list)
     #: Failed attempts attributed per cause (fault site or the
-    #: synthetic worker-death / transit causes) — the retry-policy and
-    #: error-message ledger; survives pending-site resolution.
+    #: synthetic worker-death / transit / boot causes) — the
+    #: retry-policy and error-message ledger; survives pending-site
+    #: resolution.
     site_failures: Dict[str, int] = field(default_factory=dict)
     #: Shards this job took down with it (crash, SIGKILL, watchdog
     #: kill); reaching the policy's ``poison_after`` quarantines it.
@@ -604,17 +606,17 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 job.pending_sites = []
             return "infra"
 
-        def charge(job: Job) -> None:
+        def charge(job: Job, fallback: str = CAUSE_TRANSIT) -> None:
             job.failures += 1
             # Attribute a cause to this failed attempt: the fault site
-            # charged most recently, a real shard death, or a lost
-            # transfer.
+            # charged most recently, a real shard death, or *fallback*
+            # (a lost transfer, or a round in which no shard booted).
             if job.pending_sites:
                 attempt_cause = job.pending_sites[-1]
             elif job.death_attributed:
                 attempt_cause = CAUSE_WORKER_DEATH
             else:
-                attempt_cause = CAUSE_TRANSIT
+                attempt_cause = fallback
             job.last_cause = attempt_cause
             tally(job.site_failures, attempt_cause)
             settlement = settle(job)
@@ -627,7 +629,7 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             # open, or a pool that can never boot would respawn forever.
             for job_id in outstanding:
                 if job_id not in completed and job_id not in failed:
-                    charge(jobs[job_id])
+                    charge(jobs[job_id], CAUSE_BOOT)
             continue
         charged: set = set()
         for shard in round_dead:

@@ -1,4 +1,4 @@
-"""Tests for campaign persistence and corpus coverage accounting."""
+"""Tests for the campaign result document and corpus coverage accounting."""
 
 import json
 
@@ -7,17 +7,20 @@ import pytest
 from repro.core.aggregation import receiver_signature, sender_signature
 from repro.core.coverage import CoverageReport, coverage_of_profiles
 from repro.core.oracle import classify_all
-from repro.core.persist import (
-    campaign_from_dict,
-    campaign_to_dict,
-    load_campaign,
-    save_campaign,
-)
-from repro.core.pipeline import CampaignConfig, Kit
+from repro.core.pipeline import CampaignConfig, CampaignResult, Kit
 from repro.core.profile import Profiler
 from repro.corpus.seeds import seed_list, seed_programs
 from repro.kernel import linux_5_13
+from repro.store import publish_document, read_document
 from repro.vm import Machine, MachineConfig
+
+
+def _publish(result, path):
+    publish_document(path, result.to_document())
+
+
+def _reload(path):
+    return CampaignResult.from_document(read_document(path))
 
 
 @pytest.fixture(scope="module")
@@ -32,20 +35,20 @@ def campaign():
 class TestPersistence:
     def test_roundtrip_preserves_labels(self, campaign, tmp_path):
         path = str(tmp_path / "campaign.json")
-        save_campaign(campaign, path)
-        loaded = load_campaign(path)
+        _publish(campaign, path)
+        loaded = _reload(path)
         assert loaded.bugs_found() == campaign.bugs_found()
 
     def test_roundtrip_preserves_stats(self, campaign, tmp_path):
         path = str(tmp_path / "campaign.json")
-        save_campaign(campaign, path)
-        loaded = load_campaign(path)
+        _publish(campaign, path)
+        loaded = _reload(path)
         assert loaded.stats == campaign.stats
 
     def test_roundtrip_preserves_report_contents(self, campaign, tmp_path):
         path = str(tmp_path / "campaign.json")
-        save_campaign(campaign, path)
-        loaded = load_campaign(path)
+        _publish(campaign, path)
+        loaded = _reload(path)
         for original, restored in zip(campaign.reports, loaded.reports):
             assert restored.case.sender == original.case.sender
             assert restored.case.receiver == original.case.receiver
@@ -55,8 +58,8 @@ class TestPersistence:
 
     def test_reaggregation_matches(self, campaign, tmp_path):
         path = str(tmp_path / "campaign.json")
-        save_campaign(campaign, path)
-        loaded = load_campaign(path)
+        _publish(campaign, path)
+        loaded = _reload(path)
         assert loaded.groups.agg_r_count == campaign.groups.agg_r_count
         assert loaded.groups.agg_rs_count == campaign.groups.agg_rs_count
         for original, restored in zip(campaign.reports, loaded.reports):
@@ -65,13 +68,13 @@ class TestPersistence:
 
     def test_reports_render_after_reload(self, campaign, tmp_path):
         path = str(tmp_path / "campaign.json")
-        save_campaign(campaign, path)
-        loaded = load_campaign(path)
+        _publish(campaign, path)
+        loaded = _reload(path)
         assert "functional interference report" in loaded.reports[0].render()
 
     def test_document_is_plain_json(self, campaign, tmp_path):
         path = str(tmp_path / "campaign.json")
-        save_campaign(campaign, path)
+        _publish(campaign, path)
         with open(path) as handle:
             data = json.load(handle)
         assert data["format_version"] == 1
@@ -81,22 +84,22 @@ class TestPersistence:
         # A document saved while the static pre-filter, or the
         # work-stealing shard dispatcher, existed carries their
         # counters; they are dropped, everything else loads.
-        data = json.loads(json.dumps(campaign_to_dict(campaign)))
+        data = json.loads(json.dumps(campaign.to_document()))
         data["stats"].update(prefilter_pairs_total=64,
                              prefilter_pairs_pruned=28,
                              prefilter_precision=0.8,
                              prefilter_recall=0.8,
                              steals_attempted=3,
                              steals_granted=2)
-        loaded = campaign_from_dict(data)
+        loaded = CampaignResult.from_document(data)
         assert loaded.stats == campaign.stats
         assert loaded.bugs_found() == campaign.bugs_found()
 
     def test_unknown_version_rejected(self, campaign):
-        data = campaign_to_dict(campaign)
+        data = campaign.to_document()
         data["format_version"] = 99
         with pytest.raises(ValueError):
-            campaign_from_dict(data)
+            CampaignResult.from_document(data)
 
 
 class TestCoverage:

@@ -12,10 +12,7 @@ from repro.corpus import (
     StreamStats,
     build_corpus,
     iter_corpus,
-    load_corpus,
-    save_corpus,
     stream_corpus,
-    stream_corpus_batches,
 )
 from repro.corpus.program import prog
 from repro.corpus.seeds import seed_list
@@ -23,6 +20,17 @@ from repro.corpus.seeds import seed_list
 
 def _hashes(programs):
     return [p.hash_hex for p in programs]
+
+
+def _write(directory, corpus):
+    with CorpusWriter(directory) as writer:
+        for program in corpus:
+            writer.add(program)
+
+
+def _load(directory):
+    errors = []
+    return list(iter_corpus(directory, errors=errors)), errors
 
 
 class TestStreamDeterminism:
@@ -43,26 +51,6 @@ class TestStreamDeterminism:
         corpus = build_corpus(200, seed=4)
         assert len(corpus) == 200
         assert len({p.hash_hex for p in corpus}) == 200
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 32, 500])
-    def test_batch_size_never_changes_admission(self, batch_size):
-        flat = _hashes(stream_corpus(60, seed=5))
-        batched = [p.hash_hex
-                   for batch in stream_corpus_batches(60, batch_size, seed=5)
-                   for p in batch]
-        assert flat == batched
-
-    def test_batch_size_never_changes_drop_counts(self):
-        results = []
-        for batch_size in (1, 13, 64):
-            stats = StreamStats()
-            for __ in stream_corpus_batches(60, batch_size, seed=5,
-                                            deduper=CoverageDeduper(),
-                                            stats=stats):
-                pass
-            results.append((stats.emitted, stats.candidates,
-                            stats.duplicate_drops, stats.coverage_drops))
-        assert len(set(results)) == 1
 
     def test_dedup_drop_counts_deterministic(self):
         runs = []
@@ -146,19 +134,23 @@ class TestCorpusWriterResume:
                 assert a.read() == b.read(), name
 
     def test_writer_directory_loads_like_save_corpus(self, tmp_path):
-        saved = str(tmp_path / "saved")
+        """The writer keeps the historical layout: one ``<hash>.prog``
+        per program holding its serialization, and ``index.txt`` naming
+        them in corpus order, so directories written before it load."""
         streamed = str(tmp_path / "streamed")
         corpus = build_corpus(30, seed=7)
-        save_corpus(saved, corpus)
         with CorpusWriter(streamed) as writer:
             for program in corpus:
                 writer.add(program)
             assert writer.count == writer.added == 30
-        for name in os.listdir(saved):
-            with open(os.path.join(saved, name), "rb") as a, \
-                    open(os.path.join(streamed, name), "rb") as b:
-                assert a.read() == b.read(), name
-        assert _hashes(load_corpus(streamed).programs) == _hashes(corpus)
+        names = [program.hash_hex + ".prog" for program in corpus]
+        assert sorted(os.listdir(streamed)) == sorted(names + ["index.txt"])
+        with open(os.path.join(streamed, "index.txt")) as handle:
+            assert handle.read() == "".join(name + "\n" for name in names)
+        for program, name in zip(corpus, names):
+            with open(os.path.join(streamed, name)) as handle:
+                assert handle.read() == program.serialize() + "\n", name
+        assert _hashes(iter_corpus(streamed)) == _hashes(corpus)
 
     def test_add_reports_duplicates(self, tmp_path):
         program = seed_list()[0]
@@ -172,35 +164,33 @@ class TestStreamingLoad:
     def test_iter_corpus_streams_in_index_order(self, tmp_path):
         directory = str(tmp_path / "c")
         corpus = build_corpus(20, seed=8)
-        save_corpus(directory, corpus)
+        _write(directory, corpus)
         assert _hashes(iter_corpus(directory)) == _hashes(corpus)
 
     def test_corrupt_entry_skipped_and_reported(self, tmp_path):
         directory = str(tmp_path / "c")
         corpus = build_corpus(10, seed=8)
-        save_corpus(directory, corpus)
+        _write(directory, corpus)
         victim = corpus[3].hash_hex + ".prog"
         with open(os.path.join(directory, victim), "w") as handle:
             handle.write("this is not a program\n")
-        report = load_corpus(directory)
-        assert len(report.programs) == 9
-        assert [name for name, __ in report.errors] == [victim]
-        assert not report.ok
+        programs, errors = _load(directory)
+        assert len(programs) == 9
+        assert [name for name, __ in errors] == [victim]
 
     def test_hash_mismatch_reported(self, tmp_path):
         directory = str(tmp_path / "c")
-        save_corpus(directory, build_corpus(5, seed=8))
+        _write(directory, build_corpus(5, seed=8))
         other = build_corpus(6, seed=9)[-1]
         victim = sorted(os.listdir(directory))[0]
         if victim == "index.txt":
             victim = sorted(os.listdir(directory))[1]
         with open(os.path.join(directory, victim), "w") as handle:
             handle.write(other.serialize() + "\n")
-        report = load_corpus(directory)
-        assert any("hash" in msg for __, msg in report.errors)
+        programs, errors = _load(directory)
+        assert any("hash" in msg for __, msg in errors)
 
     def test_missing_directory_is_an_error_entry_not_a_raise(self, tmp_path):
-        report = load_corpus(str(tmp_path / "nope"))
-        assert report.programs == []
-        assert len(report.errors) == 1
-        assert not report.ok
+        programs, errors = _load(str(tmp_path / "nope"))
+        assert programs == []
+        assert len(errors) == 1

@@ -25,6 +25,7 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.faults.retry import (
+    CAUSE_BOOT,
     CAUSE_TRANSIT,
     CAUSE_WORKER_DEATH,
     RetryPolicy,
@@ -454,7 +455,7 @@ class TestPipelineSettlement:
             with pytest.raises(RuntimeError) as excinfo:
                 Kit(config).run()
             message = str(excinfo.value)
-            assert f"{attempts} attempt(s), last cause {CAUSE_TRANSIT}" \
+            assert f"{attempts} attempt(s), last cause {CAUSE_BOOT}" \
                 in message
             assert "no machine for you" in message
             return

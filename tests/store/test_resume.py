@@ -239,6 +239,8 @@ class TestPoisonQuarantineDurability:
             journal_handle.append_poisoned(victim, 5, "killed 5 worker(s)")
         resumed = Kit(_config(store_dir, resume=True)).run()
         assert resumed.stats.poisoned_cases == 1
+        # A lost case is not a restored verdict.
+        assert resumed.stats.resumed_cases == resumed.stats.cases_total - 1
         assert resumed.stats.outcomes.get(Outcome.POISONED.value) == 1
         # Quarantine must subtract at most the victim from the bug set.
         assert set(resumed.bugs_found()) <= set(clean.bugs_found())

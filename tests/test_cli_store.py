@@ -8,54 +8,65 @@ import pytest
 from repro.cli import main
 from repro.corpus.generator import build_corpus
 from repro.corpus.program import prog
-from repro.corpus.store import load_corpus, save_corpus
+from repro.corpus.store import CorpusWriter, iter_corpus
 from repro.vm import fork_available
+
+
+def _save(directory, corpus):
+    with CorpusWriter(directory) as writer:
+        for program in corpus:
+            writer.add(program)
+
+
+def _load(directory):
+    errors = []
+    return list(iter_corpus(directory, errors=errors)), errors
 
 
 class TestCorpusStore:
     def test_roundtrip(self, tmp_path):
         corpus = build_corpus(25, seed=5)
-        save_corpus(str(tmp_path), corpus)
-        loaded = load_corpus(str(tmp_path))
-        assert loaded.ok
-        assert loaded.programs == corpus
+        _save(str(tmp_path), corpus)
+        programs, errors = _load(str(tmp_path))
+        assert not errors
+        assert programs == corpus
 
     def test_index_preserves_order(self, tmp_path):
         corpus = build_corpus(10, seed=6)
-        save_corpus(str(tmp_path), corpus)
-        loaded = load_corpus(str(tmp_path))
-        assert [p.hash_hex for p in loaded.programs] == \
+        _save(str(tmp_path), corpus)
+        programs, __ = _load(str(tmp_path))
+        assert [p.hash_hex for p in programs] == \
             [p.hash_hex for p in corpus]
 
     def test_corrupted_file_reported(self, tmp_path):
-        save_corpus(str(tmp_path), [prog(("getpid",),)])
+        _save(str(tmp_path), [prog(("getpid",),)])
         name = os.listdir(str(tmp_path))
         victim = [n for n in name if n.endswith(".prog")][0]
         with open(tmp_path / victim, "w") as handle:
             handle.write("!!! not a program !!!\n")
-        loaded = load_corpus(str(tmp_path))
-        assert not loaded.ok
-        assert loaded.errors[0][0] == victim
+        programs, errors = _load(str(tmp_path))
+        assert errors and not programs
+        assert errors[0][0] == victim
 
     def test_hash_mismatch_reported(self, tmp_path):
-        save_corpus(str(tmp_path), [prog(("getpid",),)])
+        _save(str(tmp_path), [prog(("getpid",),)])
         victim = [n for n in os.listdir(str(tmp_path))
                   if n.endswith(".prog")][0]
         with open(tmp_path / victim, "w") as handle:
             handle.write(prog(("gethostname",),).serialize() + "\n")
-        loaded = load_corpus(str(tmp_path))
-        assert "hash" in loaded.errors[0][1]
+        __, errors = _load(str(tmp_path))
+        assert "hash" in errors[0][1]
 
     def test_directory_without_index(self, tmp_path):
         program = prog(("getpid",),)
         with open(tmp_path / f"{program.hash_hex}.prog", "w") as handle:
             handle.write(program.serialize() + "\n")
-        loaded = load_corpus(str(tmp_path))
-        assert loaded.ok and loaded.programs == [program]
+        programs, errors = _load(str(tmp_path))
+        assert not errors and programs == [program]
 
     def test_empty_corpus(self, tmp_path):
-        save_corpus(str(tmp_path), [])
-        assert load_corpus(str(tmp_path)).programs == []
+        _save(str(tmp_path), [])
+        assert _load(str(tmp_path)) == ([], [])
 
 
 class TestCli:
@@ -89,6 +100,7 @@ class TestCli:
                      "--rand-budget", "6", "--workers", "2",
                      "--faults", "0:1.0:worker.kill"]) == 0
         output = capsys.readouterr().out
+        assert "cases: 0 executed (0/s), outcomes: poisoned=6\n" in output
         assert "0 infra-failed / " in output
         assert "cases lost: 6," in output
         assert "supervision: 6 pair(s) quarantined" in output
@@ -108,16 +120,40 @@ class TestCli:
 
     def test_corpus_generate_and_inspect(self, tmp_path, capsys):
         directory = str(tmp_path / "corpus")
-        assert main(["corpus", directory, "--generate",
-                     "--corpus-size", "15"]) == 0
-        assert main(["corpus", directory]) == 0
-        assert "15 programs, 0 errors" in capsys.readouterr().out
+        assert main(["corpus", "gen", directory, "--corpus-size", "15"]) == 0
+        assert main(["corpus", "stats", directory]) == 0
+        output = capsys.readouterr().out
+        assert f"wrote 15 programs to {directory}" in output
+        assert "15 programs, " in output and ", 0 errors" in output
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "DIR"],
+        ["corpus", "DIR", "--generate"],
+        ["corpus", "gen", "DIR", "--batch-size", "8"],
+    ], ids=["legacy-dir", "legacy-generate", "batch-size"])
+    def test_retired_corpus_forms_are_rejected(self, argv, tmp_path):
+        argv = [str(tmp_path / "c") if arg == "DIR" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert not os.path.exists(tmp_path / "c")
 
     def test_run_from_corpus_dir(self, tmp_path, capsys):
         directory = str(tmp_path / "corpus")
-        main(["corpus", directory, "--generate", "--corpus-size", "45"])
+        main(["corpus", "gen", directory, "--corpus-size", "45"])
         assert main(["run", "--corpus-dir", directory]) == 0
         assert "corpus: 45 programs" in capsys.readouterr().out
+
+    def test_run_from_damaged_corpus_dir_exits_1(self, tmp_path, capsys):
+        directory = str(tmp_path / "corpus")
+        main(["corpus", "gen", directory, "--corpus-size", "5"])
+        victim = sorted(n for n in os.listdir(directory)
+                        if n.endswith(".prog"))[0]
+        with open(os.path.join(directory, victim), "w") as handle:
+            handle.write("!!! not a program !!!\n")
+        capsys.readouterr()
+        assert main(["run", "--corpus-dir", directory]) == 1
+        assert f"corpus error: {victim}: " in capsys.readouterr().err
 
     def test_show_decodes_and_executes(self, tmp_path, capsys):
         program = prog(("open", "/proc/net/sockstat", 0),
@@ -143,6 +179,47 @@ class TestCli:
         assert main(["inspect", out]) == 0
         output = capsys.readouterr().out
         assert "bugs found:" in output and "'1'" in output
+        assert os.listdir(str(tmp_path)) == ["campaign.json"]
+
+    def test_inspect_reads_a_store_result(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        out = str(tmp_path / "saved.json")
+        assert main(["run", "--corpus-size", "50", "--store", store,
+                     "--save", out]) == 0
+        campaign_id = re.search(r"store: campaign (\w+)",
+                                capsys.readouterr().out).group(1)
+        result = os.path.join(store, campaign_id, "result.json")
+        with open(result) as stored, open(out) as saved:
+            assert stored.read() == saved.read()
+        assert main(["inspect", result]) == 0
+        assert "bugs found: ['1'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
+    def test_damaged_campaign_json_is_rejected(self, tmp_path, capsys,
+                                               damage):
+        """``store ls``/``store show`` skip a campaign whose
+        ``campaign.json`` does not decode to an object, and ``--resume``
+        fails with a store error naming the file."""
+        store = str(tmp_path)
+        run = ["run", "--corpus-size", "10", "--strategy", "rand",
+               "--rand-budget", "4", "--store", store]
+        assert main(run) == 0
+        campaign_id = re.search(r"store: campaign (\w+)",
+                                capsys.readouterr().out).group(1)
+        meta = os.path.join(store, campaign_id, "campaign.json")
+        with open(meta) as handle:
+            text = handle.read()
+        with open(meta, "w") as handle:
+            handle.write(text[:len(text) // 2] if damage == "truncated"
+                         else "[]")
+        assert main(["store", store, "ls"]) == 0
+        assert f"no campaigns under {store}" in capsys.readouterr().out
+        assert main(["store", store, "show", campaign_id]) == 1
+        assert "store error: no campaign" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(run + ["--resume"])
+        assert str(excinfo.value).startswith("store error: ")
+        assert meta in str(excinfo.value)
 
     def test_coverage_subcommand(self, capsys):
         assert main(["coverage", "--corpus-size", "30"]) == 0

@@ -293,6 +293,7 @@ def test_pool_that_can_never_boot_raises():
     for result in report.results:
         assert result.outcome is None and not result.poisoned
         assert result.attempts == 2
+        assert "bootx2" in result.error
         assert "no machine for you" in result.error
 
 
