@@ -187,32 +187,6 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
             print(report.render())
 
 
-def _print_cache_report(result: CampaignResult) -> None:
-    """The --cache-report breakdown: hit rates and bytes held per worker."""
-    stats = result.stats
-    print("cache report:")
-    print(f"  baselines:    {stats.baseline_hit_rate():.0%} hit "
-          f"({stats.baseline_hits}/"
-          f"{stats.baseline_hits + stats.baseline_misses})")
-    print(f"  non-det:      {stats.nondet_cache_hit_rate():.0%} hit "
-          f"({stats.nondet_cache_hits}/"
-          f"{stats.nondet_cache_hits + stats.nondet_cache_misses})")
-    total = stats.sender_cache_hits + stats.sender_cache_misses
-    if not total:
-        print("  sender-state: disabled")
-        return
-    print(f"  sender-state: {stats.sender_cache_hit_rate():.0%} hit "
-          f"({stats.sender_cache_hits}/{total}), "
-          f"{stats.sender_cache_entries} deltas, "
-          f"{stats.sender_cache_evictions} evicted")
-    for owner, held in stats.sender_cache_bytes_by_owner.items():
-        print(f"    {owner}: {held} bytes")
-    if stats.diagnosis_reruns:
-        print(f"  diagnosis:    {stats.diagnosis_prefix_reuses}/"
-              f"{stats.diagnosis_reruns} re-runs served from "
-              "memoized sender prefixes")
-
-
 def _resolve_workers(requested: Optional[int]) -> int:
     """Map the --workers flag onto the campaign's pool size.
 
@@ -270,8 +244,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except StoreError as error:
         raise SystemExit(f"store error: {error}")
     _print_campaign(result, show_reports=args.reports)
-    if args.cache_report:
-        _print_cache_report(result)
     if args.minimize and result.reports:
         machine = Machine(config.machine)
         detector = Detector(machine, config.spec, NondetAnalyzer(machine))
@@ -291,7 +263,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    result = CampaignResult.from_document(read_document(args.campaign))
+    try:
+        result = CampaignResult.from_document(read_document(args.campaign))
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"inspect error: {args.campaign}: {error}")
     print(f"kernel {result.config.strategy} campaign, "
           f"{len(result.reports)} reports")
     _print_campaign(result, show_reports=args.reports)
@@ -667,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--faults", metavar="SEED[:RATE[:SITES]]",
                      type=FaultPlan.parse,
                      help="chaos fault injection, e.g. 7:0.2 or "
-                          "7:0.2:worker.crash,exec.timeout "
+                          "7:0.2:worker.kill,exec.timeout "
                           "(see docs/FAULTS.md)")
     run.add_argument("--store", metavar="DIR",
                      help="durable campaign store: write-ahead journal "
@@ -710,9 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-sender-cache", action="store_true",
                      help="disable post-sender state memoization "
                           "(re-execute every sender from the snapshot)")
-    run.add_argument("--cache-report", action="store_true",
-                     help="print per-cache hit rates and bytes held "
-                          "per worker after the campaign")
     run.add_argument("--reports", action="store_true",
                      help="print every report in full")
     run.add_argument("--save", help="write the campaign result to a JSON file")

@@ -24,7 +24,7 @@ from ..faults.plan import (
     FaultRetriesExhausted,
     call_with_fault_retries,
 )
-from ..faults.retry import describe_failures
+from ..faults.retry import CAUSE_WORKER_DEATH, describe_failures
 from ..store import (
     RECORD_END,
     CampaignHandle,
@@ -215,10 +215,6 @@ class CampaignStats:
     sender_cache_evictions: int = 0
     sender_cache_bytes: int = 0
     sender_cache_entries: int = 0
-    #: Bytes held per worker ("main" = the in-process machine,
-    #: "worker-N" = shard N's cache at retirement) — the --cache-report
-    #: view.
-    sender_cache_bytes_by_owner: Dict[str, int] = field(default_factory=dict)
     diagnosis_prefix_reuses: int = 0
     #: Profile-store telemetry (zero unless profile_dir is set).
     profile_store_hits: int = 0
@@ -400,7 +396,8 @@ class CampaignResult:
         """Rebuild a result from :meth:`to_document`'s output.
 
         Raises ``ValueError`` for any ``format_version`` but
-        :data:`RESULT_FORMAT_VERSION`.
+        :data:`RESULT_FORMAT_VERSION`, and for a missing or ill-typed
+        key, which it names.
         """
         if data.get("format_version") != RESULT_FORMAT_VERSION:
             raise ValueError(f"unsupported campaign format "
@@ -408,24 +405,47 @@ class CampaignResult:
         # Decode only the fields CampaignStats still defines: documents
         # saved before a counter was retired keep loading.
         known = {stat.name for stat in fields(CampaignStats)}
-        stats = CampaignStats(**{name: value
-                                 for name, value in data["stats"].items()
+        stats = CampaignStats(**{name: value for name, value
+                                 in _document_key(data, "stats", dict).items()
                                  if name in known})
-        reports = [decode_report(report) for report in data["reports"]]
+        reports = []
+        for index, report in enumerate(_document_key(data, "reports", list)):
+            try:
+                reports.append(decode_report(report))
+            except (KeyError, TypeError, AttributeError) as error:
+                raise ValueError(f"damaged report {index}: {error!r}")
         generation = GenerationResult(
-            strategy=data["generation"]["strategy"],
+            strategy=_document_key(data, "generation.strategy", str),
             test_cases=[],
-            cluster_count=data["generation"]["cluster_count"],
-            flow_count=data["generation"]["flow_count"],
-            overlap_addresses=data["generation"]["overlap_addresses"],
+            cluster_count=_document_key(data, "generation.cluster_count",
+                                        int),
+            flow_count=_document_key(data, "generation.flow_count", int),
+            overlap_addresses=_document_key(
+                data, "generation.overlap_addresses", int),
         )
         config = CampaignConfig(
-            strategy=data["config"]["strategy"],
-            corpus_size=data["config"]["corpus_size"],
-            corpus_seed=data["config"]["corpus_seed"],
-            rep_seed=data["config"]["rep_seed"],
+            strategy=_document_key(data, "config.strategy", str),
+            corpus_size=_document_key(data, "config.corpus_size", int),
+            corpus_seed=_document_key(data, "config.corpus_seed", int),
+            rep_seed=_document_key(data, "config.rep_seed", int),
         )
         return cls(config, stats, generation, reports, aggregate(reports))
+
+
+def _document_key(data: Dict[str, Any], path: str, kind: type) -> Any:
+    """The value at dotted *path* in a result document, if a *kind*.
+
+    Raises ``ValueError`` naming the key when it is missing or holds
+    anything else.
+    """
+    value: Any = data
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"missing key {path!r}")
+        value = value[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"key {path!r} is not a {kind.__name__}")
+    return value
 
 
 @dataclass
@@ -620,11 +640,6 @@ class Kit:
             stats.sender_cache_evictions = sender_states.evictions
             stats.sender_cache_bytes += sender_states.bytes_held
             stats.sender_cache_entries += len(sender_states)
-            if len(sender_states):
-                stats.sender_cache_bytes_by_owner = {
-                    "main": sender_states.bytes_held,
-                    **stats.sender_cache_bytes_by_owner,
-                }
 
         groups = aggregate(reports)
         say(f"done: {len(reports)} reports, "
@@ -716,15 +731,16 @@ class Kit:
     def _journal_job_failure(self, job, settlement: str) -> None:
         """Supervisor on_job_failure hook: attempts and quarantines.
 
-        Worker deaths become ``attempt`` records (they seed quarantine
-        counts across resumed runs); a ``poisoned`` settlement is
-        journaled durably so the pair is never retried again.
+        Real worker deaths become ``attempt`` records (they seed
+        quarantine counts across resumed runs); injected kills and lost
+        results do not.  A ``poisoned`` settlement is journaled durably
+        so the pair is never retried again.
         """
         handle = self._store_handle
         if handle is None:
             return
         key = self._case_journal_key(job.payload)
-        if job.death_attributed:
+        if job.last_cause == CAUSE_WORKER_DEATH:
             handle.journal.append_attempt(key, [job.last_cause])
         if settlement == "poisoned":
             handle.journal.append_poisoned(
@@ -971,7 +987,6 @@ class Kit:
             # execution), so the values ship as absolute and merge by
             # addition.
             data = {**runner.telemetry(worker_machine.stats),
-                    "worker": worker_machine.cluster_worker_id,
                     "caches": caches.counters()}
             if sender_states is not None:
                 data["sender_held"] = (len(sender_states),
@@ -1022,8 +1037,6 @@ class Kit:
                 entries, held = data["sender_held"]
                 stats.sender_cache_entries += entries
                 stats.sender_cache_bytes += held
-                stats.sender_cache_bytes_by_owner[
-                    f"worker-{data['worker']}"] = held
         return results
 
     def _diagnose(self, machine: Machine, reports: List[TestReport],

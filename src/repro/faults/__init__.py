@@ -12,32 +12,26 @@ from .plan import (
     SITE_RESULT_DROP,
     SITE_SEGMENT_CORRUPT,
     SITE_STORE_FSYNC_FAIL,
-    SITE_WORKER_CRASH,
     ExecTimeoutInjected,
     FaultInjectedError,
     FaultPlan,
     FaultRetriesExhausted,
     FaultStats,
-    JournalTornInjected,
     RestoreFaultInjected,
-    StoreFsyncInjected,
-    WorkerCrashInjected,
     call_with_fault_retries,
     decision,
 )
-from .retry import CAUSE_BOOT, CAUSE_TRANSIT, CAUSE_WORKER_DEATH, RetryPolicy
+from .retry import CAUSE_BOOT, CAUSE_WORKER_DEATH, RetryPolicy
 
 __all__ = [
     "ALL_SITES",
     "CAUSE_BOOT",
-    "CAUSE_TRANSIT",
     "CAUSE_WORKER_DEATH",
     "ExecTimeoutInjected",
     "FaultInjectedError",
     "FaultPlan",
     "FaultRetriesExhausted",
     "FaultStats",
-    "JournalTornInjected",
     "RestoreFaultInjected",
     "RetryPolicy",
     "SITE_EXEC_TIMEOUT",
@@ -46,9 +40,6 @@ __all__ = [
     "SITE_RESULT_DROP",
     "SITE_SEGMENT_CORRUPT",
     "SITE_STORE_FSYNC_FAIL",
-    "SITE_WORKER_CRASH",
-    "StoreFsyncInjected",
-    "WorkerCrashInjected",
     "call_with_fault_retries",
     "decision",
 ]

@@ -15,8 +15,8 @@ scheduling).
 
 Every injection must eventually be accounted for: a recovery path either
 absorbs it (``recovered``), gives up after bounded retries
-(``infra_failed``), or quarantines the job that kept killing its
-shards (``poisoned``).  :meth:`FaultStats.accounted` checks the books:
+(``infra_failed``), or quarantines a job that kept taking its shards
+down (``poisoned``).  :meth:`FaultStats.accounted` checks the books:
 ``injected == recovered + infra_failed + poisoned``, per site and in
 total.
 """
@@ -33,14 +33,12 @@ SITE_RESTORE_FAIL = "restore.fail"
 #: A dirty segment is silently left unrestored; the canonical-form
 #: consistency check is what must catch it (vm/segments.py).
 SITE_SEGMENT_CORRUPT = "segment.corrupt"
-#: A shard dies mid-job, leaving its job unfinished (vm/shardpool.py).
-SITE_WORKER_CRASH = "worker.crash"
 #: A computed job result is lost before reaching the supervisor
 #: (vm/shardpool.py).
 SITE_RESULT_DROP = "result.drop"
-#: A shard process is SIGKILLed mid-job — no unwinding, no cleanup
-#: handlers, the hardest death the supervisor must absorb
-#: (vm/shardpool.py).
+#: A shard process SIGKILLs itself as it starts a job — no message, no
+#: unwinding, no cleanup handlers.  The supervisor draws the same
+#: decision to tell the death from a real one (vm/shardpool.py).
 SITE_WORKER_KILL = "worker.kill"
 #: A syscall execution times out mid-program (vm/executor.py).
 SITE_EXEC_TIMEOUT = "exec.timeout"
@@ -62,7 +60,6 @@ SITE_SCHED_PREEMPT = "sched.preempt"
 ALL_SITES: Tuple[str, ...] = (
     SITE_RESTORE_FAIL,
     SITE_SEGMENT_CORRUPT,
-    SITE_WORKER_CRASH,
     SITE_RESULT_DROP,
     SITE_WORKER_KILL,
     SITE_EXEC_TIMEOUT,
@@ -103,29 +100,8 @@ class ExecTimeoutInjected(FaultInjectedError):
     """A syscall execution was made to time out."""
 
 
-class JournalTornInjected(FaultInjectedError):
-    """A journal append was torn after writing a partial record."""
-
-
-class StoreFsyncInjected(FaultInjectedError):
-    """A durable-store fsync was made to fail."""
-
-
 class SchedulePreemptInjected(FaultInjectedError):
     """A controlled-interleaving schedule execution was made to die."""
-
-
-class WorkerCrashInjected(BaseException):
-    """Kills a shard mid-job (vm/shardpool.py).
-
-    Deliberately a ``BaseException``: it must escape the shard's
-    per-job ``except Exception`` handler and take the whole shard down,
-    exactly like a real crash would.
-    """
-
-    def __init__(self, message: str = "injected worker crash"):
-        self.site = SITE_WORKER_CRASH
-        super().__init__(message)
 
 
 class FaultRetriesExhausted(RuntimeError):
@@ -143,8 +119,8 @@ class FaultStats:
     """Thread-safe injected/recovered/infra-failed/poisoned counters.
 
     ``poisoned`` is the quarantine column: injections charged to a job
-    that killed its workers often enough to be quarantined as a poison
-    pair (see :mod:`repro.faults.retry`) land here instead of infra.
+    whose real worker deaths got it quarantined as a poison pair (see
+    :mod:`repro.faults.retry`) land here instead of infra.
     """
 
     def __init__(self) -> None:
@@ -318,10 +294,11 @@ class FaultPlan:
 
         Process shards each fork a copy of the plan, so per-site counter
         streams would restart identically in every shard (a scheduled
-        occurrence would fire in all of them, every round).  Sites
-        consulted inside shards therefore key the decision on a globally
-        meaningful index — ``job_id + attempt * stride`` — and the caller
-        does its own accounting.
+        occurrence would fire in all of them, every round).  The
+        ``worker.kill`` site therefore keys the decision on a globally
+        meaningful index — ``job_id + attempt * stride`` — which the
+        shard pool's supervisor draws again, and accounts, when it
+        settles the shard's death.
         """
         return self._fires(site, occurrence)
 
@@ -366,7 +343,7 @@ class FaultPlan:
         """Build a plan from the CLI's ``seed:rate[:site,site…]`` spec.
 
         ``7:0.2`` enables every site at rate 0.2 with seed 7;
-        ``7:0.2:worker.crash,exec.timeout`` restricts to two sites.
+        ``7:0.2:worker.kill,exec.timeout`` restricts to two sites.
         A bare ``7`` uses the default rate 0.1.
         """
         parts = spec.split(":")

@@ -3,24 +3,24 @@
 The shard supervisor in :mod:`repro.vm.shardpool` settles every job
 whose attempt failed (its shard died, or its result was lost) by one
 :class:`RetryPolicy`, on every ``run_sharded`` call.  A dropped result
-(cheap, transient) and a job that SIGKILLs its worker every single
+(cheap, transient) and a job that takes its worker down every single
 time (expensive, almost certainly deterministic) are told apart by two
 mechanisms:
 
-* **a per-cause budget** — each failure is attributed to a cause (the
-  injected fault site that produced it, or the synthetic
-  :data:`CAUSE_WORKER_DEATH` / :data:`CAUSE_TRANSIT` /
-  :data:`CAUSE_BOOT` causes for real deaths, lost results and rounds
-  in which no shard booted), and a job whose failures of any one cause
-  exceed ``budget`` is exhausted (the pipeline records it as
-  ``infra_failed`` under a fault plan, and fails the campaign without
-  one);
-* **poison quarantine** — a job that *kills its worker*
+* **a per-cause budget** — the supervisor charges each failure to one
+  cause: the injected fault site that produced it (``worker.kill``,
+  ``result.drop``), :data:`CAUSE_WORKER_DEATH` for a real death, or
+  :data:`CAUSE_BOOT` in a round in which no shard booted.  A job whose
+  failures of any one cause exceed ``budget`` is exhausted (the
+  pipeline records it as ``infra_failed`` under a fault plan, and
+  fails the campaign without one);
+* **poison quarantine** — a job that *really kills its worker*
   ``poison_after`` times is quarantined as a poison pair: it is
   reported with ``JobResult.poisoned`` set (the pipeline records the
   case as ``Outcome.POISONED``), and is never retried again in this
-  run.  A stored campaign journals the quarantine, so no resumed run
-  retries the pair either.
+  run.  Injected kills never count toward it: they say nothing about
+  the pair.  A stored campaign journals the quarantine, so no resumed
+  run retries the pair either.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 #: Synthetic failure cause for a worker that died holding the job when
-#: no injected fault site can be blamed (a real crash, a watchdog kill).
+#: no injected fault site can be blamed (an exception, a silent exit, a
+#: watchdog kill).
 CAUSE_WORKER_DEATH = "worker.death"
-#: Synthetic failure cause for a result lost in transit with no site
-#: attribution (should not occur outside chaos, but the books need a
-#: column for it).
-CAUSE_TRANSIT = "transit"
 #: Synthetic failure cause charged to every open job in a round in
 #: which no shard booted.
 CAUSE_BOOT = "boot"
@@ -47,8 +44,9 @@ class RetryPolicy:
     #: Retries per cause: a job is exhausted once its failures
     #: attributed to any one cause exceed this.
     budget: int = 12
-    #: Worker deaths (crashes, SIGKILLs, watchdog kills) attributed to
-    #: one job before it is quarantined as a poison pair (0 = never).
+    #: Real worker deaths (exceptions, silent exits, watchdog kills)
+    #: attributed to one job before it is quarantined as a poison pair
+    #: (0 = never).
     poison_after: int = 5
 
     def should_poison(self, worker_deaths: int) -> bool:

@@ -63,9 +63,22 @@ from ..faults.plan import (
 #: Record types understood by the campaign pipeline.
 RECORD_BEGIN = "begin"        # campaign config fingerprint + summary
 RECORD_CASE = "case"          # one pair's terminal outcome (maybe report)
-RECORD_ATTEMPT = "attempt"    # a worker died holding the pair
-RECORD_POISONED = "poisoned"  # pair quarantined after repeated kills
+RECORD_ATTEMPT = "attempt"    # a worker really died holding the pair
+RECORD_POISONED = "poisoned"  # pair quarantined after repeated deaths
 RECORD_END = "end"            # campaign completed; final accounting
+
+
+def _dedup_key(record: Dict[str, Any]) -> Optional[str]:
+    """The ``(type, key)`` identity under which *record* commits once.
+
+    ``case`` and ``poisoned`` records carrying a ``k`` key are
+    first-write-wins; every other record (None here) is always kept.
+    """
+    key = record.get("k")
+    kind = record.get("t")
+    if key is None or kind not in (RECORD_CASE, RECORD_POISONED):
+        return None
+    return f"{kind}:{key}"
 
 
 def _canonical(record: Dict[str, Any]) -> str:
@@ -128,14 +141,12 @@ def scan(path: str) -> JournalReplay:
             if record is None:
                 break
             offset += len(line.encode("utf-8"))
-            key = record.get("k")
-            if key is not None and record.get("t") in (RECORD_CASE,
-                                                       RECORD_POISONED):
-                dedup_key = f"{record.get('t')}:{key}"
-                if dedup_key in seen:
+            identity = _dedup_key(record)
+            if identity is not None:
+                if identity in seen:
                     replay.duplicates += 1
                     continue
-                seen.add(dedup_key)
+                seen.add(identity)
             replay.records.append(record)
     replay.valid_bytes = offset
     replay.torn_bytes = os.path.getsize(path) - offset
@@ -158,20 +169,18 @@ class CampaignJournal:
     def __init__(self, path: str, faults: Optional[FaultPlan] = None):
         self.path = path
         self.faults = faults
-        self._seen_keys: Set[str] = set()
         #: Records written and flushed since the last fsync.
         self._unsynced = 0
         self.appended = 0
         self.fsync_degraded = 0
+        #: The file's valid records when this writer opened it (a
+        #: resumed campaign rebuilds its state from them).
+        self.replayed = self.repair_tail()
         #: Torn bytes truncated away when this writer opened the file.
-        self.torn_bytes_repaired = 0
-        replay = self.repair_tail()
-        self.torn_bytes_repaired = replay.torn_bytes
-        for record in replay.records:
-            key = record.get("k")
-            if key is not None and record.get("t") in (RECORD_CASE,
-                                                       RECORD_POISONED):
-                self._seen_keys.add(f"{record.get('t')}:{key}")
+        self.torn_bytes_repaired = self.replayed.torn_bytes
+        self._seen_keys: Set[str] = {
+            identity for identity in map(_dedup_key, self.replayed.records)
+            if identity is not None}
         self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
 
     # -- tail repair ---------------------------------------------------------
@@ -196,16 +205,12 @@ class CampaignJournal:
         offer the same result twice (re-run after a dropped transfer, a
         resumed in-flight pair) and the first commit wins.
         """
-        key = record.get("k")
-        dedup_key = None
-        if key is not None and record.get("t") in (RECORD_CASE,
-                                                   RECORD_POISONED):
-            dedup_key = f"{record.get('t')}:{key}"
-            if dedup_key in self._seen_keys:
-                return False
+        identity = _dedup_key(record)
+        if identity in self._seen_keys:
+            return False
         self._write_line(encode_line(record))
-        if dedup_key is not None:
-            self._seen_keys.add(dedup_key)
+        if identity is not None:
+            self._seen_keys.add(identity)
         self.appended += 1
         self._unsynced += 1
         if sync:

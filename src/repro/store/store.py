@@ -228,7 +228,6 @@ class CampaignStore:
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
 
     # -- opening ---------------------------------------------------------------
 
@@ -268,9 +267,9 @@ class CampaignStore:
 
         journal = CampaignJournal(journal_path, faults=faults)
         if resume:
-            replay = scan(journal_path)
             state = ResumeState.from_records(
-                replay.records, torn_bytes=journal.torn_bytes_repaired)
+                journal.replayed.records,
+                torn_bytes=journal.torn_bytes_repaired)
         else:
             state = ResumeState()
             journal.append({"t": RECORD_BEGIN, "fingerprint": fingerprint,

@@ -31,10 +31,10 @@ Supervision
 -----------
 
 The supervisor runs in *rounds*: shards run until they exit, the
-supervisor settles the round (a dead shard's *held* job is charged a
-failed attempt, the rest of its chunks re-queued uncharged), and fresh
-worker ids are spawned for whatever remains, so no two shards ever
-share an id.  The surviving shards of a round keep draining its
+supervisor settles the round (a dead shard's first unfinished job is
+charged a failed attempt, the rest of its chunks re-queued uncharged),
+and fresh worker ids are spawned for whatever remains, so no two shards
+ever share an id.  The surviving shards of a round keep draining its
 ungranted queue.  A dead shard's local caches die with its process.
 Every charged job is settled by one
 :class:`~repro.faults.retry.RetryPolicy`: it is re-run until its
@@ -47,24 +47,27 @@ a re-run on a fresh machine is equivalent to the first attempt.
 
 Each shard runs one thread: it sends ``up`` once its machine has
 booted, then a result as each job finishes.  Once a shard has sent
-``up``, its death — announced, silent, or a watchdog kill — charges
-its first unfinished job as a worker death; a round in which no shard
-sent ``up`` charges every open job.  With a hang timeout the watchdog
-SIGKILLs a live shard from which nothing has arrived for that long,
-which covers a frozen shard and a stuck job alike.
+``up``, its death — a ``fatal`` exception, a silent exit, an injected
+SIGKILL or a watchdog kill — charges its first unfinished job; a round
+in which no shard sent ``up`` charges every open job.  Only the
+supervisor decides what a death was: it was the injected
+``worker.kill`` when the plan's decision for that job attempt fires,
+and a real worker death otherwise.  Only real deaths count toward
+poison quarantine.  With a hang timeout the watchdog SIGKILLs a live
+shard from which nothing has arrived for that long, which covers a
+frozen shard and a stuck job alike.
 
 Each round the supervisor registers every shard's message pipe and
 process sentinel once with one :mod:`selectors` selector, reads one
 message per readiness event, and unregisters both when the shard exits.
-Process death is observed on the sentinel, so a SIGKILLed shard — the
-``worker.kill`` chaos site announces itself, then kills its own process
-— is detected without polling.  Fault accounting crosses the process
+Process death is observed on the sentinel, so a SIGKILLed shard is
+detected without polling.  Fault accounting crosses the process
 boundary as counter *deltas* shipped in each shard's final message; a
 shard that dies silently loses only locally-balanced counters, so the
 campaign invariant ``injected == recovered + infra_failed + poisoned``
 holds regardless.
-Three chaos injection sites live in this layer (``worker.crash``,
-``worker.kill``, ``result.drop``); see :mod:`repro.faults.plan`.
+Two chaos injection sites live in this layer (``worker.kill``,
+``result.drop``); see :mod:`repro.faults.plan`.
 """
 
 from __future__ import annotations
@@ -78,15 +81,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import (
+    ALL_SITES,
     SITE_RESULT_DROP,
-    SITE_WORKER_CRASH,
     SITE_WORKER_KILL,
     FaultPlan,
-    WorkerCrashInjected,
 )
 from ..faults.retry import (
     CAUSE_BOOT,
-    CAUSE_TRANSIT,
     CAUSE_WORKER_DEATH,
     RetryPolicy,
     describe_failures,
@@ -127,17 +128,15 @@ class Job:
     #: recovered when a result finally lands, infra on exhaustion.
     pending_sites: List[str] = field(default_factory=list)
     #: Failed attempts attributed per cause (fault site or the
-    #: synthetic worker-death / transit / boot causes) — the
-    #: retry-policy and error-message ledger; survives pending-site
-    #: resolution.
+    #: synthetic worker-death / boot causes) — the retry-policy and
+    #: error-message ledger; survives pending-site resolution.
     site_failures: Dict[str, int] = field(default_factory=dict)
-    #: Shards this job took down with it (crash, SIGKILL, watchdog
-    #: kill); reaching the policy's ``poison_after`` quarantines it.
+    #: Shards this job really took down with it (an exception, a silent
+    #: exit, a watchdog kill; never an injected kill); reaching the
+    #: policy's ``poison_after`` quarantines it.
     worker_deaths: int = 0
     #: Cause charged by the most recent failed attempt.
     last_cause: Optional[str] = None
-    #: Set for the current settlement when a dead shard held this job.
-    death_attributed: bool = field(default=False, repr=False)
 
 
 @dataclass
@@ -160,10 +159,11 @@ class JobResult:
     poisoned: bool = False
 
 
-#: Occurrence key for worker-site decisions inside a shard is
+#: Occurrence key of the ``worker.kill`` decision is
 #: ``job_id + attempt * _ATTEMPT_STRIDE``: globally deterministic (no
 #: per-process counter stream), unique per (job, retry attempt), and a
 #: retried job draws a fresh decision so scheduled faults fire once.
+#: The shard and the supervisor draw the same decision.
 _ATTEMPT_STRIDE = 1_000_003
 
 
@@ -234,32 +234,21 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
     try:
         machine = boot()
     except Exception as error:
-        out.send(("fatal", worker_id, None,
-                  f"{type(error).__name__}: {error}", [],
+        out.send(("fatal", worker_id, f"{type(error).__name__}: {error}",
                   _stats_delta(faults, base)))
         return
     machine.cluster_worker_id = worker_id
     out.send(("up", worker_id))
-    held: Optional[int] = None
     try:
         command: tuple = ("range", start, end)
         while command[0] == "range":
             for index in range(command[1], command[2]):
-                held = index
                 job_id, payload, attempt = round_jobs[index]
-                if faults is not None:
-                    occurrence = job_id + attempt * _ATTEMPT_STRIDE
-                    if faults.fires_at(SITE_WORKER_CRASH, occurrence):
-                        faults.stats.note_injected(SITE_WORKER_CRASH)
-                        raise WorkerCrashInjected(
-                            f"injected crash on shard {worker_id} "
-                            f"holding job {job_id}")
-                    if faults.fires_at(SITE_WORKER_KILL, occurrence):
-                        # Announce, then die: the supervisor accounts the
-                        # injection (this process's counters die with it)
-                        # and charges exactly the announced job.
-                        out.send(("killing", worker_id, index))
-                        os.kill(os.getpid(), signal.SIGKILL)
+                if faults is not None and faults.fires_at(
+                        SITE_WORKER_KILL, job_id + attempt * _ATTEMPT_STRIDE):
+                    # Die without a word: the supervisor draws the same
+                    # decision when it settles the death.
+                    os.kill(os.getpid(), signal.SIGKILL)
                 try:
                     outcome = case_runner(machine, payload)
                     error = None
@@ -267,16 +256,9 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                     outcome = None
                     error = f"{type(failure).__name__}: {failure}"
                 out.send(("result", worker_id, index, outcome, error))
-                held = None
             command = ctrl.recv()
-    except WorkerCrashInjected as error:
-        out.send(("fatal", worker_id, held,
-                  f"{type(error).__name__}: {error}", [SITE_WORKER_CRASH],
-                  _stats_delta(faults, base)))
-        return
     except BaseException as error:  # genuine shard death
-        out.send(("fatal", worker_id, held,
-                  f"{type(error).__name__}: {error}", [],
+        out.send(("fatal", worker_id, f"{type(error).__name__}: {error}",
                   _stats_delta(faults, base)))
         return
     telemetry = telemetry_hook(machine) if telemetry_hook is not None else None
@@ -297,10 +279,8 @@ class _Shard:
     stopping: bool = False
     #: The shard sent ``up``: its machine booted.
     booted: bool = False
-    exit_kind: Optional[str] = None  # done | fatal | killed | died | hung
+    exit_kind: Optional[str] = None  # done | fatal | died | hung
     fatal_error: Optional[str] = None
-    held_index: Optional[int] = None
-    pending_sites: List[str] = field(default_factory=list)
     telemetry: Any = None
     #: Watchdog input: when the last message from this shard arrived.
     last_message: float = 0.0
@@ -325,8 +305,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
 
     Returns results ordered by job id, so the output is independent of
     which shard ran what.  The pool is clamped to the number of jobs.
-    When shards die before their chunks drain, or a result is lost,
-    the held job is charged a failed attempt and re-queued on a
+    When a shard dies before its chunks drain, or a result is lost,
+    the job it held is charged a failed attempt and re-queued on a
     replacement shard with a fresh id, as *retry_policy* allows (see
     :class:`~repro.faults.retry.RetryPolicy`).  Every job gets one
     ``JobResult``: its outcome, or, for a job the policy gave up on,
@@ -421,7 +401,8 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                                        remaining=list(range(start, end)),
                                        last_message=time.monotonic())
 
-        dropped: set = set()
+        #: Jobs whose result this round lost in transit.
+        dropped: List[Job] = []
 
         def top_up(shard: _Shard) -> None:
             """Queue a shard's next chunk (or stop) before it runs dry."""
@@ -455,10 +436,9 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 job = jobs[job_id]
                 if faults is not None \
                         and faults.should_inject(SITE_RESULT_DROP):
-                    # Lost in transit: the round settlement notices the
-                    # gap and charges a failed attempt.
-                    job.pending_sites.append(SITE_RESULT_DROP)
-                    dropped.add(index)
+                    # Lost in transit: the round settlement charges a
+                    # failed attempt.
+                    dropped.append(job)
                     return
                 committed = None
                 if job_id not in completed and job_id not in failed:
@@ -472,23 +452,10 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     job.pending_sites = []
                 if committed is not None and on_result is not None:
                     on_result(job, committed)
-            elif kind == "killing":
-                _, worker_id, index = message
-                shard.exit_kind = "killed"
-                shard.held_index = index
-                shard.pending_sites = [SITE_WORKER_KILL]
-                shard.fatal_error = (f"injected SIGKILL holding job "
-                                     f"{round_jobs[index][0]}")
-                if faults is not None:
-                    # The shard's own counters die with it; the
-                    # supervisor keeps the campaign ledger.
-                    faults.stats.note_injected(SITE_WORKER_KILL)
             elif kind == "fatal":
-                _, _worker_id, held, error, pending, delta = message
+                _, _worker_id, error, delta = message
                 shard.exit_kind = "fatal"
                 shard.fatal_error = error
-                shard.held_index = held
-                shard.pending_sites = list(pending)
                 _merge_stats_delta(faults, delta)
             elif kind == "done":
                 _, _worker_id, telemetry, delta = message
@@ -565,6 +532,13 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 if hang_timeout is not None:
                     watchdog_sweep(live)
 
+        for shard in shards.values():
+            for connection in (shard.ctrl, shard.out):
+                try:
+                    connection.close()
+                except OSError:  # pragma: no cover
+                    pass
+
         # -- round settlement ----------------------------------------------
         round_dead = [shard for shard in shards.values()
                       if shard.exit_kind != "done"]
@@ -572,10 +546,27 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
         for shard in shards.values():
             if shard.exit_kind == "done" and shard.telemetry is not None:
                 report.telemetry.append(shard.telemetry)
+        # A death after ``up`` charges the shard's first unfinished
+        # grant; a shard that never sent ``up`` charges nothing, and its
+        # chunk just re-queues.  The supervisor alone decides what the
+        # death was, so it also keeps the books of an injected kill,
+        # whose process took its own counters with it.
+        deaths: List[Tuple[Job, str]] = []
         for shard in round_dead:
+            if shard.booted and shard.remaining:
+                job = jobs[round_jobs[shard.remaining[0]][0]]
+                death = CAUSE_WORKER_DEATH
+                if faults is not None and faults.fires_at(
+                        SITE_WORKER_KILL,
+                        job.job_id + job.failures * _ATTEMPT_STRIDE):
+                    death = SITE_WORKER_KILL
+                    faults.stats.note_injected(SITE_WORKER_KILL)
+                    shard.fatal_error = \
+                        f"injected SIGKILL holding job {job.job_id}"
+                deaths.append((job, death))
             dead_descriptions.append(
                 f"worker {shard.worker_id}: {shard.fatal_error}")
-        cause = "; ".join(dead_descriptions) or "result lost in transit"
+        errors = "; ".join(dead_descriptions) or "result lost in transit"
 
         def settle(job: Job) -> str:
             """Settle one charged job: ``retry`` | ``infra`` | ``poisoned``."""
@@ -599,72 +590,42 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                 job.job_id, None, worker=-1,
                 error=f"retry budget for {exhausted!r} exhausted after "
                       f"{job.failures} failed attempt(s) "
-                      f"({describe_failures(job.site_failures)}): {cause}",
+                      f"({describe_failures(job.site_failures)}): {errors}",
                 attempts=job.failures, last_fault_site=job.last_cause)
             if faults is not None and job.pending_sites:
                 faults.record_infra_failed(job.pending_sites)
                 job.pending_sites = []
             return "infra"
 
-        def charge(job: Job, fallback: str = CAUSE_TRANSIT) -> None:
+        def charge(job: Job, cause: str) -> None:
+            """Charge *job* one failed attempt of *cause*, then settle it."""
             job.failures += 1
-            # Attribute a cause to this failed attempt: the fault site
-            # charged most recently, a real shard death, or *fallback*
-            # (a lost transfer, or a round in which no shard booted).
-            if job.pending_sites:
-                attempt_cause = job.pending_sites[-1]
-            elif job.death_attributed:
-                attempt_cause = CAUSE_WORKER_DEATH
-            else:
-                attempt_cause = fallback
-            job.last_cause = attempt_cause
-            tally(job.site_failures, attempt_cause)
+            job.last_cause = cause
+            tally(job.site_failures, cause)
+            if cause in ALL_SITES:
+                # An injected fault: resolved when a result finally
+                # lands, or with the job's settlement.
+                job.pending_sites.append(cause)
+            elif cause == CAUSE_WORKER_DEATH:
+                job.worker_deaths += 1
             settlement = settle(job)
             if on_job_failure is not None:
                 on_job_failure(job, settlement)
-            job.death_attributed = False
 
         if not any(shard.booted for shard in shards.values()):
             # No shard in the round sent ``up``: charge everything still
             # open, or a pool that can never boot would respawn forever.
             for job_id in outstanding:
-                if job_id not in completed and job_id not in failed:
-                    charge(jobs[job_id], CAUSE_BOOT)
+                charge(jobs[job_id], CAUSE_BOOT)
             continue
-        charged: set = set()
-        for shard in round_dead:
-            held = shard.held_index
-            if held is None and shard.booted and shard.remaining:
-                # A silent death or a watchdog kill after boot: charge
-                # the first unfinished grant.  A shard that never sent
-                # ``up`` charges nothing — its chunk just re-queues.
-                held = shard.remaining[0]
-            if held is None or held in dropped or held in charged:
-                continue
-            job_id = round_jobs[held][0]
-            if job_id in completed:
-                continue  # its result landed before the death
-            charged.add(held)
-            job = jobs[job_id]
-            job.pending_sites.extend(shard.pending_sites)
-            # The shard died (or was watchdog-killed) holding this job:
-            # the quarantine ledger counts the taken-down worker.
-            job.worker_deaths += 1
-            job.death_attributed = True
-            charge(job)
-        for index in dropped:
-            job_id = round_jobs[index][0]
-            if job_id not in completed and index not in charged:
-                charged.add(index)
-                charge(jobs[job_id])
-        # Everything else unfinished — the rest of a dead shard's chunks
-        # and whatever the round never granted — re-queues uncharged.
-        for shard in shards.values():
-            for connection in (shard.ctrl, shard.out):
-                try:
-                    connection.close()
-                except OSError:  # pragma: no cover
-                    pass
+        # A dropped result is no shard's unfinished grant, so each job
+        # is charged at most once.  Everything else unfinished — the
+        # rest of a dead shard's chunks and whatever the round never
+        # granted — re-queues uncharged.
+        for job, death in deaths:
+            charge(job, death)
+        for job in dropped:
+            charge(job, SITE_RESULT_DROP)
 
     merged = {**completed, **failed}
     report.results = [merged[job_id] for job_id in sorted(merged)]

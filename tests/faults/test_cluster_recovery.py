@@ -11,12 +11,7 @@ import pytest
 
 from repro.core import pipeline
 from repro.core.pipeline import CampaignConfig, Kit
-from repro.faults.plan import (
-    SITE_RESULT_DROP,
-    SITE_WORKER_CRASH,
-    SITE_WORKER_KILL,
-    FaultPlan,
-)
+from repro.faults.plan import SITE_RESULT_DROP, SITE_WORKER_KILL, FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, fork_available, run_sharded
@@ -28,8 +23,8 @@ CONFIG = MachineConfig(bugs=linux_5_13())
 
 
 def test_single_worker_death_then_recovery():
-    """One crash beside a healthy shard, one re-queue, full results."""
-    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
+    """One kill beside a healthy shard, one re-queue, full results."""
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload + 100,
                          workers=2, faults=plan,
@@ -38,7 +33,7 @@ def test_single_worker_death_then_recovery():
     assert report.shards_died == 1 and report.rounds == 2
     # The replacement got a fresh id — dead ids are never recycled.
     assert all(r.worker != 0 for r in report.results)
-    assert plan.stats.recovered.get(SITE_WORKER_CRASH) == 1
+    assert plan.stats.recovered.get(SITE_WORKER_KILL) == 1
     assert plan.stats.accounted()
 
 
@@ -47,7 +42,7 @@ def test_death_with_no_retries_raises_by_default():
     its error, attempt and cause on its ``JobResult`` (the pipeline
     raises on it without a fault plan) — while a sibling shard
     completes its own range."""
-    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload,
                          workers=2, faults=plan,
@@ -55,24 +50,8 @@ def test_death_with_no_retries_raises_by_default():
     unfinished = [r for r in report.results if r.error is not None]
     assert [r.job_id for r in unfinished] == [0]
     assert (unfinished[0].attempts, unfinished[0].last_fault_site) \
-        == (1, SITE_WORKER_CRASH)
+        == (1, SITE_WORKER_KILL)
     assert [r.outcome for r in report.results[1:]] == [1, 2, 3]
-    assert plan.stats.accounted()
-
-
-def test_exhausted_retries_degrade_gracefully_when_not_strict():
-    # Every attempt crashes its shard: the job burns one failed attempt
-    # per round until its budget is gone.
-    plan = FaultPlan(seed=0, rates={SITE_WORKER_CRASH: 1.0})
-    report = run_sharded(CONFIG, ["only-job"],
-                         lambda machine, payload: payload,
-                         workers=1, faults=plan,
-                         retry_policy=RetryPolicy(budget=2, poison_after=0))
-    assert len(report.results) == 1
-    assert report.results[0].outcome is None
-    assert "exhausted after 3 failed attempt(s)" \
-        in report.results[0].error
-    assert plan.stats.infra_failed.get(SITE_WORKER_CRASH) == 3
     assert plan.stats.accounted()
 
 
@@ -120,8 +99,7 @@ def test_shard_cache_entries_never_reach_the_parent(monkeypatch):
         return caches
 
     monkeypatch.setattr(pipeline, "_Caches", capture)
-    plan = FaultPlan(seed=0, rate=0.2,
-                     sites=(SITE_WORKER_CRASH, SITE_WORKER_KILL))
+    plan = FaultPlan(seed=0, rate=0.2, sites=(SITE_WORKER_KILL,))
     result = Kit(CampaignConfig(machine=CONFIG, corpus_size=30,
                                 corpus_seed=1, workers=2, diagnose=False,
                                 faults=plan)).run()

@@ -16,7 +16,7 @@ from repro.faults.plan import (
     ALL_SITES,
     SITE_EXEC_TIMEOUT,
     SITE_RATE_SCALE,
-    SITE_WORKER_CRASH,
+    SITE_WORKER_KILL,
     FaultInjectedError,
     FaultPlan,
     FaultRetriesExhausted,
@@ -32,9 +32,9 @@ DOCS = os.path.join(os.path.dirname(os.path.dirname(
 
 
 def test_decision_is_pure_and_seed_sensitive():
-    assert decision(7, "worker.crash", 3) == decision(7, "worker.crash", 3)
-    draws = [decision(7, "worker.crash", k) for k in range(64)]
-    other_seed = [decision(8, "worker.crash", k) for k in range(64)]
+    assert decision(7, "worker.kill", 3) == decision(7, "worker.kill", 3)
+    draws = [decision(7, "worker.kill", k) for k in range(64)]
+    other_seed = [decision(8, "worker.kill", k) for k in range(64)]
     other_site = [decision(7, "result.drop", k) for k in range(64)]
     assert draws != other_seed
     assert draws != other_site
@@ -57,7 +57,7 @@ def test_different_seeds_diverge_somewhere():
 
 def test_should_inject_matches_preview_and_counts():
     plan = FaultPlan(seed=3, rate=0.4)
-    site = SITE_WORKER_CRASH
+    site = SITE_WORKER_KILL
     expected = plan.preview(site, 50)
     observed = [plan.should_inject(site) for _ in range(50)]
     assert observed == expected
@@ -67,14 +67,14 @@ def test_should_inject_matches_preview_and_counts():
 
 def test_schedule_mode_fires_exactly_at_indices():
     plan = FaultPlan(seed=0, rate=0.9,
-                     schedule={SITE_WORKER_CRASH: {1, 4}})
-    fired = [k for k in range(8) if plan.should_inject(SITE_WORKER_CRASH)]
+                     schedule={SITE_WORKER_KILL: {1, 4}})
+    fired = [k for k in range(8) if plan.should_inject(SITE_WORKER_KILL)]
     assert fired == [1, 4]
 
 
 def test_rate_shortcuts_and_site_scaling():
-    assert not any(FaultPlan(seed=0, rate=0.0).preview(SITE_WORKER_CRASH, 50))
-    assert all(FaultPlan(seed=0, rate=1.0).preview(SITE_WORKER_CRASH, 50))
+    assert not any(FaultPlan(seed=0, rate=0.0).preview(SITE_WORKER_KILL, 50))
+    assert all(FaultPlan(seed=0, rate=1.0).preview(SITE_WORKER_KILL, 50))
     # The blanket rate is frequency-compensated for the per-syscall
     # site; an explicit per-site override is taken verbatim.
     assert SITE_RATE_SCALE[SITE_EXEC_TIMEOUT] < 1.0
@@ -118,8 +118,8 @@ def test_parse_specs():
     assert plan.seed == 7
     bare = FaultPlan.parse("7")
     assert bare.seed == 7  # default rate applies
-    narrowed = FaultPlan.parse("7:0.2:worker.crash,exec.timeout")
-    assert narrowed.preview(SITE_WORKER_CRASH, 40).count(True) > 0
+    narrowed = FaultPlan.parse("7:0.2:worker.kill,exec.timeout")
+    assert narrowed.preview(SITE_WORKER_KILL, 40).count(True) > 0
     assert not any(narrowed.preview("restore.fail", 40))
     for bad in ("x:0.2", "7:high", "7:2.0", "7:0.2:bogus.site", "7:0.2:a:b"):
         with pytest.raises(ValueError):
@@ -129,12 +129,12 @@ def test_parse_specs():
 def test_fault_stats_accounting():
     stats = FaultStats()
     assert stats.accounted()
-    stats.note_injected("worker.crash")
+    stats.note_injected("worker.kill")
     assert not stats.accounted()
-    stats.note_recovered(["worker.crash"])
+    stats.note_recovered(["worker.kill"])
     assert stats.accounted()
-    stats.note_injected("worker.crash")
-    stats.note_infra_failed(["worker.crash"])
+    stats.note_injected("worker.kill")
+    stats.note_infra_failed(["worker.kill"])
     assert stats.accounted()
     assert stats.injected_total == 2
     assert stats.recovered_total == 1

@@ -20,20 +20,25 @@ from repro.core.generation import TestCaseGenerator
 from repro.core.pipeline import CampaignConfig, Kit
 from repro.corpus import build_corpus
 from repro.faults.plan import (
-    SITE_WORKER_CRASH,
+    SITE_RESULT_DROP,
     SITE_WORKER_KILL,
     FaultPlan,
 )
 from repro.faults.retry import (
     CAUSE_BOOT,
-    CAUSE_TRANSIT,
     CAUSE_WORKER_DEATH,
     RetryPolicy,
     describe_failures,
     tally,
 )
 from repro.kernel import linux_5_13
-from repro.store import RECORD_CASE, RECORD_END, scan
+from repro.store import (
+    RECORD_ATTEMPT,
+    RECORD_CASE,
+    RECORD_END,
+    RECORD_POISONED,
+    scan,
+)
 from repro.vm import fork_available
 from repro.vm.machine import MachineConfig
 from repro.vm.shardpool import run_sharded
@@ -47,13 +52,13 @@ MACHINE = MachineConfig(bugs=linux_5_13())
 class TestRetryPolicy:
     def test_exhausted_cause(self):
         policy = RetryPolicy(budget=2)
-        assert policy.exhausted_cause({"worker.crash": 2}) is None
-        assert policy.exhausted_cause({"worker.crash": 3}) == "worker.crash"
+        assert policy.exhausted_cause({"worker.kill": 2}) is None
+        assert policy.exhausted_cause({"worker.kill": 3}) == "worker.kill"
         # The budget holds per cause, not for the sum of causes.
         assert policy.exhausted_cause(
-            {"result.drop": 2, "worker.crash": 2}) is None
+            {"result.drop": 2, "worker.kill": 2}) is None
         assert policy.exhausted_cause(
-            {"result.drop": 3, "worker.crash": 2}) == "result.drop"
+            {"result.drop": 3, "worker.kill": 2}) == "result.drop"
 
     def test_poison_threshold(self):
         policy = RetryPolicy(poison_after=3)
@@ -65,8 +70,8 @@ class TestRetryPolicy:
         ledger = {}
         tally(ledger, CAUSE_WORKER_DEATH)
         tally(ledger, CAUSE_WORKER_DEATH)
-        tally(ledger, CAUSE_TRANSIT)
-        assert describe_failures(ledger) == "transitx1, worker.deathx2"
+        tally(ledger, CAUSE_BOOT)
+        assert describe_failures(ledger) == "bootx1, worker.deathx2"
         assert describe_failures({}) == "no attributed causes"
 
 
@@ -203,7 +208,7 @@ class TestThreadSupervision:
         """A runner that ``os._exit``s on every attempt dies without a
         word, alone in its round after the first: its shard's ``up``
         message still pins each death on the pair, which is poisoned
-        after ``poison_after`` deaths instead of burning the transit
+        after ``poison_after`` deaths instead of burning a retry
         budget."""
         def runner(machine, payload):
             if payload == "poison":
@@ -268,17 +273,51 @@ class TestThreadSupervision:
 
 @needs_fork
 class TestProcessSupervision:
-    def test_poison_pair_quarantined(self):
+    def test_injected_kills_never_poison(self):
+        """An injected kill says nothing about the pair: every attempt
+        is SIGKILLed, yet the job exhausts its ``worker.kill`` budget
+        instead of being quarantined after ``poison_after`` kills."""
         plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
-        policy = RetryPolicy(budget=50, poison_after=2)
+        policy = RetryPolicy(budget=3, poison_after=2)
         report = run_sharded(MACHINE, ["only"],
                              lambda machine, payload: payload,
                              workers=1, faults=plan, retry_policy=policy)
-        result = report.results[0]
-        assert result.poisoned
-        assert "poisoned: killed 2 worker(s)" in result.error
+        [result] = report.results
+        assert not result.poisoned
+        assert result.attempts == 4
+        assert result.last_fault_site == SITE_WORKER_KILL
+        assert "retry budget for 'worker.kill' exhausted after 4 " \
+            "failed attempt(s) (worker.killx4)" in result.error
+        assert "injected SIGKILL holding job 0" in result.error
+        assert plan.stats.injected == {SITE_WORKER_KILL: 4}
+        assert plan.stats.infra_failed == {SITE_WORKER_KILL: 4}
         assert plan.stats.accounted()
-        assert plan.stats.poisoned_total > 0
+
+    def test_real_death_after_a_dropped_result_is_a_worker_death(
+            self, tmp_path):
+        """The first attempt's result is dropped; every later attempt
+        exits the shard.  Each death is charged as a worker death, not
+        to the drop charged before it."""
+        flag = str(tmp_path / "ran-once")
+
+        def runner(machine, payload):
+            if os.path.exists(flag):
+                os._exit(3)
+            with open(flag, "w") as handle:
+                handle.write("x")
+            return payload
+
+        plan = FaultPlan(seed=0, schedule={SITE_RESULT_DROP: {0}})
+        report = run_sharded(MACHINE, ["only"], runner, workers=1,
+                             faults=plan, retry_policy=RetryPolicy(budget=1))
+        [result] = report.results
+        assert result.outcome is None and not result.poisoned
+        assert result.last_fault_site == CAUSE_WORKER_DEATH
+        assert f"retry budget for {CAUSE_WORKER_DEATH!r} exhausted after " \
+            "3 failed attempt(s) (result.dropx1, worker.deathx2)" \
+            in result.error
+        assert plan.stats.infra_failed == {SITE_RESULT_DROP: 1}
+        assert plan.stats.accounted()
 
     def test_hung_shard_reaped_and_job_retried(self, tmp_path):
         """A shard stuck on one job past the timeout is SIGKILLed; the
@@ -316,45 +355,34 @@ def _case_records(store_dir, result):
 
 class TestPipelinePoisonAccounting:
     @needs_fork
-    def test_crash_storm_quarantines_every_pair(self, tmp_path):
-        """Graceful degradation under quarantine: every job crashes its
-        shard, the policy poisons each pair after five deaths, and the
-        campaign completes with balanced books."""
-        plan = FaultPlan(seed=0, rates={SITE_WORKER_CRASH: 1.0})
-        config = CampaignConfig(
-            machine=KERNEL_5_13, corpus_size=6, strategy="rand",
-            rand_budget=6, workers=2, faults=plan, diagnose=False,
-            store_dir=str(tmp_path))
-        result = Kit(config).run()
-        assert result.reports == []
-        assert result.stats.outcomes == {"poisoned": 6}
-        assert result.stats.poisoned_cases == 6
-        assert result.stats.faults_poisoned_total() > 0
-        assert result.stats.faults_accounted(), plan.stats.snapshot()
-        assert result.bugs_found() == set()
-        # Exactly one case record per pair, each journaled as poisoned.
-        records, duplicates = _case_records(str(tmp_path), result)
-        assert len({record["k"] for record in records}) == len(records) == 6
-        assert {record["outcome"] for record in records} == {"poisoned"}
-        assert duplicates == 0
-
-    @needs_fork
     def test_kill_storm_quarantines_every_pair_process_mode(self, tmp_path):
+        """Graceful degradation under a kill storm: every attempt
+        SIGKILLs its shard.  Injected kills never quarantine a pair, so
+        each one exhausts its ``worker.kill`` budget and degrades to
+        ``infra_failed``; the journal holds one case record per pair
+        and no ``attempt`` or ``poisoned`` record."""
         plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
         config = CampaignConfig(
             machine=KERNEL_5_13, corpus_size=6, strategy="rand",
             rand_budget=6, workers=2, faults=plan, diagnose=False,
             store_dir=str(tmp_path))
         result = Kit(config).run()
+        attempts = RetryPolicy().budget + 1
         assert result.reports == []
-        assert result.stats.outcomes == {"poisoned": 6}
-        assert result.stats.poisoned_cases == 6
+        assert result.stats.outcomes == {"infra_failed": 6}
+        assert result.stats.poisoned_cases == 0
+        assert result.stats.faults_injected == {SITE_WORKER_KILL: 6 * attempts}
+        assert result.stats.faults_infra == {SITE_WORKER_KILL: 6 * attempts}
         assert result.stats.faults_accounted(), plan.stats.snapshot()
         assert result.bugs_found() == set()
         records, duplicates = _case_records(str(tmp_path), result)
         assert len({record["k"] for record in records}) == len(records) == 6
-        assert {record["outcome"] for record in records} == {"poisoned"}
+        assert {record["outcome"] for record in records} == {"infra_failed"}
         assert duplicates == 0
+        replay = scan(os.path.join(str(tmp_path), result.stats.campaign_id,
+                                   "journal.jsonl"))
+        assert replay.by_type(RECORD_ATTEMPT) == []
+        assert replay.by_type(RECORD_POISONED) == []
 
 
 def _sabotage_one_pair(monkeypatch, config, action):

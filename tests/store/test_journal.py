@@ -106,7 +106,7 @@ class TestCampaignJournal:
         path = str(tmp_path / "j.jsonl")
         with CampaignJournal(path) as journal:
             assert journal.append_case("a:b", "pass", 0, None)
-            assert journal.append_attempt("c:d", ["worker.crash"])
+            assert journal.append_attempt("c:d", ["worker.death"])
             assert journal.append_poisoned("c:d", 5, "killed 5 workers")
         records = scan(path).records
         assert [r["t"] for r in records] == [RECORD_CASE, RECORD_ATTEMPT,
@@ -305,9 +305,9 @@ class TestFingerprint:
         # A plan that names its sites keeps its identity when sites it
         # does not name are added to or removed from the catalogue.
         explicit = CampaignConfig(
-            faults=FaultPlan.parse("7:0.2:worker.crash,exec.timeout"))
+            faults=FaultPlan.parse("7:0.2:worker.kill,exec.timeout"))
         assert campaign_fingerprint(summarize_config(explicit)) == (
-            "53830f230e022c2c2b9a9c3ffd24b7e04ed16a37b9f5bba3e786d19713212e1b")
+            "e760390758c65824b50d5873bb75ef0cfb35665601016087e9543f5822c4c75b")
 
 
 class TestCampaignStore:

@@ -94,16 +94,20 @@ class TestCli:
     @pytest.mark.skipif(not fork_available(),
                         reason="process shards require fork")
     def test_poisoned_cases_count_as_lost(self, capsys):
-        """Every attempt SIGKILLs its shard, so every pair is poisoned;
-        the faults line counts them as lost cases."""
+        """Every attempt SIGKILLs its shard.  Injected kills never
+        poison a pair, so every pair exhausts its retries and degrades
+        to infra_failed; the faults line counts them as lost cases, and
+        no pair is quarantined."""
         assert main(["run", "--corpus-size", "6", "--strategy", "rand",
                      "--rand-budget", "6", "--workers", "2",
                      "--faults", "0:1.0:worker.kill"]) == 0
         output = capsys.readouterr().out
-        assert "cases: 0 executed (0/s), outcomes: poisoned=6\n" in output
-        assert "0 infra-failed / " in output
-        assert "cases lost: 6," in output
-        assert "supervision: 6 pair(s) quarantined" in output
+        assert "cases: 0 executed (0/s), outcomes: infra_failed=6\n" \
+            in output
+        assert "78 shard(s) spawned (78 died)\n" in output
+        assert "78 injected / 0 recovered / 78 infra-failed / 0 poisoned " \
+            "(accounted: yes), cases lost: 6," in output
+        assert "supervision:" not in output
 
     def test_run_on_fixed_kernel_is_clean(self, capsys):
         assert main(["--kernel", "fixed", "run", "--corpus-size", "50"]) == 0
@@ -220,6 +224,41 @@ class TestCli:
             main(run + ["--resume"])
         assert str(excinfo.value).startswith("store error: ")
         assert meta in str(excinfo.value)
+
+    def test_store_reads_leave_a_missing_root_missing(self, tmp_path,
+                                                      capsys):
+        """``store ls`` and ``repro`` only read a store: on a missing
+        directory they report it and create nothing."""
+        missing = str(tmp_path / "missing")
+        assert main(["store", missing, "ls"]) == 0
+        assert f"no campaigns under {missing}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["repro", missing, "abc"])
+        assert str(excinfo.value) == \
+            f"store error: no campaign 'abc' under {missing}"
+        assert not os.path.exists(missing)
+
+    @pytest.mark.parametrize("content, reason", [
+        ("[]", "not a JSON object"),
+        ('{"format_version": 1, "st', "Unterminated string"),
+        ('{"format_version": 1}', "missing key 'stats'"),
+        ('{"format_version": 1, "stats": {}, "reports": [{}]}',
+         "damaged report 0"),
+        (None, "No such file or directory"),
+    ], ids=["not-an-object", "truncated", "missing-key", "damaged-report",
+            "missing-file"])
+    def test_inspect_rejects_a_damaged_document(self, tmp_path, content,
+                                                reason):
+        path = str(tmp_path / "result.json")
+        if content is not None:
+            with open(path, "w") as handle:
+                handle.write(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", path])
+        message = str(excinfo.value)
+        assert message.startswith(f"inspect error: {path}: ")
+        assert reason in message
+        assert "\n" not in message
 
     def test_coverage_subcommand(self, capsys):
         assert main(["coverage", "--corpus-size", "30"]) == 0

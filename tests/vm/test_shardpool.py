@@ -1,8 +1,8 @@
 """Multiprocess shard pool: granted chunks, supervision, determinism.
 
 The single-shard forms of the supervision contracts; the multi-shard
-forms live in ``tests/faults/test_cluster_recovery.py``.  Worker-site
-fault schedules key on ``job_id + attempt * 1_000_003``
+forms live in ``tests/faults/test_cluster_recovery.py``.  ``worker.kill``
+schedules key on ``job_id + attempt * 1_000_003``
 (no per-process counter stream — forked children inherit the parent's
 counters, so occurrence indexing is what keeps scheduled faults firing
 exactly once across shards); ``schedule={SITE: {0}}`` therefore means
@@ -15,12 +15,7 @@ import time
 
 import pytest
 
-from repro.faults.plan import (
-    SITE_RESULT_DROP,
-    SITE_WORKER_CRASH,
-    SITE_WORKER_KILL,
-    FaultPlan,
-)
+from repro.faults.plan import SITE_RESULT_DROP, SITE_WORKER_KILL, FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, Machine, fork_available, run_sharded
@@ -116,10 +111,10 @@ def test_slow_shard_runs_only_its_first_chunk(tmp_path):
 
 
 def test_dead_shard_requeues_only_its_own_chunk():
-    """8 jobs on 2 shards: first chunks of ⌈8 / 4⌉ = 2.  Shard 0 crashes
-    on job 0; shard 1 keeps draining the queue in the same round, so
-    the replacement shards run only the dead shard's chunk {0, 1}."""
-    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
+    """8 jobs on 2 shards: first chunks of ⌈8 / 4⌉ = 2.  Shard 0 is
+    killed on job 0; shard 1 keeps draining the queue in the same round,
+    so the replacement shards run only the dead shard's chunk {0, 1}."""
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
     report = run_sharded(CONFIG, list(range(8)),
                          lambda machine, payload: payload, workers=2,
                          faults=plan,
@@ -147,7 +142,7 @@ def test_stolen_ranges_preserve_result_identity():
 
 
 def test_crash_schedule_recovery():
-    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload + 1, workers=1,
                          faults=plan,
@@ -156,20 +151,22 @@ def test_crash_schedule_recovery():
     assert report.shards_died == 1 and report.rounds == 2
     # The replacement shard got a fresh worker id (ids never recycle).
     assert all(r.worker != 0 for r in report.results)
-    # Results carry the retry ledger: the crashed job's one failed
+    # Results carry the retry ledger: the killed job's one failed
     # attempt and its cause; the others ran clean.
-    crashed, *clean = report.results
-    assert (crashed.attempts, crashed.last_fault_site) \
-        == (1, SITE_WORKER_CRASH)
+    killed, *clean = report.results
+    assert (killed.attempts, killed.last_fault_site) \
+        == (1, SITE_WORKER_KILL)
     assert all((r.attempts, r.last_fault_site) == (0, None) for r in clean)
-    assert plan.stats.recovered.get(SITE_WORKER_CRASH) == 1
+    assert plan.stats.recovered.get(SITE_WORKER_KILL) == 1
     assert plan.stats.accounted()
 
 
 def test_kill_schedule_recovery_and_accounting():
-    """worker.kill SIGKILLs the shard mid-job; the supervisor charges
-    exactly the announced job and keeps the campaign ledger balanced
-    (the dead process's own counters are lost with it)."""
+    """worker.kill SIGKILLs the shard as it starts job 1; the
+    supervisor charges the shard's first unfinished job, tells the kill
+    from a real death by the same decision, and keeps the campaign
+    ledger balanced (the dead process's own counters are lost with
+    it)."""
     plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {1}})
     report = run_sharded(CONFIG, list(range(4)),
                          lambda machine, payload: payload * 10, workers=2,
@@ -186,24 +183,24 @@ def test_kill_schedule_recovery_and_accounting():
 
 
 def test_retried_attempt_draws_a_fresh_fault_decision():
-    # Schedule the crash for job 0 on attempt 0 AND attempt 1: both
+    # Schedule the kill for job 0 on attempt 0 AND attempt 1: both
     # occurrences fire, the third attempt completes.
     plan = FaultPlan(seed=0, schedule={
-        SITE_WORKER_CRASH: {0, _ATTEMPT_STRIDE}})
+        SITE_WORKER_KILL: {0, _ATTEMPT_STRIDE}})
     report = run_sharded(CONFIG, [7], lambda machine, payload: payload,
                          workers=1, faults=plan,
                          retry_policy=RetryPolicy(budget=2, poison_after=0))
     assert report.results[0].outcome == 7
     assert report.shards_died == 2 and report.rounds == 3
-    assert plan.stats.recovered.get(SITE_WORKER_CRASH) == 2
+    assert plan.stats.recovered.get(SITE_WORKER_KILL) == 2
     assert plan.stats.accounted()
 
 
 def test_death_with_no_retries_raises_by_default():
-    """With no retries the crashed job comes back unfinished; its
+    """With no retries the killed job comes back unfinished; its
     ``JobResult`` names its attempts and last cause (the pipeline
     raises on it without a fault plan)."""
-    plan = FaultPlan(seed=0, schedule={SITE_WORKER_CRASH: {0}})
+    plan = FaultPlan(seed=0, schedule={SITE_WORKER_KILL: {0}})
     report = run_sharded(CONFIG, list(range(3)),
                          lambda machine, payload: payload,
                          workers=1, faults=plan,
@@ -211,8 +208,9 @@ def test_death_with_no_retries_raises_by_default():
     unfinished = [r for r in report.results if r.error is not None]
     assert [r.job_id for r in unfinished] == [0]
     assert (unfinished[0].attempts, unfinished[0].last_fault_site) \
-        == (1, SITE_WORKER_CRASH)
+        == (1, SITE_WORKER_KILL)
     assert "exhausted after 1 failed attempt(s)" in unfinished[0].error
+    assert "injected SIGKILL holding job 0" in unfinished[0].error
     assert [r.outcome for r in report.results] == [None, 1, 2]
     assert plan.stats.accounted()
 
