@@ -22,6 +22,7 @@ from ..corpus.program import TestProgram
 from ..faults.plan import (
     FaultPlan,
     FaultRetriesExhausted,
+    FaultStats,
     call_with_fault_retries,
 )
 from ..faults.retry import CAUSE_WORKER_DEATH, describe_failures
@@ -298,6 +299,20 @@ class CampaignStats:
             for site in sites
         )
 
+    def merge(self, other: "CampaignStats") -> None:
+        """Add *other* into these totals.
+
+        Numbers sum, per-key counts sum per key, and strings (the
+        campaign id, the shard mode) stay as they are: a shard's stats
+        come home through this one rule.
+        """
+        for stat in fields(self):
+            value = getattr(other, stat.name)
+            if isinstance(value, dict):
+                _add_counts(getattr(self, stat.name), value)
+            elif not isinstance(value, str):
+                setattr(self, stat.name, getattr(self, stat.name) + value)
+
     def absorb_machine(self, machine_stats: MachineStats,
                        stage: str = "") -> None:
         """Fold one machine's restore counters into the campaign totals."""
@@ -313,11 +328,33 @@ class CampaignStats:
         elif stage == "diagnosis":
             self.diagnosis_restore_seconds += machine_stats.restore_seconds
 
-    def absorb_execution(self, telemetry: Dict[str, Any]) -> None:
-        """Fold one :class:`_CaseRunner`'s telemetry into the totals."""
-        self.absorb_machine(telemetry["machine"], stage="execution")
-        self.cases_executed += telemetry["cases_executed"]
-        self.nondet_runs += telemetry["nondet_runs"]
+    def absorb_runner(self, runner: "_CaseRunner") -> None:
+        """Fold one execution-stage case runner's counts into the totals."""
+        detector = runner.detector
+        if detector is not None:
+            self.cases_executed += detector.runner.cases_executed
+            self.nondet_runs += detector.nondet.runs_executed
+
+    def absorb_caches(self, caches: "_Caches") -> None:
+        """Fold one process's cache counters and holdings into the totals."""
+        self.baseline_hits += caches.baselines.hits
+        self.baseline_misses += caches.baselines.misses
+        self.nondet_cache_hits += caches.nondet.hits
+        self.nondet_cache_misses += caches.nondet.misses
+        sender_states = caches.sender_states
+        if sender_states is not None:
+            self.sender_cache_hits += sender_states.hits
+            self.sender_cache_misses += sender_states.misses
+            self.sender_cache_evictions += sender_states.evictions
+            self.sender_cache_bytes += sender_states.bytes_held
+            self.sender_cache_entries += len(sender_states)
+
+    def absorb_faults(self, ledger: FaultStats) -> None:
+        """Fold one process's fault ledger into the per-site totals."""
+        for totals, counts in zip((self.faults_injected,
+                                   self.faults_recovered, self.faults_infra,
+                                   self.faults_poisoned), ledger.snapshot()):
+            _add_counts(totals, counts)
 
     def absorb_profile_store(self, store) -> None:
         """Fold one :class:`ProfileStore`'s counters into the totals."""
@@ -325,6 +362,11 @@ class CampaignStats:
         self.profile_store_misses += store.misses
         self.profile_store_entries_written += store.entries_written
         self.profile_store_bytes_written += store.bytes_written
+
+
+def _add_counts(totals: Dict[str, int], counts: Dict[str, int]) -> None:
+    for key, count in counts.items():
+        totals[key] = totals.get(key, 0) + count
 
 
 #: Version of the result document :meth:`CampaignResult.to_document`
@@ -462,30 +504,6 @@ class _Caches:
     nondet: NondetStore
     sender_states: Optional[SenderStateCache]
 
-    #: The counters a shard ships back at retirement, per cache.
-    _COUNTERS = {"baselines": ("hits", "misses"),
-                 "nondet": ("hits", "misses"),
-                 "sender_states": ("hits", "misses", "evictions")}
-
-    def by_name(self) -> Dict[str, Any]:
-        caches: Dict[str, Any] = dict(baselines=self.baselines,
-                                      nondet=self.nondet)
-        if self.sender_states is not None:
-            caches["sender_states"] = self.sender_states
-        return caches
-
-    def counters(self) -> Dict[str, tuple]:
-        return {name: tuple(getattr(cache, key)
-                            for key in self._COUNTERS[name])
-                for name, cache in self.by_name().items()}
-
-    def merge_counters(self, counters: Dict[str, tuple]) -> None:
-        """Add a shard's :meth:`counters` into these (parent) caches."""
-        for name, cache in self.by_name().items():
-            for key, value in zip(self._COUNTERS[name],
-                                  counters.get(name, ())):
-                setattr(cache, key, getattr(cache, key) + value)
-
 
 def _verdict(detection: DetectionResult) -> tuple:
     """What a shard sends back for one case: everything but the case.
@@ -516,27 +534,16 @@ class _CaseRunner:
     def __init__(self, kit: "Kit", caches: _Caches):
         self._kit = kit
         self._caches = caches
-        self._detector: Optional[Detector] = None
+        self.detector: Optional[Detector] = None
 
     def __call__(self, machine: Machine, case: TestCase) -> DetectionResult:
-        if self._detector is None:
-            self._detector = self._kit._make_detector(machine, self._caches)
+        if self.detector is None:
+            self.detector = self._kit._make_detector(machine, self._caches)
         try:
             return call_with_fault_retries(self._kit.config.faults,
-                                           self._detector.check_case, case)
+                                           self.detector.check_case, case)
         except FaultRetriesExhausted:
             return DetectionResult(case, Outcome.INFRA_FAILED)
-
-    def telemetry(self, machine_stats: MachineStats) -> Dict[str, Any]:
-        """What :meth:`CampaignStats.absorb_execution` folds in."""
-        detector = self._detector
-        return {
-            "machine": machine_stats,
-            "cases_executed": (detector.runner.cases_executed
-                               if detector is not None else 0),
-            "nondet_runs": (detector.nondet.runs_executed
-                            if detector is not None else 0),
-        }
 
 
 class Kit:
@@ -619,27 +626,13 @@ class Kit:
             say(f"diagnosing {len(reports)} reports (Algorithm 2)")
             self._diagnose(machine, reports, stats, caches)
 
-        stats.baseline_hits = caches.baselines.hits
-        stats.baseline_misses = caches.baselines.misses
-        stats.nondet_cache_hits = caches.nondet.hits
-        stats.nondet_cache_misses = caches.nondet.misses
-
+        # The campaign process's own counts, added to what each shard
+        # shipped at retirement.
+        stats.absorb_caches(caches)
         if plan is not None:
-            (stats.faults_injected, stats.faults_recovered,
-             stats.faults_infra,
-             stats.faults_poisoned) = plan.stats.snapshot()
+            stats.absorb_faults(plan.stats)
             stats.infra_failed_cases = stats.outcomes.get(
                 Outcome.INFRA_FAILED.value, 0)
-
-        sender_states = caches.sender_states
-        if sender_states is not None:
-            # The parent's end-of-campaign holdings, added to what each
-            # shard's cache held at retirement.
-            stats.sender_cache_hits = sender_states.hits
-            stats.sender_cache_misses = sender_states.misses
-            stats.sender_cache_evictions = sender_states.evictions
-            stats.sender_cache_bytes += sender_states.bytes_held
-            stats.sender_cache_entries += len(sender_states)
 
         groups = aggregate(reports)
         say(f"done: {len(reports)} reports, "
@@ -902,8 +895,9 @@ class Kit:
                 # re-executes the pair.
                 self._journal_detection(outcome)
                 fresh.append(outcome)
-            stats.absorb_execution(
-                runner.telemetry(machine.stats.since(before)))
+            stats.absorb_machine(machine.stats.since(before),
+                                 stage="execution")
+            stats.absorb_runner(runner)
         for position, outcome in zip(todo_map, fresh):
             results[position] = outcome
         stats.execution_seconds = time.monotonic() - start
@@ -964,34 +958,35 @@ class Kit:
         *runner*, filling its own copies of the campaign *caches*.
         Nothing crosses between processes after the fork except the
         shard protocol's pipe messages: verdicts (:func:`_verdict`), and
-        the telemetry and fault-counter deltas of the retirement
-        messages.
+        the one :class:`CampaignStats` a shard ships when it retires
+        cleanly.
         """
         config = self.config
         plan = config.faults
-        sender_states = caches.sender_states
 
         def run_case(worker_machine: Machine, case: TestCase) -> tuple:
             # Runs in the shard; the supervisor rebuilds the result.
             return _verdict(runner(worker_machine, case))
 
         def boot() -> Machine:
-            # Runs inside the freshly forked shard: fresh counters, so
-            # shard telemetry counts only the shard's own resets.
+            # Runs inside the freshly forked shard: fresh machine and
+            # fault counters, so the shard counts only its own events.
             machine.stats = MachineStats()
+            if plan is not None:
+                plan.stats = FaultStats()
             return machine
 
-        def shard_telemetry(worker_machine: Machine) -> Dict[str, Any]:
-            # Runs in the shard at clean retirement.  Every counter here
-            # started at the parent's pre-fork value (all zero during
-            # execution), so the values ship as absolute and merge by
-            # addition.
-            data = {**runner.telemetry(worker_machine.stats),
-                    "caches": caches.counters()}
-            if sender_states is not None:
-                data["sender_held"] = (len(sender_states),
-                                       sender_states.bytes_held)
-            return data
+        def retire(worker_machine: Machine) -> CampaignStats:
+            # Runs in the shard at clean retirement.  Its caches'
+            # counters were zero at the fork, like everything boot
+            # zeroed, so the shard's stats are its own counts alone.
+            shard = CampaignStats()
+            shard.absorb_machine(worker_machine.stats, stage="execution")
+            shard.absorb_runner(runner)
+            shard.absorb_caches(caches)
+            if plan is not None:
+                shard.absorb_faults(plan.stats)
+            return shard
 
         # Two-level affinity schedule: the sender-major level batches
         # every case sharing a sender consecutively (the first case of
@@ -1009,7 +1004,7 @@ class Kit:
         report = run_sharded(
             config.machine, scheduled, run_case,
             workers=config.workers, boot=boot, faults=plan,
-            telemetry_hook=shard_telemetry,
+            telemetry_hook=retire,
             hang_timeout=config.hang_timeout,
             on_result=self._land_job_result,
             on_job_failure=(self._journal_job_failure
@@ -1025,18 +1020,10 @@ class Kit:
                                           len(cases))
         if handle is not None:
             handle.journal.sync()
-        for data in report.telemetry:
-            # Counters a killed shard never shipped are lost with it —
-            # telemetry only, never correctness (its jobs re-ran
-            # elsewhere and their results merged above).
-            stats.absorb_execution(data)
-            caches.merge_counters(data["caches"])
-            if "sender_held" in data:
-                # What the shard's sender cache held at retirement;
-                # _run_stages adds the parent's end-of-campaign holdings.
-                entries, held = data["sender_held"]
-                stats.sender_cache_entries += entries
-                stats.sender_cache_bytes += held
+        for shard_stats in report.telemetry:
+            # A shard that died shipped nothing: its counts are lost
+            # with it, never its verdicts (its jobs re-ran elsewhere).
+            stats.merge(shard_stats)
         return results
 
     def _diagnose(self, machine: Machine, reports: List[TestReport],

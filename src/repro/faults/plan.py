@@ -149,26 +149,6 @@ class FaultStats:
             for site in sites:
                 self.poisoned[site] = self.poisoned.get(site, 0) + 1
 
-    @property
-    def injected_total(self) -> int:
-        with self._lock:
-            return sum(self.injected.values())
-
-    @property
-    def recovered_total(self) -> int:
-        with self._lock:
-            return sum(self.recovered.values())
-
-    @property
-    def infra_failed_total(self) -> int:
-        with self._lock:
-            return sum(self.infra_failed.values())
-
-    @property
-    def poisoned_total(self) -> int:
-        with self._lock:
-            return sum(self.poisoned.values())
-
     def accounted(self) -> bool:
         """Every injection was recovered, charged to infra, or poisoned."""
         with self._lock:
@@ -187,28 +167,6 @@ class FaultStats:
         with self._lock:
             return (dict(self.injected), dict(self.recovered),
                     dict(self.infra_failed), dict(self.poisoned))
-
-    def merge_delta(self, injected: Mapping[str, int],
-                    recovered: Mapping[str, int],
-                    infra_failed: Mapping[str, int],
-                    poisoned: Mapping[str, int]) -> None:
-        """Fold another process's counter growth into these books.
-
-        Shard processes each carry a forked copy of the plan; they ship
-        per-site counter *deltas* (growth since fork) back to the
-        supervisor, which merges them here so :meth:`accounted` sees one
-        campaign-wide ledger.
-        """
-        with self._lock:
-            for site, count in injected.items():
-                self.injected[site] = self.injected.get(site, 0) + count
-            for site, count in recovered.items():
-                self.recovered[site] = self.recovered.get(site, 0) + count
-            for site, count in infra_failed.items():
-                self.infra_failed[site] = \
-                    self.infra_failed.get(site, 0) + count
-            for site, count in poisoned.items():
-                self.poisoned[site] = self.poisoned.get(site, 0) + count
 
 
 def decision(seed: int, site: str, occurrence: int) -> float:
@@ -258,6 +216,8 @@ class FaultPlan:
         #: the store's recovery paths (shard jobs settle by a
         #: :class:`~repro.faults.retry.RetryPolicy` instead).
         self.max_retries = max_retries
+        #: This process's books.  A pipeline shard starts a fresh ledger
+        #: at boot and ships it home when it retires (docs/FAULTS.md).
         self.stats = FaultStats()
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
@@ -306,16 +266,7 @@ class FaultPlan:
         with self._lock:
             return self._counters.get(site, 0)
 
-    # -- accounting ----------------------------------------------------------
-
-    def record_recovered(self, sites: Iterable[str]) -> None:
-        self.stats.note_recovered(sites)
-
-    def record_infra_failed(self, sites: Iterable[str]) -> None:
-        self.stats.note_infra_failed(sites)
-
-    def record_poisoned(self, sites: Iterable[str]) -> None:
-        self.stats.note_poisoned(sites)
+    # -- identity ------------------------------------------------------------
 
     def signature(self) -> Dict[str, Any]:
         """The plan's result-affecting identity, for config fingerprints.
@@ -392,9 +343,9 @@ def call_with_fault_retries(plan: Optional[FaultPlan], fn, *args,
         except FaultInjectedError as error:
             pending.append(error.site)
             if len(pending) > plan.max_retries:
-                plan.record_infra_failed(pending)
+                plan.stats.note_infra_failed(pending)
                 raise FaultRetriesExhausted(pending, context=context)
             continue
         if pending:
-            plan.record_recovered(pending)
+            plan.stats.note_recovered(pending)
         return value

@@ -34,9 +34,10 @@ The journal is designed around SIGKILL-anywhere semantics:
   fsyncs every pending record with one call.  A power loss can thus
   drop at most the unsynced tail, which the at-least-once resume
   re-executes.  Each sync runs through the
-  :data:`~repro.faults.plan.SITE_STORE_FSYNC_FAIL` chaos site with
-  bounded retries and degrades to flushed-only durability (charged to
-  the infra column) when the budget is exhausted.
+  :data:`~repro.faults.plan.SITE_STORE_FSYNC_FAIL` chaos site under
+  :func:`~repro.faults.plan.call_with_fault_retries` and degrades to
+  flushed-only durability (charged to the infra column) when its
+  retries are exhausted.
 
 The :data:`~repro.faults.plan.SITE_JOURNAL_TORN` chaos site exercises
 the torn-write path in-process: the append writes a partial line,
@@ -57,7 +58,10 @@ from typing import Any, Dict, Iterator, List, Optional, Set
 from ..faults.plan import (
     SITE_JOURNAL_TORN,
     SITE_STORE_FSYNC_FAIL,
+    FaultInjectedError,
     FaultPlan,
+    FaultRetriesExhausted,
+    call_with_fault_retries,
 )
 
 #: Record types understood by the campaign pipeline.
@@ -233,7 +237,7 @@ class CampaignJournal:
             self.repair_tail()
             self._handle = open(self.path, "a", encoding="utf-8",
                                 newline="\n")
-            faults.record_recovered([SITE_JOURNAL_TORN])
+            faults.stats.note_recovered([SITE_JOURNAL_TORN])
         self._handle.write(line)
         self._handle.flush()
 
@@ -242,25 +246,19 @@ class CampaignJournal:
         if not self._unsynced:
             return
         self._unsynced = 0
+        try:
+            call_with_fault_retries(self.faults, self._fsync)
+        except FaultRetriesExhausted:
+            # Durability degrades to flushed-only for this batch; the
+            # campaign continues and the books charge the failed syncs
+            # to infra.
+            self.fsync_degraded += 1
+
+    def _fsync(self) -> None:
         faults = self.faults
-        pending: List[str] = []
-        budget = faults.max_retries if faults is not None else 0
-        while True:
-            if faults is not None \
-                    and faults.should_inject(SITE_STORE_FSYNC_FAIL):
-                pending.append(SITE_STORE_FSYNC_FAIL)
-                if len(pending) > budget:
-                    # Durability degrades to flushed-only for this
-                    # batch; the campaign continues and the books
-                    # charge the failed syncs to infra.
-                    faults.record_infra_failed(pending)
-                    self.fsync_degraded += 1
-                    return
-                continue
-            os.fsync(self._handle.fileno())
-            if faults is not None and pending:
-                faults.record_recovered(pending)
-            return
+        if faults is not None and faults.should_inject(SITE_STORE_FSYNC_FAIL):
+            raise FaultInjectedError(SITE_STORE_FSYNC_FAIL)
+        os.fsync(self._handle.fileno())
 
     # -- record constructors ---------------------------------------------------
 

@@ -196,7 +196,7 @@ class Machine:
         except RestoreFaultInjected as error:
             restored = image.restore_all_in_place()
             skipped = 0
-            faults.record_recovered([error.site])
+            faults.stats.note_recovered([error.site])
             self.stats.recovery_restores += 1
             return restored, skipped
         if faults is not None and image.corruption_pending:
@@ -207,7 +207,7 @@ class Machine:
                 restored = image.restore_all_in_place()
                 skipped = 0
                 self.stats.recovery_restores += 1
-            faults.record_recovered([SITE_SEGMENT_CORRUPT])
+            faults.stats.note_recovered([SITE_SEGMENT_CORRUPT])
         return restored, skipped
 
     def attach_tracer(self, tracer: Optional[KernelTracer]) -> None:

@@ -61,13 +61,11 @@ Each round the supervisor registers every shard's message pipe and
 process sentinel once with one :mod:`selectors` selector, reads one
 message per readiness event, and unregisters both when the shard exits.
 Process death is observed on the sentinel, so a SIGKILLed shard is
-detected without polling.  Fault accounting crosses the process
-boundary as counter *deltas* shipped in each shard's final message; a
-shard that dies silently loses only locally-balanced counters, so the
-campaign invariant ``injected == recovered + infra_failed + poisoned``
-holds regardless.
-Two chaos injection sites live in this layer (``worker.kill``,
-``result.drop``); see :mod:`repro.faults.plan`.
+detected without polling.  No message but a clean retirement's
+``done`` carries a shard's counters (the caller's *telemetry_hook*
+return value), so a shard that dies by any means loses all of them.
+The supervisor keeps the books of its own two chaos injection sites,
+``worker.kill`` and ``result.drop`` (see :mod:`repro.faults.plan`).
 """
 
 from __future__ import annotations
@@ -137,6 +135,10 @@ class Job:
     worker_deaths: int = 0
     #: Cause charged by the most recent failed attempt.
     last_cause: Optional[str] = None
+    #: ``worker N: error`` of each dead shard charged to this job (every
+    #: shard of a round in which none booted), for an exhausted job's
+    #: error.
+    dead_shards: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -193,28 +195,6 @@ class ShardRunReport:
     hung_shards: List[int] = field(default_factory=list)
 
 
-def _stats_delta(faults: Optional[FaultPlan],
-                 base: Optional[Tuple[Dict[str, int], ...]]
-                 ) -> Optional[Tuple[Dict[str, int], ...]]:
-    """Per-site counter growth in this process since *base*."""
-    if faults is None or base is None:
-        return None
-    now = faults.stats.snapshot()
-    return tuple(
-        {site: count - earlier.get(site, 0)
-         for site, count in current.items()
-         if count - earlier.get(site, 0)}
-        for current, earlier in zip(now, base)
-    )
-
-
-def _merge_stats_delta(faults: Optional[FaultPlan],
-                       delta: Optional[Tuple[Dict[str, int], ...]]) -> None:
-    if faults is None or delta is None:
-        return
-    faults.stats.merge_delta(*delta)
-
-
 def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 round_jobs: Sequence[Tuple[int, Any]],
                 case_runner: Callable[[Machine, Any], Any],
@@ -230,12 +210,10 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
     *round_jobs*, the round-local job list inherited through fork.  The
     shard runs one thread, so nothing else ever writes to *out*.
     """
-    base = faults.stats.snapshot() if faults is not None else None
     try:
         machine = boot()
     except Exception as error:
-        out.send(("fatal", worker_id, f"{type(error).__name__}: {error}",
-                  _stats_delta(faults, base)))
+        out.send(("fatal", worker_id, f"{type(error).__name__}: {error}"))
         return
     machine.cluster_worker_id = worker_id
     out.send(("up", worker_id))
@@ -258,11 +236,10 @@ def _shard_main(worker_id: int, ctrl, out, boot: Callable[[], Machine],
                 out.send(("result", worker_id, index, outcome, error))
             command = ctrl.recv()
     except BaseException as error:  # genuine shard death
-        out.send(("fatal", worker_id, f"{type(error).__name__}: {error}",
-                  _stats_delta(faults, base)))
+        out.send(("fatal", worker_id, f"{type(error).__name__}: {error}"))
         return
     telemetry = telemetry_hook(machine) if telemetry_hook is not None else None
-    out.send(("done", worker_id, telemetry, _stats_delta(faults, base)))
+    out.send(("done", worker_id, telemetry))
 
 
 @dataclass
@@ -311,16 +288,17 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     :class:`~repro.faults.retry.RetryPolicy`).  Every job gets one
     ``JobResult``: its outcome, or, for a job the policy gave up on,
     ``worker=-1`` and an ``error`` naming its attempts, their causes
-    and the dead shards' errors (``poisoned`` set for a quarantined
-    job).  A job whose *case_runner* raised keeps the worker that ran
-    it and carries the exception text as its ``error``; it is never
-    retried.  Extra hooks:
+    and the errors of the dead shards charged to it (``poisoned`` set
+    for a quarantined job).  A job whose *case_runner* raised keeps the
+    worker that ran it and carries the exception text as its ``error``;
+    it is never retried.  Extra hooks:
 
     * *boot* returns each shard's machine inside the shard process
       (default: ``Machine(machine_config)``; the pipeline hands each
       shard its forked copy of the campaign machine).
     * *telemetry_hook* runs in the shard at clean retirement; its
-      (picklable) return value lands in ``report.telemetry``.
+      (picklable) return value lands in ``report.telemetry``.  A shard
+      that dies ships nothing, so whatever it counted is lost with it.
 
     Self-healing extensions: *hang_timeout* (a shard
     from which nothing — not ``up``, not a result — arrives for longer
@@ -358,7 +336,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
     failed: Dict[int, JobResult] = {}
     pool_size = min(max(1, workers), len(jobs))
     next_worker_id = 0
-    dead_descriptions: List[str] = []
 
     while True:
         outstanding = [job_id for job_id in sorted(jobs)
@@ -448,20 +425,16 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                                           last_fault_site=job.last_cause)
                     completed[job_id] = committed
                 if faults is not None and job.pending_sites:
-                    faults.record_recovered(job.pending_sites)
+                    faults.stats.note_recovered(job.pending_sites)
                     job.pending_sites = []
                 if committed is not None and on_result is not None:
                     on_result(job, committed)
             elif kind == "fatal":
-                _, _worker_id, error, delta = message
                 shard.exit_kind = "fatal"
-                shard.fatal_error = error
-                _merge_stats_delta(faults, delta)
+                shard.fatal_error = message[2]
             elif kind == "done":
-                _, _worker_id, telemetry, delta = message
                 shard.exit_kind = "done"
-                shard.telemetry = telemetry
-                _merge_stats_delta(faults, delta)
+                shard.telemetry = message[2]
 
         def watchdog_sweep(live: Dict[int, _Shard]) -> None:
             """SIGKILL shards from which nothing arrived for too long."""
@@ -546,27 +519,6 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
         for shard in shards.values():
             if shard.exit_kind == "done" and shard.telemetry is not None:
                 report.telemetry.append(shard.telemetry)
-        # A death after ``up`` charges the shard's first unfinished
-        # grant; a shard that never sent ``up`` charges nothing, and its
-        # chunk just re-queues.  The supervisor alone decides what the
-        # death was, so it also keeps the books of an injected kill,
-        # whose process took its own counters with it.
-        deaths: List[Tuple[Job, str]] = []
-        for shard in round_dead:
-            if shard.booted and shard.remaining:
-                job = jobs[round_jobs[shard.remaining[0]][0]]
-                death = CAUSE_WORKER_DEATH
-                if faults is not None and faults.fires_at(
-                        SITE_WORKER_KILL,
-                        job.job_id + job.failures * _ATTEMPT_STRIDE):
-                    death = SITE_WORKER_KILL
-                    faults.stats.note_injected(SITE_WORKER_KILL)
-                    shard.fatal_error = \
-                        f"injected SIGKILL holding job {job.job_id}"
-                deaths.append((job, death))
-            dead_descriptions.append(
-                f"worker {shard.worker_id}: {shard.fatal_error}")
-        errors = "; ".join(dead_descriptions) or "result lost in transit"
 
         def settle(job: Job) -> str:
             """Settle one charged job: ``retry`` | ``infra`` | ``poisoned``."""
@@ -580,12 +532,13 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                     attempts=job.failures, last_fault_site=job.last_cause,
                     poisoned=True)
                 if faults is not None:
-                    faults.record_poisoned(job.pending_sites)
+                    faults.stats.note_poisoned(job.pending_sites)
                     job.pending_sites = []
                 return "poisoned"
             exhausted = retry_policy.exhausted_cause(job.site_failures)
             if exhausted is None:
                 return "retry"  # stays outstanding: next round re-runs
+            errors = "; ".join(job.dead_shards) or "result lost in transit"
             failed[job.job_id] = JobResult(
                 job.job_id, None, worker=-1,
                 error=f"retry budget for {exhausted!r} exhausted after "
@@ -593,14 +546,18 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
                       f"({describe_failures(job.site_failures)}): {errors}",
                 attempts=job.failures, last_fault_site=job.last_cause)
             if faults is not None and job.pending_sites:
-                faults.record_infra_failed(job.pending_sites)
+                faults.stats.note_infra_failed(job.pending_sites)
                 job.pending_sites = []
             return "infra"
 
-        def charge(job: Job, cause: str) -> None:
-            """Charge *job* one failed attempt of *cause*, then settle it."""
+        def charge(job: Job, cause: str,
+                   dead: Sequence[_Shard] = ()) -> None:
+            """Charge *job* one failed attempt of *cause*, for the *dead*
+            shards, then settle it."""
             job.failures += 1
             job.last_cause = cause
+            job.dead_shards.extend(f"worker {shard.worker_id}: "
+                                   f"{shard.fatal_error}" for shard in dead)
             tally(job.site_failures, cause)
             if cause in ALL_SITES:
                 # An injected fault: resolved when a result finally
@@ -616,14 +573,29 @@ def run_sharded(machine_config: MachineConfig, payloads: Sequence[Any],
             # No shard in the round sent ``up``: charge everything still
             # open, or a pool that can never boot would respawn forever.
             for job_id in outstanding:
-                charge(jobs[job_id], CAUSE_BOOT)
+                charge(jobs[job_id], CAUSE_BOOT, round_dead)
             continue
+        # A death after ``up`` charges the shard's first unfinished
+        # grant; a shard that never sent ``up`` charges nothing, and its
+        # chunk just re-queues.  The supervisor alone decides what the
+        # death was, so it also keeps the books of an injected kill.
+        for shard in round_dead:
+            if not (shard.booted and shard.remaining):
+                continue
+            job = jobs[round_jobs[shard.remaining[0]][0]]
+            death = CAUSE_WORKER_DEATH
+            if faults is not None and faults.fires_at(
+                    SITE_WORKER_KILL,
+                    job.job_id + job.failures * _ATTEMPT_STRIDE):
+                death = SITE_WORKER_KILL
+                faults.stats.note_injected(SITE_WORKER_KILL)
+                shard.fatal_error = \
+                    f"injected SIGKILL holding job {job.job_id}"
+            charge(job, death, [shard])
         # A dropped result is no shard's unfinished grant, so each job
         # is charged at most once.  Everything else unfinished — the
         # rest of a dead shard's chunks and whatever the round never
         # granted — re-queues uncharged.
-        for job, death in deaths:
-            charge(job, death)
         for job in dropped:
             charge(job, SITE_RESULT_DROP)
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CampaignConfig, Kit
+from repro.core import CampaignConfig, CampaignStats, Kit
 from repro.corpus.seeds import seed_programs
+from repro.faults.plan import SITE_RESTORE_FAIL, FaultPlan
 from repro.kernel import linux_5_13
-from repro.vm import MachineConfig
+from repro.vm import MachineConfig, fork_available
 
 
 def seed_list():
@@ -81,6 +82,61 @@ class TestSenderCacheTelemetry:
         stats = Kit(small_config()).run().stats
         assert stats.diagnosis_reruns > 0
         assert stats.diagnosis_prefix_reuses == stats.diagnosis_reruns
+
+
+class TestCampaignStatsMerge:
+    def test_merge_sums_numbers_and_per_key_counts(self):
+        total = CampaignStats(campaign_id="c0ffee", shard_mode="process",
+                              cases_executed=3, restore_seconds=0.5,
+                              outcomes={"pass": 2},
+                              faults_injected={SITE_RESTORE_FAIL: 1})
+        total.merge(CampaignStats(cases_executed=4, restore_seconds=0.25,
+                                  outcomes={"pass": 1, "report": 1},
+                                  faults_injected={SITE_RESTORE_FAIL: 2,
+                                                   "exec.timeout": 1}))
+        assert total.cases_executed == 7
+        assert total.restore_seconds == pytest.approx(0.75)
+        assert total.outcomes == {"pass": 3, "report": 1}
+        assert total.faults_injected == {SITE_RESTORE_FAIL: 3,
+                                         "exec.timeout": 1}
+        assert (total.campaign_id, total.shard_mode) == ("c0ffee", "process")
+
+
+def rand_config(**overrides):
+    """30 random pairs: no profiling, and no diagnosis, so every reset
+    and every cache lookup belongs to the execution stage."""
+    return CampaignConfig(machine=MachineConfig(bugs=linux_5_13()),
+                          corpus_size=30, corpus_seed=1, strategy="rand",
+                          rand_budget=30, diagnose=False, **overrides)
+
+
+class TestShardRetirement:
+    """Each shard's counters come home once, as one ``CampaignStats``
+    merged into the campaign's, so every shard count is the serial
+    loop's count."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_every_executed_case_counts_once(self, workers):
+        stats = Kit(rand_config(workers=workers)).run().stats
+        assert stats.cases_executed == stats.cases_total == 30
+        assert stats.baseline_hits + stats.baseline_misses \
+            == stats.cases_executed
+        assert stats.sender_cache_hits + stats.sender_cache_misses \
+            == stats.cases_executed
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="process shards require fork")
+    def test_shard_faults_reach_the_campaign_books(self):
+        """Every restore runs in a shard; the campaign's books hold
+        every injection, each one recovered by a recovery restore."""
+        plan = FaultPlan(seed=7, rate=0.2, sites=(SITE_RESTORE_FAIL,))
+        stats = Kit(rand_config(workers=2, faults=plan)).run().stats
+        assert stats.shard_mode == "process"
+        injected = stats.faults_injected.get(SITE_RESTORE_FAIL, 0)
+        assert injected > 0
+        assert stats.faults_recovered == {SITE_RESTORE_FAIL: injected}
+        assert stats.recovery_restores == injected
+        assert stats.faults_accounted()
 
 
 class TestDistributedOrdering:

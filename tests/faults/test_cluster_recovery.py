@@ -7,6 +7,8 @@ dead shard's cache entries out of the campaign process.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core import pipeline
@@ -64,6 +66,23 @@ def test_dropped_result_is_requeued_and_recovered():
     assert [r.outcome for r in report.results] == [0, 3, 6, 9, 12, 15]
     assert plan.stats.recovered.get(SITE_RESULT_DROP) == 1
     assert plan.stats.accounted()
+
+
+def test_exhausted_job_names_only_its_own_dead_shards():
+    """A 6-job kill storm on 2 shards: each job is killed once per
+    attempt, and its error names exactly the shards that held it, not
+    every shard that died in the call."""
+    plan = FaultPlan(seed=0, rates={SITE_WORKER_KILL: 1.0})
+    report = run_sharded(CONFIG, list(range(6)),
+                         lambda machine, payload: payload, workers=2,
+                         faults=plan)
+    attempts = RetryPolicy().budget + 1
+    assert report.shards_died == 6 * attempts
+    for result in report.results:
+        assert result.attempts == attempts
+        named = re.findall(r"worker \d+: injected SIGKILL holding job (\d+)",
+                           result.error)
+        assert named == [str(result.job_id)] * attempts
 
 
 def test_genuine_job_exception_is_not_retried():

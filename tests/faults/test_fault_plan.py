@@ -136,9 +136,9 @@ def test_fault_stats_accounting():
     stats.note_injected("worker.kill")
     stats.note_infra_failed(["worker.kill"])
     assert stats.accounted()
-    assert stats.injected_total == 2
-    assert stats.recovered_total == 1
-    assert stats.infra_failed_total == 1
+    assert sum(stats.injected.values()) == 2
+    assert sum(stats.recovered.values()) == 1
+    assert sum(stats.infra_failed.values()) == 1
 
 
 def test_call_with_fault_retries_recovers_and_accounts():

@@ -81,7 +81,7 @@ def test_exec_timeout_rerun_matches_clean_run():
 
     with pytest.raises(ExecTimeoutInjected):
         run_case()  # first attempt aborts mid-program
-    plan.record_recovered([SITE_EXEC_TIMEOUT])  # manual resolution here
+    plan.stats.note_recovered([SITE_EXEC_TIMEOUT])  # manual resolution here
     result = run_case()  # fresh restore -> the clean execution
     assert [(r.name, r.retval, r.errno) for r in result.records] \
         == [(r.name, r.retval, r.errno) for r in clean_records]

@@ -16,13 +16,16 @@ import time
 import pytest
 
 from repro.core import pipeline
+from repro.core.detection import Detector
 from repro.core.generation import TestCaseGenerator
 from repro.core.pipeline import CampaignConfig, Kit
 from repro.corpus import build_corpus
 from repro.faults.plan import (
     SITE_RESULT_DROP,
+    SITE_SCHED_PREEMPT,
     SITE_WORKER_KILL,
     FaultPlan,
+    SchedulePreemptInjected,
 )
 from repro.faults.retry import (
     CAUSE_BOOT,
@@ -385,17 +388,20 @@ class TestPipelinePoisonAccounting:
         assert replay.by_type(RECORD_POISONED) == []
 
 
-def _sabotage_one_pair(monkeypatch, config, action):
-    """Make the case runner call *action* instead of checking one pair.
-
-    The pair is the last job of the affinity schedule (the largest
-    sender/receiver hash pair).  Forked shards inherit the patch.
-    """
+def _last_scheduled_pair(config):
+    """The last job of the affinity schedule: the largest
+    sender/receiver hash pair of *config*'s random cases."""
     corpus = build_corpus(config.corpus_size, seed=config.corpus_seed)
     cases = TestCaseGenerator(corpus).generate_random(
         config.rand_budget, seed=config.rand_seed).test_cases
-    target = max((case.sender.hash_hex, case.receiver.hash_hex)
-                 for case in cases)
+    return max((case.sender.hash_hex, case.receiver.hash_hex)
+               for case in cases)
+
+
+def _sabotage_one_pair(monkeypatch, config, action):
+    """Make the case runner call *action* instead of checking one pair
+    (:func:`_last_scheduled_pair`).  Forked shards inherit the patch."""
+    target = _last_scheduled_pair(config)
     check = pipeline._CaseRunner.__call__
 
     def sabotaged(runner, machine, case):
@@ -440,6 +446,34 @@ class TestPipelineSettlement:
             [end] = replay.by_type(RECORD_END)
             assert end["accounting"]["poisoned"] == 1
             assert os.path.exists(os.path.join(path, "result.json"))
+
+    @needs_fork
+    def test_dead_shard_takes_its_unresolved_injections_with_it(
+            self, monkeypatch):
+        """One pair takes a scheduled ``sched.preempt`` and then exits
+        its shard on the retry, inside the fault-retry wrapper, on every
+        attempt.  Each dead shard's counters die with it, the injection
+        it never resolved included, so the pair is poisoned, the other
+        five land and the campaign's books balance."""
+        plan = FaultPlan(seed=0, schedule={SITE_SCHED_PREEMPT: {0}})
+        config = _six_case_config(workers=2, faults=plan)
+        target = _last_scheduled_pair(config)
+        check = Detector.check_case
+
+        def preempted(detector, case):
+            if (case.sender.hash_hex, case.receiver.hash_hex) == target:
+                if plan.should_inject(SITE_SCHED_PREEMPT):
+                    raise SchedulePreemptInjected(SITE_SCHED_PREEMPT)
+                raise SystemExit("pair exits its shard")
+            return check(detector, case)
+
+        monkeypatch.setattr(Detector, "check_case", preempted)
+        result = Kit(config).run()
+        stats = result.stats
+        assert stats.outcomes.get("poisoned") == 1
+        assert sum(stats.outcomes.values()) == 6
+        assert stats.faults_accounted(), (stats.faults_injected,
+                                          stats.faults_recovered)
 
     @pytest.mark.parametrize("with_plan", [False, True],
                              ids=["no-plan", "plan"])
