@@ -100,11 +100,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
     stats = result.stats
     print(f"corpus: {stats.corpus_size} programs, "
           f"flows: {stats.flow_count}, clusters: {stats.cluster_count}")
-    # A resumed campaign restores journaled verdicts instead of running
-    # them, and a poisoned or infra-failed case has no verdict at all.
-    executed = (stats.cases_total - stats.resumed_cases
-                - stats.poisoned_cases - stats.infra_failed_cases)
-    line = (f"cases: {executed} executed "
+    line = (f"cases: {stats.cases_executed} executed "
             f"({stats.executions_per_second():.0f}/s)")
     if stats.resumed_cases:
         line += f", {stats.resumed_cases} restored"
@@ -146,7 +142,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
               f"{stats.sender_cache_entries} deltas / "
               f"{stats.sender_cache_bytes} bytes held, "
               f"{stats.sender_cache_evictions} evicted, "
-              f"diagnosis prefix reuses: {stats.diagnosis_prefix_reuses}/"
+              f"diagnosis re-runs served: {stats.diagnosis_prefix_reuses}/"
               f"{stats.diagnosis_reruns}")
     if stats.faults_injected_total():
         print(f"faults: {stats.faults_injected_total()} injected / "
@@ -684,7 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "static race candidates (0 = all pairs)")
     run.add_argument("--no-sender-cache", action="store_true",
                      help="disable post-sender state memoization "
-                          "(re-execute every sender from the snapshot)")
+                          "(re-execute every sender from the snapshot, "
+                          "diagnosis re-runs included)")
     run.add_argument("--reports", action="store_true",
                      help="print every report in full")
     run.add_argument("--save", help="write the campaign result to a JSON file")

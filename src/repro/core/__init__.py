@@ -27,7 +27,6 @@ from .detection import DetectionResult, Detector, Outcome
 from .diagnosis import Diagnoser
 from .execution import (
     BaselineCache,
-    PreparedSenderState,
     SenderState,
     SenderStateCache,
     TestCaseRunner,
@@ -102,7 +101,6 @@ __all__ = [
     "ProgramProfile",
     "Profiler",
     "REAL_BUG_LABELS",
-    "PreparedSenderState",
     "ReportGroups",
     "SenderState",
     "SenderStateCache",

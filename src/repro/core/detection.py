@@ -22,12 +22,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..corpus.program import TestProgram
 from ..vm.machine import Machine
-from .execution import (
-    BaselineCache,
-    PreparedSenderState,
-    SenderStateCache,
-    TestCaseRunner,
-)
+from .execution import BaselineCache, SenderStateCache, TestCaseRunner
 from .generation import TestCase
 from .nondet import NondetAnalyzer
 from .report import TestReport
@@ -166,31 +161,23 @@ class Detector:
                                raw_diff_count=sequential.raw_diff_count,
                                schedules_run=exploration.schedules_run)
 
-    def interference_set(self, sender: TestProgram, receiver: TestProgram,
-                         prepared: Optional[PreparedSenderState] = None
-                         ) -> Set[int]:
+    def interference_set(self, sender: TestProgram,
+                         receiver: TestProgram) -> Set[int]:
         """Protected-interfered receiver call indices for (sender, receiver).
 
         This is ``TestFuncI`` in Algorithm 2 — diagnosis re-runs modified
-        senders through the same full filter chain.  When *prepared*
-        carries that sender variant's memoized prefix state, the sender
-        is not replayed: the machine restores the prefix delta instead.
+        senders through the same full filter chain.
         """
-        interfered, *_ = self._analyze(sender, receiver, prepared=prepared)
+        interfered, *_ = self._analyze(sender, receiver)
         return interfered
 
     # -- internals ----------------------------------------------------------------
 
-    def _analyze(self, sender: TestProgram, receiver: TestProgram,
-                 prepared: Optional[PreparedSenderState] = None
+    def _analyze(self, sender: TestProgram, receiver: TestProgram
                  ) -> Tuple[Set[int], List[NodeDiff], int, object, object, object]:
         alone_result = self._runner.receiver_alone(receiver)
-        if prepared is not None:
-            sender_result, with_result = self._runner.run_prepared(
-                prepared, receiver)
-        else:
-            sender_result, with_result = self._runner.run_with_sender(
-                sender, receiver)
+        sender_result, with_result = self._runner.run_with_sender(
+            sender, receiver)
 
         tree_alone = build_trace_ast(alone_result.records)
         tree_with = build_trace_ast(with_result.records)

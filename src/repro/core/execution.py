@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..corpus.program import TestProgram
-from ..vm.executor import ExecutionResult, SyscallRecord
+from ..vm.executor import ExecutionResult
 from ..vm.machine import RECEIVER, SENDER, Machine
 from ..vm.segments import StateDelta
 
@@ -79,28 +79,6 @@ class SenderState:
     @property
     def size_bytes(self) -> int:
         return self.delta.size_bytes
-
-
-@dataclass
-class PreparedSenderState:
-    """A sender-side machine state prepared outside the cache.
-
-    Diagnosis (Algorithm 2) builds one of these per live sender call
-    in a single stepped pass: *delta* is a machine state checkpoint at
-    or before that call, *records* the full-length record list of the
-    corresponding cumulative-removal sender variant (executed prefix
-    plus hole padding).  Deltas are captured every few live calls, not
-    at every one — when *replay* is set to ``(program, start, stop)``,
-    the variant's state is the checkpoint plus a deterministic
-    re-execution of slots ``[start, stop)``, which is far cheaper than
-    capturing a delta per call.  ``TestCaseRunner.run_prepared`` turns
-    one into the (sender result, receiver result) pair
-    ``run_with_sender`` would have produced for that variant.
-    """
-
-    delta: StateDelta
-    records: List[Optional[SyscallRecord]]
-    replay: Optional[Tuple[TestProgram, int, int]] = None
 
 
 class SenderStateCache:
@@ -181,8 +159,6 @@ class TestCaseRunner:
         self._machine = machine
         self._baselines = baselines if baselines is not None else BaselineCache()
         self._sender_states = sender_states
-        #: Test-case executions performed (the §6.5 throughput unit).
-        self.cases_executed = 0
 
     def run_with_sender(self, sender: TestProgram,
                         receiver: TestProgram) -> Tuple[ExecutionResult,
@@ -191,9 +167,10 @@ class TestCaseRunner:
 
         With a sender-state cache attached, the sender executes from
         the base snapshot at most once per (snapshot, sender program);
-        every later case sharing the sender restores the memoized
-        post-sender delta instead — state-equivalent by the segmented
-        image's construction, and verified end-to-end by the
+        every later run sharing the sender — a test case, or an
+        Algorithm-2 variant several reports share — restores the
+        memoized post-sender delta instead: state-equivalent by the
+        segmented image's construction, and verified end-to-end by the
         cached-vs-uncached equivalence property test.
         """
         machine = self._machine
@@ -201,40 +178,25 @@ class TestCaseRunner:
         if cache is not None:
             entry = cache.get(machine.snapshot_id, sender.hash_hex)
             if entry is not None:
-                machine.restore_state_delta(entry.delta)
-                receiver_result = machine.run(RECEIVER, receiver)
-                self.cases_executed += 1
-                return entry.result, receiver_result
+                return self.run_prepared(entry, receiver)
         machine.reset()
         sender_result = machine.run(SENDER, sender)
         if cache is not None:
             cache.put(machine.snapshot_id, sender.hash_hex,
                       SenderState(machine.capture_state_delta(),
                                   sender_result))
-        receiver_result = machine.run(RECEIVER, receiver)
-        self.cases_executed += 1
-        return sender_result, receiver_result
+        return sender_result, machine.run(RECEIVER, receiver)
 
-    def run_prepared(self, prepared: PreparedSenderState,
+    def run_prepared(self, state: SenderState,
                      receiver: TestProgram) -> Tuple[ExecutionResult,
                                                      ExecutionResult]:
-        """Execution A from a pre-captured sender state (diagnosis memo).
+        """Execution A from a memoized sender state.
 
-        Equivalent to ``run_with_sender`` on the sender variant the
-        prepared state was captured for: holes execute as no-ops, so
-        the checkpoint delta — plus the deterministic replay of the few
-        slots past it, when the checkpoint is strided — reproduces the
-        variant's post-sender machine state exactly.
+        Restores *state*'s post-sender delta over the base snapshot and
+        runs the receiver; the sender's result is the memoized one.
         """
-        machine = self._machine
-        machine.restore_state_delta(prepared.delta)
-        if prepared.replay is not None:
-            program, start, stop = prepared.replay
-            machine.replay_slots(SENDER, program, start, stop,
-                                 prior=prepared.records)
-        receiver_result = machine.run(RECEIVER, receiver)
-        self.cases_executed += 1
-        return ExecutionResult(list(prepared.records)), receiver_result
+        self._machine.restore_state_delta(state.delta)
+        return state.result, self._machine.run(RECEIVER, receiver)
 
     def receiver_alone(self, receiver: TestProgram) -> ExecutionResult:
         """Execution B: receiver only, from the same snapshot (cached)."""

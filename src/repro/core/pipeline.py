@@ -105,8 +105,8 @@ class CampaignConfig:
     #: chunks of one supervisor-owned job list (docs/SHARDING.md).
     shard_mode: str = "process"
     #: Memoize post-sender machine state (segmented delta per sender)
-    #: so test cases sharing a sender restore it instead of re-running
-    #: it; off falls back to re-executing every sender.
+    #: so test cases and Algorithm-2 re-runs sharing a sender restore
+    #: it instead of re-running it; off re-executes every sender.
     sender_cache: bool = True
     #: Chaos fault plan (None = no injection).  When set, the plan is
     #: threaded through every layer — machines, shards, the store — and
@@ -167,6 +167,8 @@ class CampaignStats:
     cluster_count: int = 0
     overlap_addresses: int = 0
     cases_total: int = 0
+    #: Verdicts this run landed: fresh results neither poisoned nor
+    #: infra-failed (restored ones count in ``resumed_cases``).
     cases_executed: int = 0
     execution_seconds: float = 0.0
     #: How the execution stage actually ran: ``in-process`` (workers=0,
@@ -205,10 +207,9 @@ class CampaignStats:
     baseline_misses: int = 0
     nondet_cache_hits: int = 0
     nondet_cache_misses: int = 0
-    #: Sender-state memoization effectiveness: cache hits serve a test
-    #: case by restoring base + post-sender delta instead of re-running
-    #: the sender; prefix reuses are diagnosis re-runs served from a
-    #: memoized sender prefix state (Algorithm 2).
+    #: Sender-state memoization effectiveness: a cache hit serves a
+    #: test case or a diagnosis re-run by restoring base + post-sender
+    #: delta instead of re-running the sender.
     sender_cache_hits: int = 0
     sender_cache_misses: int = 0
     #: Always 0 (no shared sender tier); e2e benchmark metrics read it.
@@ -216,6 +217,8 @@ class CampaignStats:
     sender_cache_evictions: int = 0
     sender_cache_bytes: int = 0
     sender_cache_entries: int = 0
+    #: Algorithm-2 re-runs the sender cache served: each re-run's
+    #: sender is a prefix of the report's, memoized by an earlier one.
     diagnosis_prefix_reuses: int = 0
     #: Profile-store telemetry (zero unless profile_dir is set).
     profile_store_hits: int = 0
@@ -332,7 +335,6 @@ class CampaignStats:
         """Fold one execution-stage case runner's counts into the totals."""
         detector = runner.detector
         if detector is not None:
-            self.cases_executed += detector.runner.cases_executed
             self.nondet_runs += detector.nondet.runs_executed
 
     def absorb_caches(self, caches: "_Caches") -> None:
@@ -505,6 +507,10 @@ class _Caches:
     sender_states: Optional[SenderStateCache]
 
 
+#: Outcomes that carry no verdict about the kernel.
+_NO_VERDICT = (Outcome.POISONED, Outcome.INFRA_FAILED)
+
+
 def _verdict(detection: DetectionResult) -> tuple:
     """What a shard sends back for one case: everything but the case.
 
@@ -579,16 +585,14 @@ class Kit:
         self._sched_policy = self._build_schedule_policy()
         self._open_store(stats)
         try:
-            return self._run_stages(config, plan, stats, corpus, say)
+            return self._run_stages(config, stats, corpus, say)
         finally:
-            handle = self._store_handle
-            if handle is not None:
-                stats.journal_fsync_degraded = handle.journal.fsync_degraded
-                handle.close()
+            if self._store_handle is not None:
+                self._store_handle.close()
                 self._store_handle = None
 
-    def _run_stages(self, config: CampaignConfig, plan: Optional[FaultPlan],
-                    stats: CampaignStats, corpus: List[TestProgram],
+    def _run_stages(self, config: CampaignConfig, stats: CampaignStats,
+                    corpus: List[TestProgram],
                     say: Progress) -> CampaignResult:
         machine = Machine(config.machine)
         caches = _Caches(
@@ -626,21 +630,28 @@ class Kit:
             say(f"diagnosing {len(reports)} reports (Algorithm 2)")
             self._diagnose(machine, reports, stats, caches)
 
-        # The campaign process's own counts, added to what each shard
-        # shipped at retirement.
-        stats.absorb_caches(caches)
-        if plan is not None:
-            stats.absorb_faults(plan.stats)
-            stats.infra_failed_cases = stats.outcomes.get(
-                Outcome.INFRA_FAILED.value, 0)
-
         groups = aggregate(reports)
         say(f"done: {len(reports)} reports, "
             f"{groups.agg_rs_count} AGG-RS / {groups.agg_r_count} AGG-R groups")
         result = CampaignResult(config, stats, generation, reports, groups)
         if self._store_handle is not None:
-            self._finish_store(result, stats, say)
+            self._finish_store(result, caches, say)
+        else:
+            self._close_books(stats, caches)
         return result
+
+    def _close_books(self, stats: CampaignStats, caches: _Caches) -> None:
+        """Add the campaign process's own counts to what each shard
+        shipped at retirement."""
+        stats.absorb_caches(caches)
+        plan = self.config.faults
+        if plan is not None:
+            stats.absorb_faults(plan.stats)
+            stats.infra_failed_cases = stats.outcomes.get(
+                Outcome.INFRA_FAILED.value, 0)
+        if self._store_handle is not None:
+            stats.journal_fsync_degraded = \
+                self._store_handle.journal.fsync_degraded
 
     # -- campaign store --------------------------------------------------------
 
@@ -657,10 +668,15 @@ class Kit:
         stats.journal_records_replayed = handle.resume_state.records
         stats.journal_torn_bytes = handle.resume_state.torn_bytes
 
-    def _finish_store(self, result: CampaignResult, stats: CampaignStats,
+    def _finish_store(self, result: CampaignResult, caches: _Caches,
                       say: Progress) -> None:
-        """Seal the campaign: end record, then the result document."""
+        """Seal the campaign: end record, books, then the result document.
+
+        The end record's sync can inject faults of its own, so the books
+        close after it and the document holds every count.
+        """
         handle = self._store_handle
+        stats = result.stats
         infra = stats.outcomes.get(Outcome.INFRA_FAILED.value, 0)
         poisoned = stats.outcomes.get(Outcome.POISONED.value, 0)
         accounting = {
@@ -675,6 +691,7 @@ class Kit:
             "bugs": sorted(result.bugs_found()),
         }
         handle.journal.append({"t": RECORD_END, "accounting": accounting})
+        self._close_books(stats, caches)
         path = handle.write_result(result.to_document())
         say(f"campaign {handle.campaign_id}: "
             f"{accounting['completed']}/{stats.cases_total} completed, "
@@ -769,7 +786,6 @@ class Kit:
             return results, list(range(len(cases))), list(cases)
         todo_map: List[int] = []
         todo: List[TestCase] = []
-        lost = (Outcome.POISONED, Outcome.INFRA_FAILED)
         for index, case in enumerate(cases):
             key = self._case_journal_key(case)
             record = state.cases.get(key)
@@ -777,7 +793,7 @@ class Kit:
                 results[index] = self._restore_detection(case, record)
                 # Only a verdict counts as restored: a lost case counts
                 # as lost, so executed + restored + lost tile the total.
-                if results[index].outcome not in lost:
+                if results[index].outcome not in _NO_VERDICT:
                     stats.resumed_cases += 1
                 continue
             if key in state.poisoned:
@@ -900,6 +916,8 @@ class Kit:
             stats.absorb_runner(runner)
         for position, outcome in zip(todo_map, fresh):
             results[position] = outcome
+        stats.cases_executed = sum(1 for outcome in fresh
+                                   if outcome.outcome not in _NO_VERDICT)
         stats.execution_seconds = time.monotonic() - start
         return results
 
@@ -1030,11 +1048,9 @@ class Kit:
                   stats: CampaignStats, caches: _Caches) -> None:
         start = time.monotonic()
         before = machine.stats.copy()
-        detector = self._make_detector(machine, caches)
-        # The prefix memo rides on the same segmented-delta machinery as
-        # the sender cache, so the sender_cache switch governs both.
-        diagnoser = Diagnoser(detector,
-                              prefix_memo=self.config.sender_cache)
+        sender_states = caches.sender_states
+        hits_before = sender_states.hits if sender_states is not None else 0
+        diagnoser = Diagnoser(self._make_detector(machine, caches))
         for index, report in enumerate(reports):
             if report.culprit_schedule is not None:
                 # Algorithm 2 replays sender variants *sequentially*; an
@@ -1051,7 +1067,8 @@ class Kit:
                 # report, it never decides whether one exists.
                 continue
         stats.diagnosis_reruns = diagnoser.reruns
-        stats.diagnosis_prefix_reuses = diagnoser.prefix_reuses
+        if sender_states is not None:
+            stats.diagnosis_prefix_reuses = sender_states.hits - hits_before
         stats.absorb_machine(machine.stats.since(before), stage="diagnosis")
         stats.diagnosis_seconds = time.monotonic() - start
 

@@ -214,10 +214,6 @@ class SteppedExecution:
     def done(self) -> bool:
         return self._next >= len(self._program.calls)
 
-    @property
-    def position(self) -> int:
-        return self._next
-
     def step(self) -> bool:
         """Execute the next call slot; returns False when exhausted."""
         if self.done:
@@ -227,10 +223,6 @@ class SteppedExecution:
                                     self._profile)
         self._next += 1
         return True
-
-    def records_so_far(self) -> List[Optional[SyscallRecord]]:
-        """Snapshot of the record slots executed so far (prefix memo)."""
-        return list(self._records)
 
     def result(self) -> ExecutionResult:
         return ExecutionResult(list(self._records),

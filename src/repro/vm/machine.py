@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..corpus.program import TestProgram
 from ..faults.plan import (
@@ -34,12 +34,7 @@ from ..kernel.kernel import Kernel, KernelConfig
 from ..kernel.ktrace import KernelTracer
 from ..kernel.namespaces import ALL_NAMESPACE_FLAGS, CLONE_NEWNS, NamespaceType
 from ..kernel.task import Task
-from .executor import (
-    ExecutionResult,
-    Executor,
-    SteppedExecution,
-    SyscallRecord,
-)
+from .executor import ExecutionResult, Executor, SteppedExecution
 from .segments import RestoreConsistencyError, StateDelta
 from .snapshot import Snapshot
 
@@ -268,28 +263,9 @@ class Machine:
                       program: TestProgram) -> SteppedExecution:
         """Start a one-call-at-a-time execution of *program*.
 
-        The diagnosis prefix memo advances the sender this way, capturing
-        a state delta before each live call (§4.4's Algorithm 2 reuses
-        those intermediate states instead of replaying prefixes).
+        Controlled interleaving (:mod:`repro.core.schedule`) advances
+        programs this way, one slot at a time.
         """
         executor = Executor(self.kernel, self.task_for(container),
                             faults=self.faults)
         return SteppedExecution(executor, program)
-
-    def replay_slots(self, container: str, program: TestProgram,
-                     start: int, stop: int,
-                     prior: List[Optional["SyscallRecord"]]) -> None:
-        """Re-execute slots ``[start, stop)`` against the current state.
-
-        The diagnosis prefix memo checkpoints machine state every few
-        live calls; a variant between checkpoints restores the nearest
-        one and replays the remaining slots, which is deterministic
-        from the same state.  *prior* supplies the records of slots
-        below *start* — result-argument references resolve by absolute
-        record index, so the replayed calls need them for dataflow.
-        """
-        executor = Executor(self.kernel, self.task_for(container),
-                            faults=self.faults)
-        records: List[Optional["SyscallRecord"]] = list(prior[:start])
-        for slot in range(start, stop):
-            executor.execute_slot(program, slot, records, None, False)

@@ -78,10 +78,23 @@ class TestSenderCacheTelemetry:
         assert stats.sender_cache_hits + stats.sender_cache_misses > 0
         assert stats.sender_cache_bytes > 0
 
-    def test_prefix_memo_serves_diagnosis_reruns(self):
+    def test_sender_cache_serves_diagnosis_reruns(self):
+        """Reports sharing a sender re-run the same variants, so the
+        cache serves some re-runs; a variant's first re-run misses."""
         stats = Kit(small_config()).run().stats
-        assert stats.diagnosis_reruns > 0
-        assert stats.diagnosis_prefix_reuses == stats.diagnosis_reruns
+        assert 0 < stats.diagnosis_prefix_reuses < stats.diagnosis_reruns
+
+    def test_every_diagnosis_rerun_looks_up_the_sender_cache(self):
+        """Diagnosis adds one sender-cache lookup per re-run to the
+        execution stage's lookups."""
+        def lookups(stats):
+            return stats.sender_cache_hits + stats.sender_cache_misses
+
+        diagnosed = Kit(small_config()).run().stats
+        undiagnosed = Kit(small_config(diagnose=False)).run().stats
+        assert diagnosed.diagnosis_reruns > 0
+        assert lookups(diagnosed) \
+            == lookups(undiagnosed) + diagnosed.diagnosis_reruns
 
 
 class TestCampaignStatsMerge:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import CampaignConfig, Kit
 from repro.core.decode import decode_trace
-from repro.core.diagnosis import PREFIX_CHECKPOINT_STRIDE
 from repro.core.execution import SenderStateCache, TestCaseRunner
 from repro.core.known_bugs import SCENARIOS, TABLE3_ROWS, scenario_machine_config
 from repro.corpus.seeds import seed_programs
@@ -96,17 +95,16 @@ def test_campaign_equivalence(config_name):
     assert uncached.stats.diagnosis_prefix_reuses == 0
     if cached.stats.cases_executed:
         assert cached.stats.sender_cache_misses > 0
-    if cached.reports and cached.stats.diagnosis_reruns:
-        # Algorithm 2's re-runs are all prefix replays by construction.
-        assert cached.stats.diagnosis_prefix_reuses \
-            == cached.stats.diagnosis_reruns
+    # Each Algorithm-2 re-run looks its sender variant up once; only
+    # a variant an earlier re-run memoized is served.
+    assert cached.stats.diagnosis_prefix_reuses \
+        <= cached.stats.diagnosis_reruns
 
 
-def test_long_sender_diagnosis_uses_checkpoint_replay():
-    """Senders longer than the checkpoint stride make Algorithm 2 serve
-    most variants by restoring the nearest strided checkpoint and
-    replaying the few slots past it — reports must stay identical to
-    the cache-disabled campaign's."""
+def test_long_sender_diagnosis_matches_reexecution():
+    """Long senders give Algorithm 2 many variants per report, each
+    looked up in the sender cache — reports must stay identical to the
+    cache-disabled campaign's."""
     programs = [program for _, program in sorted(seed_programs().items())]
 
     def wide(start):
@@ -117,15 +115,13 @@ def test_long_sender_diagnosis_uses_checkpoint_replay():
         return sender
 
     corpus = [wide(start) for start in range(8)]
-    assert max(len(program.live_call_indices()) for program in corpus) \
-        > PREFIX_CHECKPOINT_STRIDE
     config = dict(machine=CONFIGS["5.13"], corpus=corpus)
     cached = Kit(CampaignConfig(sender_cache=True, **config)).run()
     uncached = Kit(CampaignConfig(sender_cache=False, **config)).run()
     _assert_reports_identical(cached, uncached)
     assert cached.stats.diagnosis_reruns > 0
     assert cached.stats.diagnosis_prefix_reuses \
-        == cached.stats.diagnosis_reruns
+        <= cached.stats.diagnosis_reruns
 
 
 def test_distributed_campaign_equivalence():

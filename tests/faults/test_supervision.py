@@ -448,6 +448,17 @@ class TestPipelineSettlement:
             assert os.path.exists(os.path.join(path, "result.json"))
 
     @needs_fork
+    def test_cases_executed_counts_the_landed_verdicts(self, monkeypatch):
+        """A dead shard's counters die with it, but the verdicts it
+        landed count: the pair that kills its shard on every attempt is
+        poisoned, and the five that landed count as executed."""
+        config = _six_case_config(workers=2)
+        _sabotage_one_pair(monkeypatch, config, lambda: os._exit(3))
+        stats = Kit(config).run().stats
+        assert stats.poisoned_cases == 1
+        assert stats.cases_executed == stats.cases_total - 1 == 5
+
+    @needs_fork
     def test_dead_shard_takes_its_unresolved_injections_with_it(
             self, monkeypatch):
         """One pair takes a scheduled ``sched.preempt`` and then exits

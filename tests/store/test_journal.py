@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.core.pipeline import CampaignConfig
+from repro.core.pipeline import CampaignConfig, CampaignResult, Kit
 from repro.faults.plan import (
     SITE_JOURNAL_TORN,
     SITE_STORE_FSYNC_FAIL,
@@ -27,6 +27,7 @@ from repro.store import (
     case_key,
     decode_line,
     encode_line,
+    read_document,
     scan,
     summarize_config,
 )
@@ -180,6 +181,26 @@ class TestCampaignJournal:
         injected, recovered, infra, poisoned = plan.stats.snapshot()
         assert infra[SITE_STORE_FSYNC_FAIL] == 3  # budget + 1 charged
         assert plan.stats.accounted()
+
+    def test_result_document_holds_the_end_records_syncs(self, tmp_path):
+        """Every sync of a stored campaign fails, the end record's
+        included; ``result.json`` is published after that sync, so it
+        holds the same books as the returned stats and the plan."""
+        plan = FaultPlan(seed=0, rates={SITE_STORE_FSYNC_FAIL: 1.0})
+        config = CampaignConfig(corpus_size=6, strategy="rand",
+                                rand_budget=6, faults=plan,
+                                store_dir=str(tmp_path))
+        stats = Kit(config).run().stats
+        stored = CampaignResult.from_document(read_document(os.path.join(
+            str(tmp_path), stats.campaign_id, "result.json"))).stats
+        injected, recovered, infra, poisoned = plan.stats.snapshot()
+        assert plan.stats.accounted() and recovered == {}
+        assert stats.journal_fsync_degraded \
+            == stored.journal_fsync_degraded > 0
+        # Each degraded sync charged its whole budget to the infra column.
+        charged = stats.journal_fsync_degraded * (plan.max_retries + 1)
+        assert stats.faults_infra == stored.faults_infra == infra \
+            == injected == {SITE_STORE_FSYNC_FAIL: charged}
 
 
 class TestGroupCommit:

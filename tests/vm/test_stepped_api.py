@@ -22,7 +22,7 @@ class TestSteppedExecution:
         task = kernel.spawn_task()
         session = SteppedExecution(Executor(kernel, task),
                                    prog(("getpid",), ("gethostname",)))
-        assert session.step() and session.position == 1
+        assert session.step() and not session.done
         assert session.step() and session.done
         assert not session.step()
 
