@@ -151,8 +151,7 @@ def _print_campaign(result: CampaignResult, show_reports: bool) -> None:
               f"{stats.faults_poisoned_total()} poisoned "
               f"(accounted: {'yes' if stats.faults_accounted() else 'NO'}), "
               f"cases lost: "
-              f"{stats.infra_failed_cases + stats.poisoned_cases}, "
-              f"recovery restores: {stats.recovery_restores}")
+              f"{stats.infra_failed_cases + stats.poisoned_cases}")
         print("  per site: " + ", ".join(
             f"{site}={count}"
             for site, count in sorted(stats.faults_injected.items())))

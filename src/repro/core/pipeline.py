@@ -230,16 +230,14 @@ class CampaignStats:
     index_bytes: int = 0
     index_points: int = 0
     #: Chaos telemetry (all zero/empty unless a fault plan was set):
-    #: per-site injected/recovered/infra-failed counts, the number of
-    #: test cases that degraded to ``infra_failed``, and how many resets
-    #: needed a recovery restore.
+    #: per-site injected/recovered/infra-failed counts and the number of
+    #: test cases that degraded to ``infra_failed``.
     faults_injected: Dict[str, int] = field(default_factory=dict)
     faults_recovered: Dict[str, int] = field(default_factory=dict)
     faults_infra: Dict[str, int] = field(default_factory=dict)
     #: Injections settled by poison-pair quarantine, per site.
     faults_poisoned: Dict[str, int] = field(default_factory=dict)
     infra_failed_cases: int = 0
-    recovery_restores: int = 0
     #: Campaign-store telemetry (all zero/empty unless store_dir set).
     campaign_id: str = ""
     resumed_cases: int = 0
@@ -323,7 +321,6 @@ class CampaignStats:
         self.segments_restored += machine_stats.segments_restored
         self.segments_skipped += machine_stats.segments_skipped
         self.restore_seconds += machine_stats.restore_seconds
-        self.recovery_restores += machine_stats.recovery_restores
         if stage == "profile":
             self.profile_restore_seconds += machine_stats.restore_seconds
         elif stage == "execution":
@@ -570,8 +567,8 @@ class Kit:
         plan = config.faults
         if plan is not None and config.machine.fault_plan is not plan:
             # Thread the plan into every machine the campaign boots —
-            # the in-process one, each profiling thread's and each
-            # shard's (they all clone this config).
+            # the campaign machine and each profiling thread's.  Shards
+            # run on forked copies of the campaign machine, plan and all.
             config = replace(config,
                              machine=replace(config.machine,
                                              fault_plan=plan))

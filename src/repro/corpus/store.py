@@ -47,13 +47,14 @@ def iter_corpus(directory: str,
 
     Corrupt entries (unreadable, unparseable, or hash-mismatched) are
     skipped and reported into *errors*; a missing or unreadable
-    directory is itself one error entry, not an exception — a damaged
-    store degrades to whatever loads, loudly.
+    directory, or an index that does not decode, is itself one error
+    entry, not an exception — a damaged store degrades to whatever
+    loads, loudly.
     """
     errors = errors if errors is not None else []
     try:
         names = list(_iter_index_names(directory))
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         errors.append((directory, str(error)))
         return
     for name in names:

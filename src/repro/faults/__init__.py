@@ -7,17 +7,13 @@ See :mod:`repro.faults.plan` for the injection model and
 from .plan import (
     ALL_SITES,
     SITE_EXEC_TIMEOUT,
-    SITE_JOURNAL_TORN,
-    SITE_RESTORE_FAIL,
     SITE_RESULT_DROP,
-    SITE_SEGMENT_CORRUPT,
     SITE_STORE_FSYNC_FAIL,
     ExecTimeoutInjected,
     FaultInjectedError,
     FaultPlan,
     FaultRetriesExhausted,
     FaultStats,
-    RestoreFaultInjected,
     call_with_fault_retries,
     decision,
 )
@@ -32,13 +28,9 @@ __all__ = [
     "FaultPlan",
     "FaultRetriesExhausted",
     "FaultStats",
-    "RestoreFaultInjected",
     "RetryPolicy",
     "SITE_EXEC_TIMEOUT",
-    "SITE_JOURNAL_TORN",
-    "SITE_RESTORE_FAIL",
     "SITE_RESULT_DROP",
-    "SITE_SEGMENT_CORRUPT",
     "SITE_STORE_FSYNC_FAIL",
     "call_with_fault_retries",
     "decision",

@@ -28,11 +28,6 @@ import threading
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
-#: Snapshot restore fails outright (vm/segments.py).
-SITE_RESTORE_FAIL = "restore.fail"
-#: A dirty segment is silently left unrestored; the canonical-form
-#: consistency check is what must catch it (vm/segments.py).
-SITE_SEGMENT_CORRUPT = "segment.corrupt"
 #: A computed job result is lost before reaching the supervisor
 #: (vm/shardpool.py).
 SITE_RESULT_DROP = "result.drop"
@@ -42,11 +37,6 @@ SITE_RESULT_DROP = "result.drop"
 SITE_WORKER_KILL = "worker.kill"
 #: A syscall execution times out mid-program (vm/executor.py).
 SITE_EXEC_TIMEOUT = "exec.timeout"
-#: A campaign-journal append is torn mid-record — only a prefix of the
-#: line reaches the file, simulating a crash between ``write`` and the
-#: trailing newline; the journal's tail-repair path must truncate the
-#: torn bytes before the record is re-written (repro.store.journal).
-SITE_JOURNAL_TORN = "journal.torn"
 #: An ``fsync`` on the durable campaign store fails (repro.store); the
 #: store retries within the plan budget and degrades to flushed-only
 #: durability when the budget is exhausted.
@@ -58,28 +48,25 @@ SITE_STORE_FSYNC_FAIL = "store.fsync_fail"
 SITE_SCHED_PREEMPT = "sched.preempt"
 
 ALL_SITES: Tuple[str, ...] = (
-    SITE_RESTORE_FAIL,
-    SITE_SEGMENT_CORRUPT,
     SITE_RESULT_DROP,
     SITE_WORKER_KILL,
     SITE_EXEC_TIMEOUT,
-    SITE_JOURNAL_TORN,
     SITE_STORE_FSYNC_FAIL,
     SITE_SCHED_PREEMPT,
 )
 
 #: Occurrence-frequency compensation applied to the blanket campaign
 #: rate.  ``exec.timeout`` fires per *syscall* — orders of magnitude
-#: more occurrences than the per-reset / per-job sites — so without
-#: scaling, one campaign rate would make nearly every multi-call run
-#: fail and bounded retries could never converge.  Explicit per-site
+#: more occurrences than the per-job sites — so without scaling, one
+#: campaign rate would make nearly every multi-call run fail and
+#: bounded retries could never converge.  Explicit per-site
 #: ``rates`` overrides are taken verbatim (no scaling): the blanket
 #: rate expresses campaign intensity, an override expresses an exact
 #: per-occurrence probability.
 SITE_RATE_SCALE: Dict[str, float] = {
     SITE_EXEC_TIMEOUT: 0.01,
     # sched.preempt fires once per explored schedule — dozens of
-    # occurrences per interleaved case vs. one per-reset occurrence.
+    # occurrences per interleaved case vs. one per-job occurrence.
     SITE_SCHED_PREEMPT: 0.02,
 }
 
@@ -90,10 +77,6 @@ class FaultInjectedError(Exception):
     def __init__(self, site: str, message: str = ""):
         self.site = site
         super().__init__(message or f"injected fault at {site}")
-
-
-class RestoreFaultInjected(FaultInjectedError):
-    """A snapshot restore was made to fail."""
 
 
 class ExecTimeoutInjected(FaultInjectedError):

@@ -18,9 +18,10 @@ The journal is designed around SIGKILL-anywhere semantics:
   leaves a partial line at the end of the file.  Opening the journal
   (for replay or append) scans it and truncates everything from the
   first invalid line onward, so the journal always re-converges to its
-  longest valid prefix.  Records after a mid-file corruption are
-  discarded too: a journal is an ordered log, and trusting records that
-  follow bytes we cannot parse would re-order history.
+  longest valid prefix.  Records after a mid-file corruption (a bad
+  checksum, or bytes that are not UTF-8) are discarded too: a journal
+  is an ordered log, and trusting records that follow bytes we cannot
+  parse would re-order history.
 * **At-least-once commits** — the same logical record may be appended
   twice (a result recomputed after a dropped transfer, a resumed run
   re-executing an in-flight pair).  Appends deduplicate by the record's
@@ -38,13 +39,6 @@ The journal is designed around SIGKILL-anywhere semantics:
   :func:`~repro.faults.plan.call_with_fault_retries` and degrades to
   flushed-only durability (charged to the infra column) when its
   retries are exhausted.
-
-The :data:`~repro.faults.plan.SITE_JOURNAL_TORN` chaos site exercises
-the torn-write path in-process: the append writes a partial line,
-then runs the same tail repair a crashed writer's successor would run,
-and re-writes the record — injected == recovered by construction, and
-the repair code is exercised on every chaos campaign, not only on real
-crashes.
 """
 
 from __future__ import annotations
@@ -56,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Set
 
 from ..faults.plan import (
-    SITE_JOURNAL_TORN,
     SITE_STORE_FSYNC_FAIL,
     FaultInjectedError,
     FaultPlan,
@@ -139,12 +132,16 @@ def scan(path: str) -> JournalReplay:
         return replay
     seen: Set[str] = set()
     offset = 0
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            record = decode_line(line)
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                break  # a flipped high bit: as invalid as a bad crc
+            record = decode_line(text)
             if record is None:
                 break
-            offset += len(line.encode("utf-8"))
+            offset += len(line)
             identity = _dedup_key(record)
             if identity is not None:
                 if identity in seen:
@@ -178,10 +175,9 @@ class CampaignJournal:
         self.appended = 0
         self.fsync_degraded = 0
         #: The file's valid records when this writer opened it (a
-        #: resumed campaign rebuilds its state from them).
+        #: resumed campaign rebuilds its state from them) and the torn
+        #: bytes truncated away.
         self.replayed = self.repair_tail()
-        #: Torn bytes truncated away when this writer opened the file.
-        self.torn_bytes_repaired = self.replayed.torn_bytes
         self._seen_keys: Set[str] = {
             identity for identity in map(_dedup_key, self.replayed.records)
             if identity is not None}
@@ -212,7 +208,8 @@ class CampaignJournal:
         identity = _dedup_key(record)
         if identity in self._seen_keys:
             return False
-        self._write_line(encode_line(record))
+        self._handle.write(encode_line(record))
+        self._handle.flush()
         if identity is not None:
             self._seen_keys.add(identity)
         self.appended += 1
@@ -220,26 +217,6 @@ class CampaignJournal:
         if sync:
             self.sync()
         return True
-
-    def _write_line(self, line: str) -> None:
-        faults = self.faults
-        if faults is not None and faults.should_inject(SITE_JOURNAL_TORN):
-            # Tear the write: a strict prefix of the line reaches the
-            # file with no newline, exactly what a crash between write()
-            # and the commit marker leaves behind.  Then run the same
-            # tail repair a successor process would run on open, and
-            # fall through to the real append — the fault is absorbed
-            # by the repair path it exists to exercise.
-            torn = line[:max(1, len(line) // 2)].rstrip("\n")
-            self._handle.write(torn)
-            self._handle.flush()
-            self._handle.close()
-            self.repair_tail()
-            self._handle = open(self.path, "a", encoding="utf-8",
-                                newline="\n")
-            faults.stats.note_recovered([SITE_JOURNAL_TORN])
-        self._handle.write(line)
-        self._handle.flush()
 
     def sync(self) -> None:
         """Fsync every record appended since the last sync, if any."""

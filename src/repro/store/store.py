@@ -269,7 +269,7 @@ class CampaignStore:
         if resume:
             state = ResumeState.from_records(
                 journal.replayed.records,
-                torn_bytes=journal.torn_bytes_repaired)
+                torn_bytes=journal.replayed.torn_bytes)
         else:
             state = ResumeState()
             journal.append({"t": RECORD_BEGIN, "fingerprint": fingerprint,

@@ -21,21 +21,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..corpus.program import TestProgram
-from ..faults.plan import (
-    SITE_SEGMENT_CORRUPT,
-    FaultPlan,
-    RestoreFaultInjected,
-)
+from ..faults.plan import FaultPlan
 from ..kernel.bugs import BugFlags
 from ..kernel.kernel import Kernel, KernelConfig
 from ..kernel.ktrace import KernelTracer
 from ..kernel.namespaces import ALL_NAMESPACE_FLAGS, CLONE_NEWNS, NamespaceType
 from ..kernel.task import Task
 from .executor import ExecutionResult, Executor, SteppedExecution
-from .segments import RestoreConsistencyError, StateDelta
+from .segments import StateDelta
 from .snapshot import Snapshot
 
 SENDER = "sender"
@@ -76,9 +72,9 @@ class MachineConfig:
     #: (opt-in: it re-walks every root each reset).
     verify_restore: bool = False
     #: Shared fault-injection plan (chaos campaigns); every machine
-    #: booted from this config registers its restore/execution sites
-    #: against the same plan, so accounting is campaign-global.  Not
-    #: part of config identity: the same machine boots either way.
+    #: booted from this config draws its executors' ``exec.timeout``
+    #: decisions from the same plan, so accounting is campaign-global.
+    #: Not part of config identity: the same machine boots either way.
     fault_plan: Optional[FaultPlan] = field(default=None, compare=False)
 
 
@@ -90,9 +86,6 @@ class MachineStats:
     segments_restored: int = 0
     segments_skipped: int = 0
     restore_seconds: float = 0.0
-    #: Resets that had to restore every segment to recover from an
-    #: injected restore failure or segment corruption.
-    recovery_restores: int = 0
 
     def copy(self) -> "MachineStats":
         return replace(self)
@@ -104,7 +97,6 @@ class MachineStats:
             segments_restored=self.segments_restored - earlier.segments_restored,
             segments_skipped=self.segments_skipped - earlier.segments_skipped,
             restore_seconds=self.restore_seconds - earlier.restore_seconds,
-            recovery_restores=self.recovery_restores - earlier.recovery_restores,
         )
 
 
@@ -158,7 +150,7 @@ class Machine:
         # Drop any leftover instrumentation first: the snapshotted
         # kernel is tracerless, and a reset kernel must be too.
         self.kernel.attach_tracer(None)
-        restored, skipped = self._restore_segmented(image, skip_groups)
+        restored, skipped = image.restore_in_place(skip=skip_groups)
         if self.config.verify_restore and skip_groups is None:
             # Skipped groups legitimately diverge from the snapshot (the
             # caller overwrites them next), so the blanket base-state
@@ -170,40 +162,6 @@ class Machine:
         self.stats.segments_restored += restored
         self.stats.segments_skipped += skipped
         self.stats.restore_seconds += time.perf_counter() - start
-
-    def _restore_segmented(self, image,
-                           skip_groups: Optional[frozenset] = None
-                           ) -> Tuple[int, int]:
-        """Incremental restore with the two fault-recovery paths.
-
-        A failed restore attempt falls back to restoring every group —
-        slower, but provably equivalent to a fresh full deserialization
-        (root identity is preserved either way).  An injected corruption
-        is detected by the canonical-form check and repaired the same
-        way; a corruption the check cannot observe (the skipped group
-        happened to be byte-identical to the snapshot) is benign by
-        definition.  Either way the injection is absorbed.
-        """
-        faults = self.faults
-        try:
-            restored, skipped = image.restore_in_place(faults=faults,
-                                                       skip=skip_groups)
-        except RestoreFaultInjected as error:
-            restored = image.restore_all_in_place()
-            skipped = 0
-            faults.stats.note_recovered([error.site])
-            self.stats.recovery_restores += 1
-            return restored, skipped
-        if faults is not None and image.corruption_pending:
-            image.corruption_pending = False
-            try:
-                image.verify()
-            except RestoreConsistencyError:
-                restored = image.restore_all_in_place()
-                skipped = 0
-                self.stats.recovery_restores += 1
-            faults.stats.note_recovered([SITE_SEGMENT_CORRUPT])
-        return restored, skipped
 
     def attach_tracer(self, tracer: Optional[KernelTracer]) -> None:
         self.kernel.attach_tracer(tracer)
@@ -229,11 +187,10 @@ class Machine:
         """Reset to the base snapshot, then overlay *delta*.
 
         State-equivalent to resetting and re-executing the program the
-        delta was captured from (the sender-cache equivalence property);
-        the reset itself takes the normal fault-recovery paths.  Dirty
-        groups the delta covers are not base-restored first — the delta
-        replaces every root state in them, so that restore would be
-        dead work on the cache's hottest path.  Under ``verify_restore``
+        delta was captured from (the sender-cache equivalence property).
+        Dirty groups the delta covers are not base-restored first — the
+        delta replaces every root state in them, so that restore would
+        be dead work on the cache's hottest path.  Under ``verify_restore``
         the exact reset-then-apply sequence runs instead, keeping the
         blanket base-state check meaningful.
         """

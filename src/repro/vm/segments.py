@@ -56,12 +56,6 @@ import io
 import pickle
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..faults.plan import (
-    SITE_RESTORE_FAIL,
-    SITE_SEGMENT_CORRUPT,
-    FaultPlan,
-    RestoreFaultInjected,
-)
 from ..kernel.kernel import Kernel
 from ..kernel.memory import KCell, KDict, KList, KStruct
 
@@ -463,9 +457,6 @@ class SegmentedImage:
         self._interior_cache: Dict[int, Tuple[int, Dict[Tuple[int, ...],
                                                         Any]]] = {}
         self.attached = False
-        #: set when a ``segment.corrupt`` injection dropped a group from
-        #: the last incremental restore; cleared by recovery.
-        self.corruption_pending = False
 
     # -- construction -------------------------------------------------------
 
@@ -595,8 +586,7 @@ class SegmentedImage:
         dirty |= self.always_dirty
         return dirty
 
-    def restore_in_place(self, faults: Optional[FaultPlan] = None,
-                         skip: Optional[frozenset] = None
+    def restore_in_place(self, skip: Optional[frozenset] = None
                          ) -> Tuple[int, int]:
         """Restore every dirty group into the live kernel.
 
@@ -606,49 +596,17 @@ class SegmentedImage:
         their base-state restore would be pure waste.  A skipped group
         is left unmarked; the caller must immediately re-cover it
         (apply_delta marks every delta group dirty again).
-
-        Two injection sites live here.  ``restore.fail`` raises before
-        any group is touched (a failed payload load); the caller falls
-        back to :meth:`restore_all_in_place`.  A
-        ``segment.corrupt`` firing silently drops one dirty group from
-        the restore set — exactly the torn restore the canonical-form
-        consistency check (:meth:`verify`) exists to catch — and sets
-        :attr:`corruption_pending` so the machine knows to run that
-        check and repair.
         """
         if not self.attached:
             raise RuntimeError("image not attached to its kernel")
-        if faults is not None and faults.should_inject(SITE_RESTORE_FAIL):
-            raise RestoreFaultInjected(
-                SITE_RESTORE_FAIL, "injected segmented restore failure")
         dirty = self.collect_dirty()
         if skip:
             dirty -= skip
-        if faults is not None and dirty \
-                and faults.should_inject(SITE_SEGMENT_CORRUPT):
-            dirty.discard(max(dirty))
-            self.corruption_pending = True
         for group in dirty:
             self._restore_group(group)
         self._dirty_groups.clear()
         self.kernel._dirty_roots.clear()
         return len(dirty), len(self.payloads) - len(dirty)
-
-    def restore_all_in_place(self) -> int:
-        """Restore *every* group, dirty or not — the recovery path.
-
-        Injection-free by design: after a failed or corrupted
-        incremental restore, this re-materializes the full snapshot
-        state while preserving root identity, which is state-equivalent
-        to a fresh full deserialization (the clean run's behaviour).
-        Returns the number of groups restored.
-        """
-        for group in range(len(self.payloads)):
-            self._restore_group(group)
-        self._dirty_groups.clear()
-        self.kernel._dirty_roots.clear()
-        self.corruption_pending = False
-        return len(self.payloads)
 
     def _restore_group(self, group: int) -> None:
         """Copy a flat group's template, or unpickle the group's payload

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import CampaignConfig, CampaignStats, Kit
 from repro.corpus.seeds import seed_programs
-from repro.faults.plan import SITE_RESTORE_FAIL, FaultPlan
+from repro.faults.plan import SITE_EXEC_TIMEOUT, SITE_WORKER_KILL, FaultPlan
 from repro.kernel import linux_5_13
 from repro.vm import MachineConfig, fork_available
 
@@ -102,15 +102,15 @@ class TestCampaignStatsMerge:
         total = CampaignStats(campaign_id="c0ffee", shard_mode="process",
                               cases_executed=3, restore_seconds=0.5,
                               outcomes={"pass": 2},
-                              faults_injected={SITE_RESTORE_FAIL: 1})
+                              faults_injected={SITE_WORKER_KILL: 1})
         total.merge(CampaignStats(cases_executed=4, restore_seconds=0.25,
                                   outcomes={"pass": 1, "report": 1},
-                                  faults_injected={SITE_RESTORE_FAIL: 2,
+                                  faults_injected={SITE_WORKER_KILL: 2,
                                                    "exec.timeout": 1}))
         assert total.cases_executed == 7
         assert total.restore_seconds == pytest.approx(0.75)
         assert total.outcomes == {"pass": 3, "report": 1}
-        assert total.faults_injected == {SITE_RESTORE_FAIL: 3,
+        assert total.faults_injected == {SITE_WORKER_KILL: 3,
                                          "exec.timeout": 1}
         assert (total.campaign_id, total.shard_mode) == ("c0ffee", "process")
 
@@ -140,15 +140,17 @@ class TestShardRetirement:
     @pytest.mark.skipif(not fork_available(),
                         reason="process shards require fork")
     def test_shard_faults_reach_the_campaign_books(self):
-        """Every restore runs in a shard; the campaign's books hold
-        every injection, each one recovered by a recovery restore."""
-        plan = FaultPlan(seed=7, rate=0.2, sites=(SITE_RESTORE_FAIL,))
+        """Every syscall runs in a shard, and each shard's occurrence
+        counter starts at 0 (nothing ran before the fork), so each of
+        the two shards times out its first three syscalls; the
+        campaign's books hold all six injections, each one recovered
+        by re-running its case."""
+        plan = FaultPlan(seed=7, schedule={SITE_EXEC_TIMEOUT: {0, 1, 2}})
         stats = Kit(rand_config(workers=2, faults=plan)).run().stats
         assert stats.shard_mode == "process"
-        injected = stats.faults_injected.get(SITE_RESTORE_FAIL, 0)
-        assert injected > 0
-        assert stats.faults_recovered == {SITE_RESTORE_FAIL: injected}
-        assert stats.recovery_restores == injected
+        assert stats.shards_spawned == 2
+        assert stats.faults_injected == {SITE_EXEC_TIMEOUT: 6}
+        assert stats.faults_recovered == {SITE_EXEC_TIMEOUT: 6}
         assert stats.faults_accounted()
 
 

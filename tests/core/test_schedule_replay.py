@@ -228,6 +228,7 @@ class TestScheduleChaos:
         result = Kit(race_campaign_config(faults=plan, workers=2)).run()
         assert _signature(result) == _signature(interleaved_result)
         assert result.stats.faults_accounted(), plan.stats.snapshot()
+        assert result.stats.faults_injected_total() > 0
 
     @needs_fork
     @pytest.mark.schedules
@@ -238,6 +239,7 @@ class TestScheduleChaos:
                                           shard_mode="process")).run()
         assert _signature(result) == _signature(interleaved_result)
         assert result.stats.faults_accounted(), plan.stats.snapshot()
+        assert result.stats.faults_injected_total() > 0
 
 
 # -- the full strategy sweep (deselected by default) --------------------------

@@ -24,7 +24,7 @@ from repro.core.nondet import NondetStore
 from repro.core.pipeline import CampaignConfig, Kit
 from repro.core.profile import Profiler, profile_corpus_distributed
 from repro.corpus import build_corpus
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import SITE_EXEC_TIMEOUT, FaultPlan
 from repro.kernel import linux_5_13
 from repro.store.journal import CampaignJournal
 from repro.vm import Machine, MachineConfig, fork_available
@@ -37,6 +37,12 @@ WATCHED = (
     (CampaignJournal, ("append", "sync", "close")),
     (SegmentedImage, ("apply_delta",)),
 )
+
+
+def _plan() -> FaultPlan:
+    """Every site at 0.2, and ``exec.timeout`` at an unscaled 0.03, so
+    the in-process leg (no shards) injects too."""
+    return FaultPlan(seed=7, rate=0.2, rates={SITE_EXEC_TIMEOUT: 0.03})
 
 
 def _watch(monkeypatch, log_path: str) -> None:
@@ -73,11 +79,12 @@ def test_only_main_threads_touch_unlocked_state(tmp_path, monkeypatch,
     _watch(monkeypatch, log_path)
     config = CampaignConfig(
         machine=MachineConfig(bugs=linux_5_13()), corpus_size=30,
-        workers=workers, faults=FaultPlan(seed=7, rate=0.2),
+        workers=workers, faults=_plan(),
         store_dir=str(tmp_path / "store"),
         nondet_dir=str(tmp_path / "nondet"))
     result = Kit(config).run()
     assert result.stats.faults_accounted()
+    assert result.stats.faults_injected_total() > 0
 
     with open(log_path) as handle:
         touches = [line.split() for line in handle]
@@ -118,10 +125,11 @@ def test_each_machine_resets_on_one_thread(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(Machine, "reset", watched)
     config = CampaignConfig(
         machine=MachineConfig(bugs=linux_5_13()), corpus_size=30,
-        workers=workers, faults=FaultPlan(seed=7, rate=0.2),
+        workers=workers, faults=_plan(),
         profile_dir=str(tmp_path / "profiles"))
     result = Kit(config).run()
     assert result.stats.faults_accounted()
+    assert result.stats.faults_injected_total() > 0
 
     threads = defaultdict(set)
     off_main = set()

@@ -15,8 +15,10 @@ from repro.core.pipeline import CampaignConfig, Kit
 from repro.core.race_scenarios import race_campaign_config
 from repro.faults.plan import (
     ALL_SITES,
+    SITE_EXEC_TIMEOUT,
     SITE_RESULT_DROP,
     SITE_SCHED_PREEMPT,
+    SITE_STORE_FSYNC_FAIL,
     SITE_WORKER_KILL,
     FaultPlan,
 )
@@ -67,9 +69,12 @@ def _assert_equivalent(result, plan, expected_bugs):
 
 
 def test_chaos_in_process_campaign(clean_bugs):
-    plan = FaultPlan(seed=2, rate=0.2)
+    # In process and without a store, only exec.timeout has an
+    # occurrence; the explicit rate is taken unscaled.
+    plan = FaultPlan(seed=2, rate=0.2, rates={SITE_EXEC_TIMEOUT: 0.03})
     result = _campaign("5.13", faults=plan, workers=0)
     _assert_equivalent(result, plan, clean_bugs("5.13"))
+    assert result.stats.faults_injected_total() > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -167,15 +172,33 @@ def test_graceful_degradation_when_every_shard_is_killed():
 # -- the full sweep (deselected by default; run with -m chaos) ----------------
 
 
+#: The single-site sweep's exact (unscaled) rate per site.  The
+#: per-syscall and per-schedule sites fire dozens of times per case, so
+#: their rate is a tenth of the per-job sites'.
+SWEEP_RATES = {SITE_RESULT_DROP: 0.3, SITE_WORKER_KILL: 0.3,
+               SITE_EXEC_TIMEOUT: 0.03, SITE_STORE_FSYNC_FAIL: 0.3,
+               SITE_SCHED_PREEMPT: 0.03}
+
+
 @needs_fork
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("site", ALL_SITES)
-def test_process_single_site_sweep(site, seed, clean_bugs):
-    """Every injection site, one at a time, against forked shards."""
-    plan = FaultPlan(seed=seed, rate=0.3, sites=(site,))
-    result = _campaign("5.13", faults=plan, workers=2)
-    _assert_equivalent(result, plan, clean_bugs("5.13"))
+def test_process_single_site_sweep(site, seed, clean_bugs, tmp_path):
+    """Every injection site, one at a time, against forked shards.  The
+    campaign is stored, so the journal's fsync has occurrences, and
+    ``sched.preempt`` runs the race campaign, the one that explores
+    schedules."""
+    plan = FaultPlan(seed=seed, rates={site: SWEEP_RATES[site]})
+    if site == SITE_SCHED_PREEMPT:
+        result = Kit(race_campaign_config(faults=plan, workers=2)).run()
+        expected = ["T1", "T2", "T3"]
+    else:
+        result = _campaign("5.13", faults=plan, workers=2,
+                           store_dir=str(tmp_path))
+        expected = clean_bugs("5.13")
+    _assert_equivalent(result, plan, expected)
+    assert result.stats.faults_injected.get(site, 0) > 0
 
 
 @needs_fork
@@ -183,6 +206,9 @@ def test_process_single_site_sweep(site, seed, clean_bugs):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 def test_process_all_sites_all_kernels_sweep(kernel_name, seed, clean_bugs):
-    plan = FaultPlan(seed=seed, rate=0.15)
+    # The Table-3 kernels run few cases, so the shard sites alone may
+    # not fire; exec.timeout's explicit rate is taken unscaled.
+    plan = FaultPlan(seed=seed, rate=0.15, rates={SITE_EXEC_TIMEOUT: 0.03})
     result = _campaign(kernel_name, faults=plan, workers=2)
     _assert_equivalent(result, plan, clean_bugs(kernel_name))
+    assert result.stats.faults_injected_total() > 0

@@ -120,7 +120,7 @@ def test_parse_specs():
     assert bare.seed == 7  # default rate applies
     narrowed = FaultPlan.parse("7:0.2:worker.kill,exec.timeout")
     assert narrowed.preview(SITE_WORKER_KILL, 40).count(True) > 0
-    assert not any(narrowed.preview("restore.fail", 40))
+    assert not any(narrowed.preview("result.drop", 40))
     for bad in ("x:0.2", "7:high", "7:2.0", "7:0.2:bogus.site", "7:0.2:a:b"):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
@@ -177,7 +177,9 @@ def test_identical_campaigns_identical_fault_counters():
     CampaignStats fault counters across two single-threaded runs."""
 
     def campaign():
-        plan = FaultPlan(seed=5, rate=0.2)
+        # In process and without a store, only exec.timeout has an
+        # occurrence; the explicit rate is taken unscaled (7 injections).
+        plan = FaultPlan(seed=5, rate=0.2, rates={SITE_EXEC_TIMEOUT: 0.05})
         config = CampaignConfig(machine=MachineConfig(bugs=linux_5_13()),
                                 corpus_size=10, max_test_cases=8,
                                 workers=0, faults=plan)

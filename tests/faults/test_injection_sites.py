@@ -1,8 +1,10 @@
-"""Per-site injection + recovery semantics (ISSUE 4 tentpole).
+"""Per-site injection + recovery semantics.
 
 Each test drives exactly one site through its recovery path and checks
 the two things that matter: the recovered state is equivalent to the
 clean run's, and the books balance (injected == recovered + infra).
+A fault is injected only where it can leave the call that injected it,
+so a reset and an unsynced journal append have no site at all.
 """
 
 from __future__ import annotations
@@ -12,58 +14,18 @@ import pytest
 from repro.corpus.seeds import seed_programs
 from repro.faults.plan import (
     SITE_EXEC_TIMEOUT,
-    SITE_RESTORE_FAIL,
-    SITE_SEGMENT_CORRUPT,
     ExecTimeoutInjected,
     FaultPlan,
     call_with_fault_retries,
 )
 from repro.kernel import linux_5_13
-from repro.vm import (
-    Machine,
-    MachineConfig,
-    state_fingerprint,
-)
+from repro.store.journal import RECORD_CASE, CampaignJournal, scan
+from repro.vm import Machine, MachineConfig
 from repro.vm.machine import RECEIVER
 
 
 def _machine(plan):
     return Machine(MachineConfig(bugs=linux_5_13(), fault_plan=plan))
-
-
-def test_segmented_restore_failure_falls_back_to_restore_all():
-    reference_machine = Machine(MachineConfig(bugs=linux_5_13()))
-    reference = state_fingerprint(reference_machine.snapshot.restore())
-
-    # One failed reset, then a failure on every reset: the fallback is
-    # injection-free, so no failure streak can exhaust it into infra.
-    for resets in (1, 4):
-        plan = FaultPlan(seed=0,
-                         schedule={SITE_RESTORE_FAIL: set(range(resets))})
-        machine = _machine(plan)
-        for _ in range(resets):
-            machine.run(RECEIVER, seed_programs()["read_uptime"])
-            machine.reset()  # injected failure -> restore_all_in_place
-            assert state_fingerprint(machine.kernel) == reference
-        assert machine.stats.recovery_restores == resets
-        assert plan.stats.recovered == {SITE_RESTORE_FAIL: resets}
-        assert plan.stats.injected == plan.stats.recovered
-        assert not plan.stats.infra_failed
-        assert plan.stats.accounted()
-
-
-def test_segment_corruption_detected_and_repaired():
-    reference_machine = Machine(MachineConfig(bugs=linux_5_13()))
-    reference = state_fingerprint(reference_machine.snapshot.restore())
-
-    plan = FaultPlan(seed=0, schedule={SITE_SEGMENT_CORRUPT: {0}})
-    machine = _machine(plan)
-    machine.run(RECEIVER, seed_programs()["udp_send"])
-    machine.reset()  # drops one dirty group; verify() must catch it
-    assert not machine.snapshot.image.corruption_pending
-    assert state_fingerprint(machine.kernel) == reference
-    assert plan.stats.recovered == {SITE_SEGMENT_CORRUPT: 1}
-    assert plan.stats.accounted()
 
 
 def test_exec_timeout_rerun_matches_clean_run():
@@ -102,3 +64,21 @@ def test_exec_timeout_with_retry_wrapper():
     assert plan.stats.recovered == {SITE_EXEC_TIMEOUT: 1}
     assert plan.stats.accounted()
 
+
+def test_resets_and_unsynced_appends_inject_nothing(tmp_path):
+    """Every site enabled at rate 1.0: a reset restores the snapshot
+    and an unsynced append writes its line, with nothing injected."""
+    plan = FaultPlan(seed=0, rate=1.0)
+    machine = _machine(plan)
+    for _ in range(3):
+        machine.reset()
+    path = str(tmp_path / "journal.jsonl")
+    journal = CampaignJournal(path, faults=plan)
+    for index in range(3):
+        assert journal.append({"t": RECORD_CASE, "k": f"k{index}:r"},
+                              sync=False)
+    assert plan.stats.injected == {}
+    journal.close()  # the batch's fsync is a site: it may inject
+    assert [record["k"] for record in scan(path).records] \
+        == ["k0:r", "k1:r", "k2:r"]
+    assert machine.stats.segmented_restores == 3

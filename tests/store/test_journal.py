@@ -8,11 +8,7 @@ import os
 import pytest
 
 from repro.core.pipeline import CampaignConfig, CampaignResult, Kit
-from repro.faults.plan import (
-    SITE_JOURNAL_TORN,
-    SITE_STORE_FSYNC_FAIL,
-    FaultPlan,
-)
+from repro.faults.plan import SITE_STORE_FSYNC_FAIL, FaultPlan
 from repro.store import (
     RECORD_ATTEMPT,
     RECORD_BEGIN,
@@ -31,6 +27,19 @@ from repro.store import (
     scan,
     summarize_config,
 )
+
+
+def _write_with_a_flipped_high_bit(path):
+    """Write [good, damaged, after] case lines, setting the high bit of
+    one byte of the damaged line so it is no longer UTF-8; returns the
+    three lines as bytes."""
+    good, damaged, after = (encode_line({"t": RECORD_CASE, "k": key})
+                            .encode() for key in ("good", "damaged", "after"))
+    damaged = bytearray(damaged)
+    damaged[len(damaged) // 2] |= 0x80
+    with open(path, "wb") as handle:
+        handle.write(good + damaged + after)
+    return good, bytes(damaged), after
 
 
 class TestLineCodec:
@@ -85,6 +94,14 @@ class TestScan:
         assert [r["k"] for r in replay.records] == ["good"]
         assert replay.torn_bytes == len("corrupted line\n") + len(after)
 
+    def test_non_utf8_line_ends_the_valid_prefix(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        good, damaged, after = _write_with_a_flipped_high_bit(path)
+        replay = scan(path)
+        assert [r["k"] for r in replay.records] == ["good"]
+        assert replay.valid_bytes == len(good)
+        assert replay.torn_bytes == len(damaged) + len(after)
+
     def test_first_write_wins_dedup(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         first = encode_line({"t": RECORD_CASE, "k": "a:b", "outcome": "pass"})
@@ -122,9 +139,18 @@ class TestCampaignJournal:
         with open(path, "a") as handle:
             handle.write(torn)  # a crash mid-write leaves this behind
         journal = CampaignJournal(path)
-        assert journal.torn_bytes_repaired == len(torn)
+        assert journal.replayed.torn_bytes == len(torn)
         assert os.path.getsize(path) == size
         journal.close()
+
+    def test_open_truncates_at_a_non_utf8_line(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        good, damaged, after = _write_with_a_flipped_high_bit(path)
+        with CampaignJournal(path) as journal:
+            assert journal.replayed.torn_bytes == len(damaged) + len(after)
+            assert os.path.getsize(path) == len(good)
+            assert journal.append_case("next:r", "pass", 0, None)
+        assert [r["k"] for r in scan(path).records] == ["good", "next:r"]
 
     def test_append_dedup_within_writer(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -141,20 +167,6 @@ class TestCampaignJournal:
             assert not journal.append_case("a:b", "report", 1, None)
             assert journal.append_case("c:d", "pass", 0, None)
         assert len(scan(path).records) == 2
-
-    def test_torn_write_fault_absorbed(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        plan = FaultPlan(seed=0, rates={SITE_JOURNAL_TORN: 1.0})
-        with CampaignJournal(path, faults=plan) as journal:
-            for i in range(8):
-                journal.append_case(f"k{i}:r", "pass", 0, None)
-        # Every append tore once, repaired, and committed cleanly.
-        records = scan(path).records
-        assert [r["k"] for r in records] == [f"k{i}:r" for i in range(8)]
-        injected, recovered, infra, poisoned = plan.stats.snapshot()
-        assert injected[SITE_JOURNAL_TORN] == 8
-        assert recovered[SITE_JOURNAL_TORN] == 8
-        assert plan.stats.accounted()
 
     def test_fsync_fault_recovers_within_budget(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

@@ -22,7 +22,7 @@ from repro.core.known_bugs import (
     scenario_machine_config,
 )
 from repro.core.pipeline import CampaignConfig, Kit
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import SITE_EXEC_TIMEOUT, FaultPlan
 from repro.kernel import linux_5_13
 from repro.store import RECORD_CASE, CampaignJournal, scan
 from repro.vm import fork_available
@@ -205,6 +205,7 @@ class TestResumeChaos:
 
         clean = Kit(_config(store_dir, faults=plan(), workers=2)).run()
         assert sorted(clean.bugs_found()) == sorted(baseline.bugs_found())
+        assert clean.stats.faults_injected_total() > 0
         path = _journal_path(store_dir, clean.stats.campaign_id)
         with open(path, "rb") as handle:
             journal = handle.read()
@@ -281,9 +282,16 @@ def test_chaos_resume_sweep(kernel_name, chaos_seed, tmp_path):
     """Faulted run, interrupted and resumed, per kernel x chaos seed."""
     baseline = Kit(_config(None, kernel_name)).run()
     store_dir = str(tmp_path)
-    plan = FaultPlan(seed=chaos_seed, rate=0.15)
-    clean = Kit(_config(store_dir, kernel_name, faults=plan,
+
+    def plan():
+        # The Table-3 kernels run few cases, so the shard sites alone
+        # may not fire; exec.timeout's explicit rate is taken unscaled.
+        return FaultPlan(seed=chaos_seed, rate=0.15,
+                         rates={SITE_EXEC_TIMEOUT: 0.03})
+
+    clean = Kit(_config(store_dir, kernel_name, faults=plan(),
                         workers=2)).run()
+    assert clean.stats.faults_injected_total() > 0
     path = _journal_path(store_dir, clean.stats.campaign_id)
     with open(path, "rb") as handle:
         journal = handle.read()
@@ -291,7 +299,6 @@ def test_chaos_resume_sweep(kernel_name, chaos_seed, tmp_path):
     with open(path, "wb") as handle:
         handle.write(b"".join(lines[:len(lines) // 2]))
     resumed = Kit(_config(store_dir, kernel_name, resume=True,
-                          faults=FaultPlan(seed=chaos_seed, rate=0.15),
-                          workers=2)).run()
+                          faults=plan(), workers=2)).run()
     assert sorted(resumed.bugs_found()) == sorted(baseline.bugs_found())
     assert resumed.stats.faults_accounted()

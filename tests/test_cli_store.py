@@ -68,6 +68,16 @@ class TestCorpusStore:
         _save(str(tmp_path), [])
         assert _load(str(tmp_path)) == ([], [])
 
+    def test_undecodable_index_is_one_error(self, tmp_path):
+        _save(str(tmp_path), build_corpus(5, seed=5))
+        index = tmp_path / "index.txt"
+        data = bytearray(index.read_bytes())
+        data[len(data) // 2] |= 0x80  # no longer UTF-8
+        index.write_bytes(bytes(data))
+        programs, errors = _load(str(tmp_path))
+        assert programs == []
+        assert [name for name, _error in errors] == [str(tmp_path)]
+
 
 class TestCli:
     def test_run_finds_bugs(self, capsys):
@@ -106,7 +116,7 @@ class TestCli:
             in output
         assert "78 shard(s) spawned (78 died)\n" in output
         assert "78 injected / 0 recovered / 78 infra-failed / 0 poisoned " \
-            "(accounted: yes), cases lost: 6," in output
+            "(accounted: yes), cases lost: 6\n" in output
         assert "supervision:" not in output
 
     def test_run_on_fixed_kernel_is_clean(self, capsys):
@@ -224,6 +234,31 @@ class TestCli:
             main(run + ["--resume"])
         assert str(excinfo.value).startswith("store error: ")
         assert meta in str(excinfo.value)
+
+    def test_non_utf8_journal_line_ends_the_valid_prefix(self, tmp_path,
+                                                         capsys):
+        """A flipped high bit in ``journal.jsonl`` cuts the journal at
+        that line: ``store ls`` still lists the campaign, and
+        ``--resume`` re-runs what the cut dropped."""
+        store = str(tmp_path)
+        run = ["run", "--corpus-size", "10", "--strategy", "rand",
+               "--rand-budget", "4", "--store", store]
+        assert main(run) == 0
+        first = capsys.readouterr().out
+        campaign_id = re.search(r"store: campaign (\w+)", first).group(1)
+        journal = os.path.join(store, campaign_id, "journal.jsonl")
+        with open(journal, "rb") as handle:
+            data = bytearray(handle.read())
+        data[len(data) // 2] |= 0x80
+        with open(journal, "wb") as handle:
+            handle.write(bytes(data))
+        assert main(["store", store, "ls"]) == 0
+        assert campaign_id in capsys.readouterr().out
+        assert main(run + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert f"store: campaign {campaign_id}" in resumed
+        assert re.search(r"bugs found: .*", resumed).group() \
+            == re.search(r"bugs found: .*", first).group()
 
     def test_store_reads_leave_a_missing_root_missing(self, tmp_path,
                                                       capsys):
