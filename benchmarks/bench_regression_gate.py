@@ -134,9 +134,11 @@ def test_chaos_smoke_gate(campaign_513, bench_corpus, chaos_seeds, benchmark):
     """Seeded fault campaigns must find exactly the clean bug set.
 
     The gate reruns the Table-2 campaign on two process shards under
-    fault injection (all sites, ``--faults SEED:0.15``) and fails if any
-    injection goes unaccounted or an ``infra_failed`` case leaks into
-    the bug reports.
+    fault injection at the blanket rate ``--faults SEED:0.15`` and fails
+    if any injection goes unaccounted or an ``infra_failed`` case leaks
+    into the bug reports.  With no store and no interleaving, only
+    ``result.drop``, ``worker.kill`` and ``exec.timeout`` can fire; the
+    default seed 3 draws only the first two.
     Pass ``--chaos`` to sweep eight seeds instead of one.
     """
     from repro import FaultPlan

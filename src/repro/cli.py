@@ -215,8 +215,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         rand_budget=args.rand_budget,
         workers=_resolve_workers(args.workers),
-        nondet_dir=args.nondet_cache,
-        profile_dir=args.profile_cache,
+        cache_dir=args.cache,
         index_dir=args.index_dir,
         faults=args.faults,
         sender_cache=not args.no_sender_cache,
@@ -434,7 +433,12 @@ def _corpus_gen(args: argparse.Namespace) -> int:
 
     stats = StreamStats()
     deduper = CoverageDeduper() if args.dedup else None
-    with CorpusWriter(args.directory) as writer:
+    try:
+        writer = CorpusWriter(args.directory)
+    except (OSError, UnicodeDecodeError) as error:
+        print(f"corpus error: {args.directory}: {error}", file=sys.stderr)
+        return 1
+    with writer:
         for program in stream_corpus(args.corpus_size, seed=args.seed,
                                      deduper=deduper,
                                      diversify=args.diversify, stats=stats):
@@ -625,11 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "in-process execution, 0 for auto "
                           "(os.cpu_count(), clamped to the job count), "
                           "N for an explicit pool size")
-    run.add_argument("--nondet-cache", help="directory for non-det marks")
-    run.add_argument("--profile-cache", metavar="DIR",
-                     help="directory for the sharded on-disk profile "
-                          "cache (reused across campaigns on the same "
-                          "kernel fingerprint)")
+    run.add_argument("--cache", metavar="DIR",
+                     help="per-program fact store for profiles and "
+                          "non-det marks (reused across campaigns on the "
+                          "same kernel fingerprint)")
     run.add_argument("--index-dir", metavar="DIR",
                      help="keep the pairing index's run segments under "
                           "DIR instead of a private temp directory "

@@ -31,6 +31,7 @@ from .execution import (
     SenderStateCache,
     TestCaseRunner,
 )
+from .factstore import FactStore, machine_fingerprint
 from .generation import GenerationResult, TestCase, TestCaseGenerator
 from .minimize import MinimizedCase, minimize_report, reduce_to
 from .nondet import NondetAnalyzer, NondetStore
@@ -43,7 +44,6 @@ from .oracle import (
 )
 from .pipeline import CampaignConfig, CampaignResult, CampaignStats, Kit
 from .profile import ProgramProfile, Profiler, profile_corpus_distributed
-from .profile_store import CachingProfiler, ProfileStore, machine_fingerprint
 from .regress import CampaignDiff, diff_campaigns
 from .render_md import campaign_markdown, save_campaign_markdown
 from .triage import GroupDecision, TriageSession, Verdict
@@ -72,8 +72,7 @@ __all__ = [
     "TriageSession",
     "Verdict",
     "diff_campaigns",
-    "CachingProfiler",
-    "ProfileStore",
+    "FactStore",
     "campaign_markdown",
     "machine_fingerprint",
     "save_campaign_markdown",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..corpus.generator import build_corpus
@@ -40,6 +39,7 @@ from .clustering import strategy_by_name
 from .detection import DetectionResult, Detector, Outcome
 from .diagnosis import Diagnoser
 from .execution import BaselineCache, SenderStateCache
+from .factstore import FactStore, machine_fingerprint
 from .generation import GenerationResult, TestCase, TestCaseGenerator
 from .nondet import NondetAnalyzer, NondetStore
 from .oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
@@ -80,10 +80,9 @@ class CampaignConfig:
     rep_seed: int = 0
     #: Cap on executed test cases (None = exercise every cluster).
     max_test_cases: Optional[int] = None
-    #: Directory for the on-disk non-determinism cache (None = in-memory).
-    nondet_dir: Optional[str] = None
-    #: Directory for the on-disk profile cache (None = profile every run).
-    profile_dir: Optional[str] = None
+    #: Directory for the per-program fact store: profiles and non-det
+    #: marks, keyed by machine fingerprint (None = compute every run).
+    cache_dir: Optional[str] = None
     #: Pairing index.  ``columnar`` is the only one: the on-disk
     #: sorted-run merge-join of
     #: :class:`~repro.core.accessindex.ColumnarAccessIndex`, peak memory
@@ -220,7 +219,7 @@ class CampaignStats:
     #: Algorithm-2 re-runs the sender cache served: each re-run's
     #: sender is a prefix of the report's, memoized by an earlier one.
     diagnosis_prefix_reuses: int = 0
-    #: Profile-store telemetry (zero unless profile_dir is set).
+    #: Profile-store telemetry (zero unless cache_dir is set).
     profile_store_hits: int = 0
     profile_store_misses: int = 0
     profile_store_entries_written: int = 0
@@ -355,8 +354,8 @@ class CampaignStats:
                                    self.faults_poisoned), ledger.snapshot()):
             _add_counts(totals, counts)
 
-    def absorb_profile_store(self, store) -> None:
-        """Fold one :class:`ProfileStore`'s counters into the totals."""
+    def absorb_profile_store(self, store: FactStore) -> None:
+        """Fold one profiler's fact-store counters into the totals."""
         self.profile_store_hits += store.hits
         self.profile_store_misses += store.misses
         self.profile_store_entries_written += store.entries_written
@@ -594,7 +593,7 @@ class Kit:
         machine = Machine(config.machine)
         caches = _Caches(
             BaselineCache(),
-            NondetStore(config.nondet_dir),
+            NondetStore(self._facts()),
             SenderStateCache() if config.sender_cache else None)
 
         generation = self._generate(machine, corpus, stats, say)
@@ -818,6 +817,13 @@ class Kit:
 
     # -- stages ----------------------------------------------------------------
 
+    def _facts(self) -> Optional[FactStore]:
+        """A handle of its own on the campaign's fact store, or None."""
+        config = self.config
+        if config.cache_dir is None:
+            return None
+        return FactStore(config.cache_dir, machine_fingerprint(config.machine))
+
     def _generate(self, machine: Machine, corpus: List[TestProgram],
                   stats: CampaignStats, say: Progress) -> GenerationResult:
         config = self.config
@@ -831,18 +837,13 @@ class Kit:
             + (f", {config.workers} workers)" if config.workers > 0 else ")"))
         start = time.monotonic()
         before = machine.stats.copy()
-        new_profiler: Callable[[Machine], Any] = Profiler
-        if config.profile_dir is not None:
-            from .profile_store import CachingProfiler
-
-            new_profiler = partial(CachingProfiler,
-                                   directory=config.profile_dir)
         if config.workers > 0:
             # Each pool thread profiles one contiguous corpus range on a
             # machine of its own, booted here before the pool starts.
             pool_machines = [Machine(config.machine)
                              for _ in range(min(config.workers, len(corpus)))]
-            profilers = [new_profiler(each) for each in pool_machines]
+            profilers = [Profiler(each, self._facts())
+                         for each in pool_machines]
             profiles = profile_corpus_distributed(profilers, corpus,
                                                   config.faults)
         else:
@@ -850,16 +851,15 @@ class Kit:
             # corpus order straight into the index; the profile list is
             # never materialized.
             pool_machines = []
-            profilers = [new_profiler(machine)]
+            profilers = [Profiler(machine, self._facts())]
             profiles = profile_range(profilers[0], corpus, 0, len(corpus),
                                      config.faults)
         index = ColumnarAccessIndex.build(profiles, config.spec,
                                           directory=config.index_dir)
         stats.profile_runs = sum(p.runs_executed for p in profilers)
         for each in profilers:
-            store = getattr(each, "store", None)
-            if store is not None:
-                stats.absorb_profile_store(store)
+            if each.store is not None:
+                stats.absorb_profile_store(each.store)
         # The campaign machine's delta is zero at workers > 0.
         stats.absorb_machine(machine.stats.since(before), stage="profile")
         for each in pool_machines:

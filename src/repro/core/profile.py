@@ -14,13 +14,15 @@ the program alone (the stable execution environment of §4.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..corpus.program import TestProgram
 from ..faults.plan import FaultPlan, call_with_fault_retries
-from ..kernel.ktrace import KernelTracer
-from ..vm.executor import CallAccesses, SyscallRecord
+from ..kernel.ktrace import KernelTracer, MemAccess
+from ..vm.executor import (CallAccesses, SyscallRecord, decode_record,
+                           encode_record)
 from ..vm.machine import RECEIVER, SENDER, Machine
+from .factstore import FactStore
 
 
 @dataclass
@@ -33,6 +35,21 @@ class ContainerProfile:
     def total_accesses(self) -> int:
         return sum(len(a) for a in self.accesses if a is not None)
 
+    def to_json(self) -> Dict[str, Any]:
+        return {"records": [encode_record(r) for r in self.records],
+                "accesses": [None if call is None else
+                             [[a.addr, a.width, a.is_write, a.ip, list(stack)]
+                              for a, stack in call]
+                             for call in self.accesses]}
+
+    @classmethod
+    def from_json(cls, data: Dict[str, Any]) -> "ContainerProfile":
+        return cls([decode_record(r) for r in data["records"]],
+                   [None if call is None else
+                    [(MemAccess(addr, width, is_write, ip), tuple(stack))
+                     for addr, width, is_write, ip, stack in call]
+                    for call in data["accesses"]])
+
 
 @dataclass
 class ProgramProfile:
@@ -44,20 +61,41 @@ class ProgramProfile:
     receiver: ContainerProfile
 
 
-class Profiler:
-    """Runs the 4-execution profiling protocol against a machine."""
+def _decode_profile(data: Dict[str, Any]) -> List[ContainerProfile]:
+    return [ContainerProfile.from_json(data["sender"]),
+            ContainerProfile.from_json(data["receiver"])]
 
-    def __init__(self, machine: Machine):
+
+class Profiler:
+    """Runs the 4-execution profiling protocol against a machine.
+
+    With a fact *store*, a program profiled before on the same machine
+    fingerprint is read back instead of re-run.
+    """
+
+    def __init__(self, machine: Machine, store: Optional[FactStore] = None):
         self._machine = machine
+        self.store = store
         self.runs_executed = 0
 
     def profile(self, program: TestProgram, index: int = 0) -> ProgramProfile:
-        return ProgramProfile(
+        store = self.store
+        cached = (None if store is None else
+                  store.get(program.hash_hex, "profile", _decode_profile))
+        if cached is not None:
+            # The corpus index is campaign-relative, so it is not stored.
+            return ProgramProfile(index, program, *cached)
+        profile = ProgramProfile(
             index=index,
             program=program,
             sender=self._profile_container(SENDER, program),
             receiver=self._profile_container(RECEIVER, program),
         )
+        if store is not None:
+            store.put(program.hash_hex, "profile",
+                      {"sender": profile.sender.to_json(),
+                       "receiver": profile.receiver.to_json()})
+        return profile
 
     def _profile_container(self, container: str,
                            program: TestProgram) -> ContainerProfile:
@@ -79,7 +117,7 @@ class Profiler:
         return [self.profile(program, index) for index, program in enumerate(corpus)]
 
 
-def profile_range(profiler: Any, corpus: Sequence[TestProgram],
+def profile_range(profiler: Profiler, corpus: Sequence[TestProgram],
                   start: int, stop: int,
                   faults: Optional[FaultPlan] = None
                   ) -> Iterator[ProgramProfile]:
@@ -97,7 +135,7 @@ def profile_range(profiler: Any, corpus: Sequence[TestProgram],
 
 
 def profile_corpus_distributed(
-        profilers: Sequence[Any], corpus: Sequence[TestProgram],
+        profilers: Sequence[Profiler], corpus: Sequence[TestProgram],
         faults: Optional[FaultPlan] = None) -> List[ProgramProfile]:
     """Profile *corpus* on one pool thread per profiler.
 

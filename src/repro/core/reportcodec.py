@@ -15,42 +15,10 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..corpus.program import TestProgram
-from ..vm.executor import SyscallRecord
+from ..vm.executor import decode_record, encode_record
 from .generation import TestCase
 from .report import CulpritPair, TestReport
 from .trace_ast import NodeDiff
-
-
-def encode_record(record: Optional[SyscallRecord]) -> Optional[Dict[str, Any]]:
-    if record is None:
-        return None
-    return {
-        "index": record.index,
-        "name": record.name,
-        "args": list(record.args),
-        "retval": record.retval,
-        "errno": record.errno,
-        "details": record.details,
-        "arg_kinds": record.arg_kinds,
-        "ret_kind": record.ret_kind,
-        "subjects": record.subjects,
-    }
-
-
-def decode_record(data: Optional[Dict[str, Any]]) -> Optional[SyscallRecord]:
-    if data is None:
-        return None
-    return SyscallRecord(
-        index=data["index"],
-        name=data["name"],
-        args=tuple(data["args"]),
-        retval=data["retval"],
-        errno=data["errno"],
-        details=data["details"],
-        arg_kinds=data["arg_kinds"],
-        ret_kind=data["ret_kind"],
-        subjects=data["subjects"],
-    )
 
 
 def encode_report(report: TestReport) -> Dict[str, Any]:

@@ -95,8 +95,8 @@ def summarize_config(config: Any) -> Dict[str, Any]:
 
     Duck-typed (no import of the pipeline module — it imports us).
     Performance knobs proven result-neutral elsewhere in the test suite
-    (worker counts, shard mode, sender cache, profile cache) are
-    deliberately excluded so a campaign can resume under a different
+    (worker counts, shard mode, sender cache, fact-store cache directory)
+    are deliberately excluded so a campaign can resume under a different
     pool shape.
     """
     # Imported here: the core package imports this module.

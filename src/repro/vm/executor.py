@@ -75,6 +75,39 @@ class SyscallRecord:
         return ""
 
 
+def encode_record(record: Optional[SyscallRecord]) -> Optional[Dict[str, Any]]:
+    """A record as plain JSON data (profiles, reports, the journal)."""
+    if record is None:
+        return None
+    return {
+        "index": record.index,
+        "name": record.name,
+        "args": list(record.args),
+        "retval": record.retval,
+        "errno": record.errno,
+        "details": record.details,
+        "arg_kinds": record.arg_kinds,
+        "ret_kind": record.ret_kind,
+        "subjects": record.subjects,
+    }
+
+
+def decode_record(data: Optional[Dict[str, Any]]) -> Optional[SyscallRecord]:
+    if data is None:
+        return None
+    return SyscallRecord(
+        index=data["index"],
+        name=data["name"],
+        args=tuple(data["args"]),
+        retval=data["retval"],
+        errno=data["errno"],
+        details=data["details"],
+        arg_kinds=data["arg_kinds"],
+        ret_kind=data["ret_kind"],
+        subjects=data["subjects"],
+    )
+
+
 @dataclass
 class ExecutionResult:
     """All records of one program execution (holes for removed calls)."""

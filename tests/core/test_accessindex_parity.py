@@ -26,7 +26,7 @@ from repro.core.generation import TestCaseGenerator
 from repro.core.known_bugs import SCENARIOS, TABLE3_ROWS, scenario_machine_config
 from repro.core.oracle import FALSE_POSITIVE, UNDER_INVESTIGATION, classify_all
 from repro.core.profile import Profiler
-from repro.core.profile_store import ProfileStore, machine_fingerprint
+from repro.core.factstore import FactStore, machine_fingerprint
 from repro.core.spec import default_specification
 from repro.corpus import build_corpus
 from repro.kernel import linux_5_13
@@ -271,15 +271,18 @@ class TestStackSidecar:
 class TestProfileStoreSharding:
     def test_put_writes_into_fanout_shard(self, tmp_path, profiled_513):
         __, profiles = profiled_513
-        store = ProfileStore(str(tmp_path), "fp")
-        store.put(profiles[0])
-        shard = profiles[0].program.hash_hex[:2]
+        store = FactStore(str(tmp_path), "fp")
+        program = profiles[0].program
+        Profiler(Machine(MachineConfig(bugs=linux_5_13())),
+                 store).profile(program)
+        shard = program.hash_hex[:2]
         expected = os.path.join(str(tmp_path), "fp", shard,
-                                profiles[0].program.hash_hex + ".profile")
+                                program.hash_hex + ".profile")
         assert os.path.exists(expected)
         assert store.entries_written == 1
         assert store.bytes_written == os.path.getsize(expected)
-        assert store.get(profiles[0].program) is not None
+        assert Profiler(Machine(MachineConfig(bugs=linux_5_13())),
+                        store).profile(program) == profiles[0]
         assert store.hits == 1
 
     def test_fingerprint_unchanged_by_sharding(self):

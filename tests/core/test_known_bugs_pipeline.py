@@ -1,7 +1,10 @@
 """Integration tests: known-bug scenarios (Table 3) and full campaigns."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.factstore import FactStore, machine_fingerprint
 from repro.core.known_bugs import (
     SCENARIOS,
     TABLE3_ROWS,
@@ -9,13 +12,15 @@ from repro.core.known_bugs import (
     scenario_corpus,
     scenario_machine_config,
 )
+from repro.core.nondet import NondetAnalyzer, NondetStore
 from repro.core.oracle import FALSE_POSITIVE, UNDER_INVESTIGATION
 from repro.core.pipeline import CampaignConfig, Kit
 from repro.corpus.generator import build_corpus
 from repro.corpus.seeds import seed_list
 from repro.kernel import fixed_kernel, linux_5_13
+from repro.kernel.bugs import known_bug_kernel, race_kernel
 from repro.kernel.namespaces import CLONE_NEWNS
-from repro.vm import MachineConfig
+from repro.vm import Machine, MachineConfig
 
 
 class TestKnownBugScenarios:
@@ -58,6 +63,37 @@ class TestKnownBugScenarios:
         )
         result = Kit(config).run()
         assert result.bugs_found() == set()
+
+    def test_table3_holds_under_one_shared_cache(self, tmp_path):
+        """One cache directory holds every scenario corpus's marks under
+        every other preset's bugs, and no verdict moves: marks are keyed
+        by the kernel as well as by the program.  Keyed by the program
+        alone, the fixed kernel's empty marks for F's receiver let F's
+        conntrack divergence through."""
+        presets = {"5.13": linux_5_13(), "fixed": fixed_kernel(),
+                   "race": race_kernel()}
+        presets.update((bug_id, known_bug_kernel(bug_id))
+                       for bug_id in SCENARIOS)
+        cache = str(tmp_path)
+        for bug_id, scenario in SCENARIOS.items():
+            for name, bugs in presets.items():
+                if name == bug_id:
+                    continue
+                machine = replace(scenario_machine_config(scenario),
+                                  bugs=bugs)
+                store = NondetStore(FactStore(cache,
+                                              machine_fingerprint(machine)))
+                analyzer = NondetAnalyzer(Machine(machine), store=store)
+                for program in scenario_corpus(scenario):
+                    analyzer.nondet_paths(program)
+        detected = {}
+        for bug_id, scenario in SCENARIOS.items():
+            config = CampaignConfig(machine=scenario_machine_config(scenario),
+                                    corpus=scenario_corpus(scenario),
+                                    cache_dir=cache)
+            detected[bug_id] = bug_id in Kit(config).run().bugs_found()
+        assert detected == {bug_id: scenario.detectable
+                            for bug_id, scenario in SCENARIOS.items()}
 
 
 class TestCampaign:
@@ -151,7 +187,7 @@ class TestCampaign:
         """The warm run skips every non-det re-run and reaches the cold
         run's verdicts: a cache hit and a recompute are equivalent."""
         base = dict(machine=MachineConfig(bugs=linux_5_13()),
-                    corpus=seed_list()[:12], nondet_dir=str(tmp_path))
+                    corpus=seed_list()[:12], cache_dir=str(tmp_path))
         first = Kit(CampaignConfig(**base)).run()
         second = Kit(CampaignConfig(**base)).run()
         assert first.stats.nondet_runs > 0

@@ -1,7 +1,8 @@
 """Unit tests for the specification layer and non-determinism analysis."""
 
-import pytest
+import json
 
+from repro.core.factstore import FactStore
 from repro.core.nondet import NondetAnalyzer, NondetStore
 from repro.core.spec import (
     DEFAULT_PROTECTED_KINDS,
@@ -95,31 +96,18 @@ class TestNondetStore:
         assert NondetStore().get("missing") is None
 
     def test_disk_roundtrip(self, tmp_path):
-        store = NondetStore(str(tmp_path))
+        store = NondetStore(FactStore(str(tmp_path), "fp"))
         store.put("abc", frozenset({(0, 1)}))
-        fresh = NondetStore(str(tmp_path))
+        fresh = NondetStore(FactStore(str(tmp_path), "fp"))
         assert fresh.get("abc") == frozenset({(0, 1)})
+        assert NondetStore(FactStore(str(tmp_path), "other")).get("abc") \
+            is None
 
     def test_disk_files_are_json(self, tmp_path):
-        store = NondetStore(str(tmp_path))
-        store.put("abc", frozenset({(3, 4)}))
-        assert (tmp_path / "abc.nondet.json").exists()
-
-    @pytest.mark.parametrize("content", [
-        '[[0, 1], [2',  # torn mid-write
-        '{"ab": 1}',
-        '"xy"',
-        '[[0, "2"]]',
-        '[[true]]',
-    ], ids=["torn", "object", "string", "string-step", "bool-step"])
-    def test_damaged_disk_file_is_a_miss(self, tmp_path, content):
-        (tmp_path / "abc.nondet.json").write_text(content)
-        store = NondetStore(str(tmp_path))
-        assert store.get("abc") is None
-        assert store.misses == 1
-        # The recomputed verdict's put rewrites the damaged file.
-        store.put("abc", frozenset({(0, 1)}))
-        assert NondetStore(str(tmp_path)).get("abc") == frozenset({(0, 1)})
+        store = NondetStore(FactStore(str(tmp_path), "fp"))
+        store.put("abc", frozenset({(3, 4)}), kind="nondet-0-5")
+        data = (tmp_path / "fp" / "ab" / "abc.nondet-0-5").read_bytes()
+        assert json.loads(data[32:]) == [[3, 4]]
 
 
 class TestNondetAnalyzer:

@@ -81,7 +81,7 @@ def test_only_main_threads_touch_unlocked_state(tmp_path, monkeypatch,
         machine=MachineConfig(bugs=linux_5_13()), corpus_size=30,
         workers=workers, faults=_plan(),
         store_dir=str(tmp_path / "store"),
-        nondet_dir=str(tmp_path / "nondet"))
+        cache_dir=str(tmp_path / "cache"))
     result = Kit(config).run()
     assert result.stats.faults_accounted()
     assert result.stats.faults_injected_total() > 0
@@ -126,7 +126,7 @@ def test_each_machine_resets_on_one_thread(tmp_path, monkeypatch, workers):
     config = CampaignConfig(
         machine=MachineConfig(bugs=linux_5_13()), corpus_size=30,
         workers=workers, faults=_plan(),
-        profile_dir=str(tmp_path / "profiles"))
+        cache_dir=str(tmp_path / "cache"))
     result = Kit(config).run()
     assert result.stats.faults_accounted()
     assert result.stats.faults_injected_total() > 0

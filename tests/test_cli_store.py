@@ -169,6 +169,37 @@ class TestCli:
         assert main(["run", "--corpus-dir", directory]) == 1
         assert f"corpus error: {victim}: " in capsys.readouterr().err
 
+    def test_corpus_gen_on_a_damaged_index_exits_1(self, tmp_path, capsys):
+        """An index that does not decode ends ``corpus gen`` with one
+        error line, not a traceback, and the index is left as it was."""
+        directory = str(tmp_path / "corpus")
+        main(["corpus", "gen", directory, "--corpus-size", "5"])
+        index = tmp_path / "corpus" / "index.txt"
+        data = bytearray(index.read_bytes())
+        data[len(data) // 2] |= 0x80  # no longer UTF-8
+        index.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["corpus", "gen", directory, "--corpus-size", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"corpus error: {directory}: ")
+        assert err.count("\n") == 1
+        assert index.read_bytes() == bytes(data)
+
+    @pytest.mark.parametrize("option", ["--nondet-cache", "--profile-cache"])
+    def test_retired_cache_options_are_rejected(self, option, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", option, str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+
+    def test_run_cache_is_warm_the_second_time(self, tmp_path, capsys):
+        argv = ["run", "--corpus-size", "12", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "non-det 100% hit" in output
+        assert "profile store: 100% hit" in output
+
     def test_show_decodes_and_executes(self, tmp_path, capsys):
         program = prog(("open", "/proc/net/sockstat", 0),
                        ("pread64", "r0", 512, 0))
