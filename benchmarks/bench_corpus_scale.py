@@ -1,4 +1,4 @@
-"""Paper-scale corpus pipeline benchmarks (ISSUE 10 / ROADMAP item 4).
+"""Paper-scale corpus pipeline benchmarks.
 
 The paper profiles 98,853 syzkaller programs (§6.1).  This bench sweeps
 the streamed generation pipeline and the columnar access index over
@@ -20,7 +20,6 @@ from repro.core.profile import Profiler
 from repro.core.spec import default_specification
 from repro.corpus import (
     CorpusWriter,
-    CoverageDeduper,
     StreamStats,
     build_corpus,
     stream_corpus,
@@ -67,29 +66,6 @@ def test_streaming_generation_scale(tmp_path, benchmark):
     emit_table("corpus_scale", "Streaming corpus generation scale sweep",
                lines)
     assert min(rates) > 0
-
-
-def test_coverage_dedup_screen_rate(benchmark):
-    """Static coverage dedup screens candidates well above profiling rate."""
-    stats = StreamStats()
-
-    def screen():
-        local = StreamStats()
-        for __ in stream_corpus(300, seed=1, deduper=CoverageDeduper(),
-                                stats=local):
-            pass
-        return local
-
-    result = benchmark.pedantic(screen, rounds=1, iterations=1)
-    stats = result
-    lines = [
-        f"candidates screened : {stats.candidates}",
-        f"admitted            : {stats.emitted}",
-        f"coverage drops      : {stats.coverage_drops}",
-        f"duplicate drops     : {stats.duplicate_drops}",
-    ]
-    emit_table("corpus_dedup", "Coverage-dedup screening", lines)
-    assert stats.coverage_drops > 0
 
 
 def test_columnar_index_scale(benchmark):

@@ -589,10 +589,9 @@ def test_race_analysis_gate(tmp_path, benchmark):
 PAPER_CORPUS_SIZE = 98_853
 MAX_PAPER_CORPUS_SECONDS = 1800.0
 #: Throughput floors, an order of magnitude under measured rates
-#: (generation ~26k/s, dedup screen ~10k cand/s, indexing ~128k pts/s)
-#: so loaded CI machines never flake while real regressions still trip.
+#: (generation ~26k/s, indexing ~128k pts/s) so loaded CI machines
+#: never flake while real regressions still trip.
 MIN_GENERATION_RATE = 2000.0
-MIN_DEDUP_SCREEN_RATE = 500.0
 MIN_INDEX_POINT_RATE = 10_000.0
 #: Streamed generation→disk must hold peak traced memory well under the
 #: materialized ``build_corpus`` list (measured ~11% at 4000 programs).
@@ -601,13 +600,13 @@ STREAM_MEMORY_PROBE_SIZE = 4000
 
 
 def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
-    """Paper-scale corpus pipeline gate (ISSUE 10 acceptance).
+    """Paper-scale corpus pipeline gate.
 
-    Four invariants: generation, dedup screening, and columnar indexing
-    hold their throughput floors and together extrapolate a 98,853-
-    program run under the 30-minute budget; streamed generation→disk
-    keeps peak memory bounded (a fraction of the materialized build);
-    and — the load-bearing one — the campaign's streamed merge-join is
+    Four invariants: generation and columnar indexing hold their
+    throughput floors and together extrapolate a 98,853-program run
+    under the 30-minute budget; streamed generation→disk keeps peak
+    memory bounded (a fraction of the materialized build); and — the
+    load-bearing one — the campaign's streamed merge-join is
     pair-for-pair identical to the in-memory reference index at the
     200-program bench scale, down to the bug set its cases find.
     """
@@ -623,8 +622,7 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
     )
     from repro.core.profile import Profiler
     from repro.core.spec import default_specification
-    from repro.corpus import CorpusWriter, CoverageDeduper, StreamStats, \
-        stream_corpus
+    from repro.corpus import CorpusWriter, StreamStats, stream_corpus
 
     # 1. Generation throughput: streamed, written to disk as it goes.
     gen_stats = StreamStats()
@@ -634,15 +632,7 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
             writer.add(program)
     gen_rate = gen_stats.emitted / (time.monotonic() - start)
 
-    # 2. Dedup screening throughput (candidates examined per second).
-    dedup_stats = StreamStats()
-    start = time.monotonic()
-    for __ in stream_corpus(300, seed=1, deduper=CoverageDeduper(),
-                            stats=dedup_stats):
-        pass
-    screen_rate = dedup_stats.candidates / (time.monotonic() - start)
-
-    # 3. Bounded peak memory: streamed writer vs materialized list.
+    # 2. Bounded peak memory: streamed writer vs materialized list.
     def stream_peak():
         tracemalloc.start()
         with CorpusWriter(str(tmp_path / "mem")) as writer:
@@ -664,7 +654,7 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
     streamed_peak, full_peak = stream_peak(), materialized_peak()
     peak_fraction = streamed_peak / full_peak
 
-    # 4. Pair-for-pair parity at bench scale: the campaign's join against
+    # 3. Pair-for-pair parity at bench scale: the campaign's join against
     #    the reference index of the same profiles.
     machine = Machine(MachineConfig(bugs=linux_5_13()))
     profiles = Profiler(machine).profile_corpus(list(bench_corpus))
@@ -697,19 +687,15 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
         == [c.pair for c in col_run.generation.test_cases]
     bug_parity = sorted(reference_bugs) == sorted(col_run.bugs_found())
 
-    # 5. Extrapolate the paper-scale run from the slowest stage rates.
+    # 4. Extrapolate the paper-scale run from the slowest stage rates.
     paper_points = points / len(bench_corpus) * PAPER_CORPUS_SIZE
-    paper_seconds = PAPER_CORPUS_SIZE / gen_rate \
-        + PAPER_CORPUS_SIZE / screen_rate \
-        + paper_points / index_rate
+    paper_seconds = PAPER_CORPUS_SIZE / gen_rate + paper_points / index_rate
 
     lines = [
         f"{'gate':<44} {'measured':>12} {'threshold':>12}",
         "-" * 70,
         f"{'streamed generation (prog/s)':<44} {gen_rate:>12.0f} "
         f"{f'>={MIN_GENERATION_RATE:.0f}':>12}",
-        f"{'coverage-dedup screen (cand/s)':<44} {screen_rate:>12.0f} "
-        f"{f'>={MIN_DEDUP_SCREEN_RATE:.0f}':>12}",
         f"{'columnar indexing (points/s)':<44} {index_rate:>12.0f} "
         f"{f'>={MIN_INDEX_POINT_RATE:.0f}':>12}",
         f"{'streamed/materialized peak memory':<44} "
@@ -733,8 +719,6 @@ def test_corpus_scale_gate(bench_corpus, tmp_path, benchmark):
 
     assert gen_rate >= MIN_GENERATION_RATE, \
         f"streamed generation regressed to {gen_rate:.0f} prog/s"
-    assert screen_rate >= MIN_DEDUP_SCREEN_RATE, \
-        f"dedup screening regressed to {screen_rate:.0f} cand/s"
     assert index_rate >= MIN_INDEX_POINT_RATE, \
         f"columnar indexing regressed to {index_rate:.0f} points/s"
     assert peak_fraction < MAX_STREAM_PEAK_FRACTION, \

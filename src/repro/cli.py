@@ -428,11 +428,10 @@ def _corpus_gen(args: argparse.Namespace) -> int:
     on disk, so an interrupted run finishes into a byte-identical
     directory.
     """
-    from .corpus.generator import CoverageDeduper, StreamStats, stream_corpus
+    from .corpus.generator import StreamStats, stream_corpus
     from .corpus.store import CorpusWriter
 
     stats = StreamStats()
-    deduper = CoverageDeduper() if args.dedup else None
     try:
         writer = CorpusWriter(args.directory)
     except (OSError, UnicodeDecodeError) as error:
@@ -440,11 +439,9 @@ def _corpus_gen(args: argparse.Namespace) -> int:
         return 1
     with writer:
         for program in stream_corpus(args.corpus_size, seed=args.seed,
-                                     deduper=deduper,
                                      diversify=args.diversify, stats=stats):
             writer.add(program)
-    drops = (f"{stats.duplicate_drops} duplicate / "
-             f"{stats.coverage_drops} coverage drops")
+    drops = f"{stats.duplicate_drops} duplicate drops"
     if stats.diversified:
         drops += f", {stats.diversified} from the syscall diversifier"
     print(f"admitted {stats.emitted} of {stats.candidates} candidates "
@@ -730,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_gen.add_argument("directory", metavar="DIR")
     corpus_gen.add_argument("--corpus-size", type=int, default=200)
     corpus_gen.add_argument("--seed", type=int, default=1)
-    corpus_gen.add_argument("--dedup", action="store_true",
-                            help="drop programs whose static access map "
-                                 "adds no new (location, r/w) coverage "
-                                 "fact")
     corpus_gen.add_argument("--diversify", action="store_true",
                             help="mine admitted programs' syscall profiles "
                                  "and generate focused programs for unused "

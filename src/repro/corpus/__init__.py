@@ -1,7 +1,6 @@
 """Test-program corpus: program model, seeds, and the random generator."""
 
 from .generator import (
-    CoverageDeduper,
     ProgramGenerator,
     StreamStats,
     build_corpus,
@@ -16,7 +15,6 @@ __all__ = [
     "Call",
     "ConstArg",
     "CorpusWriter",
-    "CoverageDeduper",
     "ProgramGenerator",
     "ResultArg",
     "StreamStats",

@@ -9,24 +9,28 @@ syzkaller's resource-aware mutation does.
 
 :func:`stream_corpus` assembles a corpus as an *iterator*: the
 hand-written seeds, mutated seed variants, syscall-profile-mined
-diversifier programs, and freshly generated random programs, all
-deduplicated by content hash and — optionally — by static access-map
-coverage (:class:`CoverageDeduper` drops candidates that add no new
-``(location, r/w)`` fact before any dynamic profiling is paid for).
-Everything is deterministic given the seed value, and
-:func:`build_corpus` is the materialized view of the same stream.
+diversifier programs, and freshly generated random programs, admitted
+by one rule: a program whose content hash is new.  Everything is
+deterministic given the seed value, and :func:`build_corpus` is the
+materialized view of the same stream.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from ..kernel.syscalls.decl import DECLS, ArgSpec, DeclRegistry, SyscallDecl
+from ..kernel.syscalls.decl import DECLS, ArgSpec, SyscallDecl
 from .program import Arg, Call, ConstArg, ResultArg, TestProgram
 from .seeds import seed_list
 
+#: Longest random program, before producer calls are synthesized.
+MAX_PROGRAM_LENGTH = 6
+#: Mutation-chain length grown from each hand-written seed.
+MUTANTS_PER_SEED = 3
+#: Candidates the diversifier draws per syscall no program uses yet.
+DIVERSIFY_PER_SYSCALL = 2
 #: Generic fd argument accepts any of these produced kinds.
 _FD_KINDS = ("fd_file", "fd_io_uring", "sock")
 
@@ -46,16 +50,12 @@ class ProgramGenerator:
     subsystem.
     """
 
-    def __init__(self, seed: int = 0, decls: DeclRegistry = DECLS,
-                 max_length: int = 6,
-                 focus: Optional[Sequence[str]] = None):
+    def __init__(self, seed: int = 0, focus: Optional[Sequence[str]] = None):
         self._rng = random.Random(seed)
-        self._decls = decls
-        self._max_length = max_length
-        all_decls = list(decls.all())
+        all_decls = list(DECLS.all())
         if focus is not None:
             wanted = set(focus)
-            unknown = wanted - set(decls.names())
+            unknown = wanted - set(DECLS.names())
             if unknown:
                 raise ValueError(f"unknown focus syscalls: {sorted(unknown)}")
             all_decls = [d for d in all_decls if d.name in wanted]
@@ -65,14 +65,14 @@ class ProgramGenerator:
         self._producers: Dict[str, List[SyscallDecl]] = {}
         # Producers come from the full registry: a focused corpus still
         # needs socket()/open() to satisfy fd arguments.
-        for decl in decls.all():
+        for decl in DECLS.all():
             if decl.ret_resource is not None:
                 self._producers.setdefault(decl.ret_resource, []).append(decl)
 
     # -- generation ----------------------------------------------------------
 
     def generate(self, length: Optional[int] = None) -> TestProgram:
-        target = length or self._rng.randint(1, self._max_length)
+        target = length or self._rng.randint(1, MAX_PROGRAM_LENGTH)
         calls: List[Call] = []
         #: produced resource kind -> result indices.
         resources: Dict[str, List[int]] = {}
@@ -160,9 +160,9 @@ class ProgramGenerator:
 
     def _tweak_arg(self, program: TestProgram, index: int) -> TestProgram:
         call = program.calls[index]
-        if call is None or call.name not in self._decls or not call.args:
+        if call is None or call.name not in DECLS or not call.args:
             return program
-        decl = self._decls.get(call.name)
+        decl = DECLS.get(call.name)
         position = self._rng.randrange(len(call.args))
         spec = decl.args[position]
         if spec.kind in ("fd", "res") or not spec.choices:
@@ -184,88 +184,19 @@ class StreamStats:
     candidates: int = 0
     #: Candidates dropped as exact content-hash duplicates.
     duplicate_drops: int = 0
-    #: Candidates dropped by the static coverage deduper.
-    coverage_drops: int = 0
     #: Admitted programs contributed by the syscall diversifier.
     diversified: int = 0
-    #: Distinct static coverage facts accumulated (0 without a deduper).
-    coverage_facts: int = 0
 
 
-class CoverageDeduper:
-    """Static access-map coverage dedup for generated candidates.
-
-    A candidate earns admission only if the static access map of some
-    call adds at least one new ``(kernel-state path, scope, r/w)`` fact
-    over everything admitted before it — the cheap static pre-screen
-    that spares dynamic profiling for programs which, per the PR 2
-    analyzer, cannot reach state no earlier program already reaches.
-    Unknown syscalls (no static summary) admit conservatively: the
-    deduper may only drop what it can prove redundant.
-    """
-
-    def __init__(self, access_map=None):
-        if access_map is None:
-            # Lazy import: analysis imports corpus, not the reverse.
-            from ..analysis.accessmap import extract_access_map
-            access_map = extract_access_map(None, None)
-        self._map = access_map
-        self._seen: Set[Tuple[str, str, str]] = set()
-        #: program hash -> facts, so re-offered candidates are cheap.
-        self._facts: Dict[str, Tuple[Set[Tuple[str, str, str]], bool]] = {}
-
-    @property
-    def fact_count(self) -> int:
-        return len(self._seen)
-
-    def _program_facts(self, program: TestProgram
-                       ) -> Tuple[Set[Tuple[str, str, str]], bool]:
-        cached = self._facts.get(program.hash_hex)
-        if cached is not None:
-            return cached
-        facts: Set[Tuple[str, str, str]] = set()
-        unknown = False
-        for call in program.calls:
-            if call is None:
-                continue
-            summary = self._map.syscalls.get(call.name)
-            if summary is None:
-                unknown = True
-                continue
-            for access in summary.accesses:
-                if access.path.startswith("new."):
-                    continue  # private per-execution allocations
-                if access.is_write():
-                    facts.add((access.path, access.scope, "w"))
-                if access.is_read():
-                    facts.add((access.path, access.scope, "r"))
-        result = (facts, unknown)
-        self._facts[program.hash_hex] = result
-        return result
-
-    def admits(self, program: TestProgram) -> bool:
-        """True when *program* adds coverage (and claim its facts)."""
-        facts, unknown = self._program_facts(program)
-        novel = facts - self._seen
-        if not (unknown or novel):
-            return False
-        self._seen |= novel
-        return True
-
-
-def stream_corpus(size: int, seed: int = 0, include_seeds: bool = True,
-                  mutants_per_seed: int = 3,
-                  deduper: Optional[CoverageDeduper] = None,
-                  diversify: bool = False,
-                  diversify_per_syscall: int = 2,
+def stream_corpus(size: int, seed: int = 0, diversify: bool = False,
                   stats: Optional[StreamStats] = None
                   ) -> Iterator[TestProgram]:
     """Stream a deterministic corpus of up to *size* unique programs.
 
     Admission order is a pure function of the arguments — resuming or
     abandoning the stream early never changes which programs come out
-    or in what order.  With *deduper*/*diversify*
-    off this is exactly the classic :func:`build_corpus` sequence.
+    or in what order.  With *diversify* off this is exactly the
+    :func:`build_corpus` sequence.
 
     Phases, in order: hand-written seeds; per-seed mutation chains;
     (optional) the syscall diversifier — for every declared syscall no
@@ -287,13 +218,8 @@ def stream_corpus(size: int, seed: int = 0, include_seeds: bool = True,
         if program.hash_hex in seen:
             stats.duplicate_drops += 1
             return None
-        if deduper is not None and not deduper.admits(program):
-            stats.coverage_drops += 1
-            return None
         seen.add(program.hash_hex)
         stats.emitted += 1
-        if deduper is not None:
-            stats.coverage_facts = deduper.fact_count
         used_syscalls.update(call.name for call in program.calls
                              if call is not None)
         return program
@@ -301,32 +227,30 @@ def stream_corpus(size: int, seed: int = 0, include_seeds: bool = True,
     def finished() -> bool:
         return stats.emitted >= size
 
-    if include_seeds:
-        for program in seed_list():
+    for program in seed_list():
+        if finished():
+            return
+        admitted = admit(program)
+        if admitted is not None:
+            yield admitted
+    for program in seed_list():
+        current = program
+        for __ in range(MUTANTS_PER_SEED):
+            current = generator.mutate(current)
             if finished():
                 return
-            admitted = admit(program)
+            admitted = admit(current)
             if admitted is not None:
                 yield admitted
-        for program in seed_list():
-            current = program
-            for __ in range(mutants_per_seed):
-                current = generator.mutate(current)
-                if finished():
-                    return
-                admitted = admit(current)
-                if admitted is not None:
-                    yield admitted
     if diversify:
-        from ..kernel.syscalls.decl import DECLS as registry
-        for name in sorted(set(registry.names()) - used_syscalls):
+        for name in sorted(set(DECLS.names()) - used_syscalls):
             if finished():
                 return
             # String-seeded like faults/plan.py: stable per syscall,
             # independent of how many syscalls precede it.
             focused = ProgramGenerator(seed=f"diversify:{seed}:{name}",
                                        focus=[name])
-            for __ in range(diversify_per_syscall):
+            for __ in range(DIVERSIFY_PER_SYSCALL):
                 if finished():
                     return
                 admitted = admit(focused.generate())
@@ -341,13 +265,10 @@ def stream_corpus(size: int, seed: int = 0, include_seeds: bool = True,
             yield admitted
 
 
-def build_corpus(size: int, seed: int = 0, include_seeds: bool = True,
-                 mutants_per_seed: int = 3) -> List[TestProgram]:
+def build_corpus(size: int, seed: int = 0) -> List[TestProgram]:
     """Assemble a deterministic corpus of roughly *size* unique programs.
 
-    The materialized view of :func:`stream_corpus` with dedup and
-    diversification off — byte-identical to the historical in-memory
-    builder, so existing campaign fingerprints are untouched.
+    The materialized view of :func:`stream_corpus` with diversification
+    off, so existing campaign fingerprints are untouched.
     """
-    return list(stream_corpus(size, seed=seed, include_seeds=include_seeds,
-                              mutants_per_seed=mutants_per_seed))
+    return list(stream_corpus(size, seed=seed))

@@ -95,7 +95,7 @@ def decode_line(line: str) -> Optional[Dict[str, Any]]:
         return None  # torn: the newline is the commit marker
     try:
         envelope = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         return None
     if not isinstance(envelope, dict) or "c" not in envelope \
             or "r" not in envelope:

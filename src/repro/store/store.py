@@ -71,11 +71,15 @@ def publish_document(path: str, document: Dict[str, Any]) -> str:
 def read_document(path: str) -> Dict[str, Any]:
     """Decode a JSON document written by :func:`publish_document`.
 
-    Raises ``ValueError`` for a file that is not valid JSON or does not
-    hold a JSON object, and ``OSError`` for one that cannot be read.
+    Raises ``ValueError`` for a file that is not valid JSON, is nested
+    deeper than the decoder can follow, or does not hold a JSON object,
+    and ``OSError`` for one that cannot be read.
     """
     with open(path) as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if not isinstance(document, dict):
         raise ValueError("not a JSON object")
     return document

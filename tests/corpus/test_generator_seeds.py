@@ -80,12 +80,6 @@ class TestBuildCorpus:
         corpus = build_corpus(150, seed=2)
         assert len({p.hash_hex for p in corpus}) == len(corpus)
 
-    def test_without_seeds(self):
-        corpus = build_corpus(30, seed=3, include_seeds=False)
-        seeds = set(seed_list())
-        assert len(corpus) == 30
-        assert not any(p in seeds for p in corpus[:5])
-
     def test_reaches_requested_size(self):
         assert len(build_corpus(200, seed=4)) == 200
 

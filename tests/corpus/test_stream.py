@@ -1,4 +1,4 @@
-"""Streaming corpus generation: determinism, dedup, resume, store."""
+"""Streaming corpus generation: determinism, diversifier, resume, store."""
 
 from __future__ import annotations
 
@@ -8,13 +8,11 @@ import pytest
 
 from repro.corpus import (
     CorpusWriter,
-    CoverageDeduper,
     StreamStats,
     build_corpus,
     iter_corpus,
     stream_corpus,
 )
-from repro.corpus.program import prog
 from repro.corpus.seeds import seed_list
 
 
@@ -56,11 +54,10 @@ class TestStreamDeterminism:
         runs = []
         for __ in range(2):
             stats = StreamStats()
-            hashes = _hashes(stream_corpus(100, seed=2,
-                                           deduper=CoverageDeduper(),
-                                           diversify=True, stats=stats))
-            runs.append((hashes, stats.emitted, stats.duplicate_drops,
-                         stats.coverage_drops, stats.diversified))
+            hashes = _hashes(stream_corpus(100, seed=2, diversify=True,
+                                           stats=stats))
+            runs.append((hashes, stats.emitted, stats.candidates,
+                         stats.duplicate_drops, stats.diversified))
         assert runs[0] == runs[1]
 
     def test_abandoning_the_stream_early_is_a_prefix(self):
@@ -76,37 +73,23 @@ class TestStreamDeterminism:
         assert list(stream_corpus(0, seed=1)) == []
 
 
-class TestCoverageDeduper:
-    def test_drops_exact_static_duplicate(self):
-        deduper = CoverageDeduper()
-        program = seed_list()[0]
-        assert deduper.admits(program)
-        # A different program made of the same calls covers the same facts.
-        doubled = program.concatenate(program)
-        assert doubled.hash_hex != program.hash_hex
-        assert not deduper.admits(doubled)
-
-    def test_unknown_syscall_admits_conservatively(self):
-        deduper = CoverageDeduper()
-        mystery = prog(("not_a_real_syscall",))
-        assert deduper.admits(mystery)
-        assert deduper.admits(mystery)  # unknown stays unprovable
-
-    def test_dedup_shrinks_but_preserves_admission_order(self):
-        plain = _hashes(stream_corpus(100, seed=2))
-        deduped = _hashes(stream_corpus(100, seed=2,
-                                        deduper=CoverageDeduper()))
-        assert len(deduped) < len(plain)
-        # Every admitted program appears in the undeduped stream, in order.
-        positions = [plain.index(h) for h in deduped if h in plain]
-        assert positions == sorted(positions)
-
+class TestSyscallDiversifier:
     def test_diversifier_only_adds_unused_syscalls(self):
+        plain = _hashes(stream_corpus(200, seed=2))
         stats = StreamStats()
-        corpus = list(stream_corpus(200, seed=2, deduper=CoverageDeduper(),
-                                    diversify=True, stats=stats))
-        assert stats.diversified >= 1
+        corpus = list(stream_corpus(200, seed=2, diversify=True,
+                                    stats=stats))
+        assert stats.diversified == 18
         assert stats.emitted == len(corpus)
+        # The diversifier runs between the mutation and random phases,
+        # so the two streams share the seeds and mutants before it.
+        shared = next(i for i, (a, b) in enumerate(zip(plain, _hashes(corpus)))
+                      if a != b)
+        used = {call.name for program in corpus[:shared]
+                for call in program.calls if call is not None}
+        for program in corpus[shared:shared + stats.diversified]:
+            names = {call.name for call in program.calls if call is not None}
+            assert names - used, program.serialize()
 
 
 class TestCorpusWriterResume:

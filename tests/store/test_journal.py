@@ -29,14 +29,22 @@ from repro.store import (
 )
 
 
-def _write_with_a_flipped_high_bit(path):
-    """Write [good, damaged, after] case lines, setting the high bit of
-    one byte of the damaged line so it is no longer UTF-8; returns the
-    three lines as bytes."""
+#: Damage that ends a journal's valid prefix at the line it hits: a set
+#: high bit (the line is no longer UTF-8), or a line nested deeper than
+#: ``json.loads`` can follow.
+DAMAGES = ("high-bit", "too-deep")
+
+
+def _write_with_a_damaged_line(path, damage):
+    """Write [good, damaged, after] case lines, the middle one damaged
+    as *damage* names; returns the three lines as bytes."""
     good, damaged, after = (encode_line({"t": RECORD_CASE, "k": key})
                             .encode() for key in ("good", "damaged", "after"))
-    damaged = bytearray(damaged)
-    damaged[len(damaged) // 2] |= 0x80
+    if damage == "too-deep":
+        damaged = b"[" * 100_000 + b"\n"
+    else:
+        damaged = bytearray(damaged)
+        damaged[len(damaged) // 2] |= 0x80
     with open(path, "wb") as handle:
         handle.write(good + damaged + after)
     return good, bytes(damaged), after
@@ -95,12 +103,13 @@ class TestScan:
         assert replay.torn_bytes == len("corrupted line\n") + len(after)
 
     def test_non_utf8_line_ends_the_valid_prefix(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        good, damaged, after = _write_with_a_flipped_high_bit(path)
-        replay = scan(path)
-        assert [r["k"] for r in replay.records] == ["good"]
-        assert replay.valid_bytes == len(good)
-        assert replay.torn_bytes == len(damaged) + len(after)
+        for damage in DAMAGES:
+            path = str(tmp_path / f"{damage}.jsonl")
+            good, damaged, after = _write_with_a_damaged_line(path, damage)
+            replay = scan(path)
+            assert [r["k"] for r in replay.records] == ["good"]
+            assert replay.valid_bytes == len(good)
+            assert replay.torn_bytes == len(damaged) + len(after)
 
     def test_first_write_wins_dedup(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -144,13 +153,15 @@ class TestCampaignJournal:
         journal.close()
 
     def test_open_truncates_at_a_non_utf8_line(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        good, damaged, after = _write_with_a_flipped_high_bit(path)
-        with CampaignJournal(path) as journal:
-            assert journal.replayed.torn_bytes == len(damaged) + len(after)
-            assert os.path.getsize(path) == len(good)
-            assert journal.append_case("next:r", "pass", 0, None)
-        assert [r["k"] for r in scan(path).records] == ["good", "next:r"]
+        for damage in DAMAGES:
+            path = str(tmp_path / f"{damage}.jsonl")
+            good, damaged, after = _write_with_a_damaged_line(path, damage)
+            with CampaignJournal(path) as journal:
+                assert journal.replayed.torn_bytes \
+                    == len(damaged) + len(after)
+                assert os.path.getsize(path) == len(good)
+                assert journal.append_case("next:r", "pass", 0, None)
+            assert [r["k"] for r in scan(path).records] == ["good", "next:r"]
 
     def test_append_dedup_within_writer(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

@@ -144,7 +144,8 @@ class TestCli:
         ["corpus", "DIR"],
         ["corpus", "DIR", "--generate"],
         ["corpus", "gen", "DIR", "--batch-size", "8"],
-    ], ids=["legacy-dir", "legacy-generate", "batch-size"])
+        ["corpus", "gen", "DIR", "--dedup"],
+    ], ids=["legacy-dir", "legacy-generate", "batch-size", "dedup"])
     def test_retired_corpus_forms_are_rejected(self, argv, tmp_path):
         argv = [str(tmp_path / "c") if arg == "DIR" else arg for arg in argv]
         with pytest.raises(SystemExit) as excinfo:
@@ -157,6 +158,19 @@ class TestCli:
         main(["corpus", "gen", directory, "--corpus-size", "45"])
         assert main(["run", "--corpus-dir", directory]) == 0
         assert "corpus: 45 programs" in capsys.readouterr().out
+
+    def test_diversified_corpus_dir_finds_every_bug(self, tmp_path, capsys):
+        """The documented corpus path: ``corpus gen --diversify``, then a
+        campaign over the directory, finds all nine Table-2 bugs."""
+        directory = str(tmp_path / "corpus")
+        assert main(["corpus", "gen", directory, "--corpus-size", "200",
+                     "--seed", "1", "--diversify"]) == 0
+        assert "admitted 200 of 218 candidates (18 duplicate drops, 20 " \
+               "from the syscall diversifier)" in capsys.readouterr().out
+        assert main(["run", "--corpus-dir", directory]) == 0
+        output = capsys.readouterr().out
+        assert "corpus: 200 programs" in output
+        assert f"bugs found: {list('123456789')}" in output
 
     def test_run_from_damaged_corpus_dir_exits_1(self, tmp_path, capsys):
         directory = str(tmp_path / "corpus")
@@ -239,12 +253,14 @@ class TestCli:
         assert main(["inspect", result]) == 0
         assert "bugs found: ['1'" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object",
+                                        "too-deep"])
     def test_damaged_campaign_json_is_rejected(self, tmp_path, capsys,
                                                damage):
         """``store ls``/``store show`` skip a campaign whose
-        ``campaign.json`` does not decode to an object, and ``--resume``
-        fails with a store error naming the file."""
+        ``campaign.json`` does not decode to an object (or is nested
+        deeper than the decoder can follow), and ``--resume`` fails with
+        a store error naming the file."""
         store = str(tmp_path)
         run = ["run", "--corpus-size", "10", "--strategy", "rand",
                "--rand-budget", "4", "--store", store]
@@ -254,9 +270,10 @@ class TestCli:
         meta = os.path.join(store, campaign_id, "campaign.json")
         with open(meta) as handle:
             text = handle.read()
+        damaged = {"truncated": text[:len(text) // 2],
+                   "not-an-object": "[]", "too-deep": "[" * 100_000}
         with open(meta, "w") as handle:
-            handle.write(text[:len(text) // 2] if damage == "truncated"
-                         else "[]")
+            handle.write(damaged[damage])
         assert main(["store", store, "ls"]) == 0
         assert f"no campaigns under {store}" in capsys.readouterr().out
         assert main(["store", store, "show", campaign_id]) == 1
@@ -268,28 +285,36 @@ class TestCli:
 
     def test_non_utf8_journal_line_ends_the_valid_prefix(self, tmp_path,
                                                          capsys):
-        """A flipped high bit in ``journal.jsonl`` cuts the journal at
+        """A flipped high bit in ``journal.jsonl``, or an appended line
+        nested deeper than the decoder can follow, cuts the journal at
         that line: ``store ls`` still lists the campaign, and
         ``--resume`` re-runs what the cut dropped."""
-        store = str(tmp_path)
-        run = ["run", "--corpus-size", "10", "--strategy", "rand",
-               "--rand-budget", "4", "--store", store]
-        assert main(run) == 0
-        first = capsys.readouterr().out
-        campaign_id = re.search(r"store: campaign (\w+)", first).group(1)
-        journal = os.path.join(store, campaign_id, "journal.jsonl")
-        with open(journal, "rb") as handle:
-            data = bytearray(handle.read())
-        data[len(data) // 2] |= 0x80
-        with open(journal, "wb") as handle:
-            handle.write(bytes(data))
-        assert main(["store", store, "ls"]) == 0
-        assert campaign_id in capsys.readouterr().out
-        assert main(run + ["--resume"]) == 0
-        resumed = capsys.readouterr().out
-        assert f"store: campaign {campaign_id}" in resumed
-        assert re.search(r"bugs found: .*", resumed).group() \
-            == re.search(r"bugs found: .*", first).group()
+        for damage in ("high-bit", "too-deep"):
+            store = str(tmp_path / damage)
+            run = ["run", "--corpus-size", "10", "--strategy", "rand",
+                   "--rand-budget", "4", "--store", store]
+            assert main(run) == 0
+            first = capsys.readouterr().out
+            campaign_id = re.search(r"store: campaign (\w+)",
+                                    first).group(1)
+            journal = os.path.join(store, campaign_id, "journal.jsonl")
+            with open(journal, "rb") as handle:
+                data = bytearray(handle.read())
+            if damage == "too-deep":
+                data += b"[" * 100_000 + b"\n"
+            else:
+                data[len(data) // 2] |= 0x80
+            with open(journal, "wb") as handle:
+                handle.write(bytes(data))
+            assert main(["store", store, "ls"]) == 0
+            assert campaign_id in capsys.readouterr().out
+            assert main(run + ["--resume"]) == 0
+            resumed = capsys.readouterr().out
+            assert f"store: campaign {campaign_id}" in resumed
+            if damage == "too-deep":
+                assert "100001 torn byte(s) repaired" in resumed
+            assert re.search(r"bugs found: .*", resumed).group() \
+                == re.search(r"bugs found: .*", first).group()
 
     def test_store_reads_leave_a_missing_root_missing(self, tmp_path,
                                                       capsys):
@@ -311,8 +336,9 @@ class TestCli:
         ('{"format_version": 1, "stats": {}, "reports": [{}]}',
          "damaged report 0"),
         (None, "No such file or directory"),
+        ("[" * 100_000, "JSON nested too deeply"),
     ], ids=["not-an-object", "truncated", "missing-key", "damaged-report",
-            "missing-file"])
+            "missing-file", "too-deep"])
     def test_inspect_rejects_a_damaged_document(self, tmp_path, content,
                                                 reason):
         path = str(tmp_path / "result.json")
