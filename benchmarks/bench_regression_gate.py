@@ -522,38 +522,29 @@ def test_static_analysis_gate(benchmark):
 #: Re-frozen when the T1-T3 race-window kernel code landed (+24 pairs
 #: per preset from the new global counters and pending tables).
 FROZEN_RACE_CANDIDATES = {"5.13": 451, "fixed": 490}
-#: Warm incremental analysis must beat a cold run by this factor.
-MIN_WARM_SPEEDUP = 5.0
 
 
-def test_race_analysis_gate(tmp_path, benchmark):
+def test_race_analysis_gate(benchmark):
     """The lockset race analyzer's gate.
 
-    Three invariants: the kernel race-pair candidate counts match their
-    frozen values per preset, the incremental cache makes a warm
-    ``analyze --races`` run at least ``MIN_WARM_SPEEDUP``x faster than
-    a cold one, and race rediscovery matches the bug registry.
+    Two invariants: the kernel race-pair candidate counts match their
+    frozen values per preset, and race rediscovery matches the bug
+    registry.  The footer reports the time of one ``analyze --races``
+    run on 5.13, which parses and walks the kernel sources.
     """
     from repro.analysis import analyze, rediscover_races
-    from repro.analysis.cache import AnalysisCache
 
     counts = {}
     for preset, bugs in (("5.13", linux_5_13()), ("fixed", fixed_kernel())):
         report = analyze(bugs=bugs, kernel_name=preset, races=True)
         counts[preset] = len(report.races)
 
-    cache = AnalysisCache(str(tmp_path / "cache"))
-
-    def timed(label):
+    def timed():
         start = time.perf_counter()
-        analyze(bugs=linux_5_13(), kernel_name="5.13", races=True,
-                cache=cache)
+        analyze(bugs=linux_5_13(), kernel_name="5.13", races=True)
         return time.perf_counter() - start
 
-    cold = timed("cold")
-    warm = min(timed("warm") for _ in range(3))
-    benchmark.pedantic(timed, args=("warm",), rounds=1, iterations=1)
-    speedup = cold / warm
+    elapsed = benchmark.pedantic(timed, rounds=1, iterations=1)
 
     rediscovery = rediscover_races()
 
@@ -564,22 +555,18 @@ def test_race_analysis_gate(tmp_path, benchmark):
         f"{FROZEN_RACE_CANDIDATES['5.13']:>10}",
         f"{'race candidates, kernel fixed':<42} {counts['fixed']:>10} "
         f"{FROZEN_RACE_CANDIDATES['fixed']:>10}",
-        f"{'warm/cold incremental speedup':<42} {f'{speedup:.1f}x':>10} "
-        f"{f'>={MIN_WARM_SPEEDUP:.0f}x':>10}",
         f"{'race rediscovery (vs injected bugs)':<42} "
         f"{f'{len(rediscovery.found)}/{len(rediscovery.per_bug)}':>10} "
         f"{'expected':>10}",
         "",
-        f"cold {cold * 1e3:.0f} ms, warm {warm * 1e3:.0f} ms; "
-        "candidate counts are frozen — re-freeze deliberately on any "
-        "intentional analyzer or kernel-model change",
+        f"analyze --races on 5.13: {elapsed * 1e3:.0f} ms; candidate "
+        "counts are frozen — re-freeze deliberately on any intentional "
+        "analyzer or kernel-model change",
     ]
     emit_table("race_gate", "Lockset race analysis gate", lines)
 
     assert counts == FROZEN_RACE_CANDIDATES, \
         f"race candidate counts drifted: {counts}"
-    assert speedup >= MIN_WARM_SPEEDUP, \
-        f"warm incremental analysis only {speedup:.1f}x faster than cold"
     assert rediscovery.matches_expectations(), \
         "race rediscovery deviates from the bug registry's expectations"
 

@@ -15,14 +15,10 @@ On top of the access maps sit two consumers:
   held-lockset-annotated access maps across syscall pairs into ranked
   static race-pair candidates.
 
-Results cache incrementally on disk via
-:class:`repro.analysis.cache.AnalysisCache`, keyed by source digests.
-
 See docs/ANALYSIS.md for the lattice, the lint rules, and suppression.
 """
 
 from .accessmap import AccessMap, SyscallSummary, extract_access_map
-from .cache import AnalysisCache
 from .escape import EscapeFinding, EscapeLinter, rediscover_bugs
 from .locations import (
     BROADCAST,
@@ -44,7 +40,6 @@ from .report import AnalysisReport, analyze, render_json, render_text
 __all__ = [
     "Access",
     "AccessMap",
-    "AnalysisCache",
     "AnalysisReport",
     "BROADCAST",
     "EscapeFinding",

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional
 
 from .accessmap import AccessMap, extract_access_map
 from .escape import (
-    DEFAULT_SUPPRESSIONS,
     EscapeFinding,
     EscapeLinter,
     RediscoveryReport,
@@ -52,58 +51,29 @@ def _escape_sort_key(finding: EscapeFinding):
             finding.entry)
 
 
-def analyze(bugs=None, kernel_name: str = "", spec=None,
-            src_dir: Optional[str] = None,
+def analyze(bugs=None, kernel_name: str = "",
             rediscovery: bool = False,
-            races: bool = False,
-            suppressions=DEFAULT_SUPPRESSIONS,
-            cache=None) -> AnalysisReport:
+            races: bool = False) -> AnalysisReport:
     """Run the static analyses for the kernel version *bugs* selects.
 
-    *races* adds the lockset race-pair join; *cache* (an
-    :class:`~repro.analysis.cache.AnalysisCache`) makes every kernel-
-    wide result incremental across runs — a warm run with unchanged
-    kernel sources deserializes the access map instead of re-walking
-    the handler bodies, and never builds the source index at all.
+    *races* adds the lockset race-pair join; *rediscovery* adds the
+    differential bug rediscovery over the same source index.
     """
     kernel = kernel_name or (", ".join(bugs.enabled()) if bugs is not None
                              and bugs.enabled() else "fixed")
-    index: Optional[KernelSourceIndex] = None
-    access_map: Optional[AccessMap] = None
-    paths: List[str] = []
-    if cache is not None:
-        from .cache import kernel_paths
-        paths = kernel_paths(src_dir)
-        access_map = cache.get_access_map(kernel, paths)
-    if access_map is None:
-        index = KernelSourceIndex(src_dir)
-        access_map = extract_access_map(bugs, index)
-        if cache is not None:
-            cache.put_access_map(kernel, paths, access_map)
-    linter = EscapeLinter(access_map, spec, suppressions=suppressions)
+    index = KernelSourceIndex()
+    access_map = extract_access_map(bugs, index)
     report = AnalysisReport(
         kernel=kernel,
         access_map=access_map,
-        escape_findings=sorted(linter.run(), key=_escape_sort_key),
+        escape_findings=sorted(EscapeLinter(access_map).run(),
+                               key=_escape_sort_key),
     )
     if races:
-        report.races = _race_candidates(kernel, access_map, paths, cache)
+        report.races = find_race_candidates(access_map)
     if rediscovery:
-        report.rediscovery = rediscover_bugs(
-            index or KernelSourceIndex(src_dir), spec)
+        report.rediscovery = rediscover_bugs(index)
     return report
-
-
-def _race_candidates(kernel: str, access_map: AccessMap,
-                     paths: List[str], cache) -> List[RaceCandidate]:
-    if cache is None:
-        return find_race_candidates(access_map)
-    cached = cache.get_races(kernel, paths)
-    if cached is not None:
-        return cached
-    candidates = find_race_candidates(access_map)
-    cache.put_races(kernel, paths, candidates)
-    return candidates
 
 
 # -- text -------------------------------------------------------------------

@@ -258,10 +258,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     try:
-        result = CampaignResult.from_document(read_document(args.campaign))
+        document = read_document(args.campaign)
+        result = CampaignResult.from_document(document)
     except (OSError, ValueError) as error:
         raise SystemExit(f"inspect error: {args.campaign}: {error}")
-    print(f"kernel {result.config.strategy} campaign, "
+    kernel = document["config"].get("kernel_version", "?")
+    print(f"kernel {kernel}, {result.config.strategy} campaign, "
           f"{len(result.reports)} reports")
     _print_campaign(result, show_reports=args.reports)
     return 0
@@ -308,17 +310,14 @@ def cmd_gate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Static interference analysis: access maps, escape lint, races."""
     from .analysis import analyze, render_json, render_text
-    from .analysis.cache import AnalysisCache
 
     if args.check:
         return _analyze_check()
 
-    cache = None if args.no_cache else AnalysisCache(args.cache_dir)
     report = analyze(bugs=_kernel_preset(args.kernel),
                      kernel_name=args.kernel,
                      rediscovery=args.rediscover,
-                     races=args.races,
-                     cache=cache)
+                     races=args.races)
     text = (render_json(report) if args.json
             else render_text(report, verbose=args.verbose))
     if args.output:
@@ -587,8 +586,11 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    with open(args.program) as handle:
-        program = TestProgram.parse(handle.read())
+    try:
+        with open(args.program) as handle:
+            program = TestProgram.parse(handle.read())
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"show error: {args.program}: {error}")
     print("--- program ---")
     print(program.serialize())
     machine = Machine(_machine_config(args))
@@ -763,11 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="join lockset-annotated access maps into "
                               "ranked race-pair candidates (R0 crosses a "
                               "namespace boundary)")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="disable the incremental analysis cache")
-    analyze.add_argument("--cache-dir",
-                         help="analysis cache directory (default: "
-                              ".kit-analysis-cache at the repo root)")
     analyze.add_argument("--check", action="store_true",
                          help="CI gate: clean kernel lints clean, bugs "
                               "rediscovered")

@@ -25,9 +25,10 @@ outside its interval / observed set — evidence of interference that mere
 variance cannot explain.  Divergence on *stable* paths is still reported
 exactly as by Algorithm 1.
 
-The companion benchmark (``bench_ablation_bounds.py``) shows the payoff:
-the conntrack-dump leak (bug F), invisible to the baseline detector, is
-caught by bound violations on the dump's line count.
+The companion benchmark
+(``benchmarks/bench_ablations.py::test_ablation_bounds_detector``) shows
+the payoff: the conntrack-dump leak (bug F), invisible to the baseline
+detector, is caught by bound violations on the dump's line count.
 """
 
 from __future__ import annotations

@@ -261,7 +261,11 @@ class CampaignStore:
                     f"this configuration ({fingerprint[:12]}); refusing to "
                     "replay a journal written by a different campaign")
         else:
-            os.makedirs(path, exist_ok=True)
+            try:
+                os.makedirs(path, exist_ok=True)
+            except OSError as error:
+                raise StoreError(f"campaign {campaign_id}: cannot create "
+                                 f"{path}: {error.strerror}")
             self._archive_journal(path)
             stale_result = os.path.join(path, RESULT_FILE)
             if os.path.exists(stale_result):

@@ -1,4 +1,4 @@
-"""The lockset race analyzer: joins, ranks, caches, rediscovery."""
+"""The lockset race analyzer: joins, ranks, rediscovery."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import extract_access_map
 from repro.analysis.accessmap import AccessMap, SyscallSummary
-from repro.analysis.cache import AnalysisCache, file_digest
 from repro.analysis.locations import (
     BROADCAST,
     GLOBAL,
@@ -193,73 +192,3 @@ def test_race_rediscovery_hits_registered_paths(index):
     prio = report.per_bug["prio_user_crosses_pidns"]
     assert prio.found
     assert {c.path for c in prio.candidates} == {"task.nice"}
-
-
-# -- the incremental cache ----------------------------------------------------
-
-def test_race_cache_roundtrip(tmp_path, clean_map, index):
-    cache = AnalysisCache(str(tmp_path))
-    paths = sorted(info.path for info in index.modules.values())
-    candidates = find_race_candidates(clean_map)
-    assert cache.get_races("fixed", paths) is None
-    cache.put_races("fixed", paths, candidates)
-    warmed = cache.get_races("fixed", paths)
-    assert [c.render() for c in warmed] == [c.render() for c in candidates]
-    assert [c.key() for c in warmed] == [c.key() for c in candidates]
-
-
-def test_digest_flip_invalidates_only_that_module(tmp_path, clean_map):
-    """An entry is keyed by the digests of the files it read: editing
-    one file misses exactly the entries that read it."""
-    mod_a = tmp_path / "a.py"
-    mod_b = tmp_path / "b.py"
-    mod_a.write_text("A = 1\n")
-    mod_b.write_text("B = 1\n")
-    cache = AnalysisCache(str(tmp_path / "cache"))
-    reads = {"a": [str(mod_a)], "ab": [str(mod_a), str(mod_b)]}
-    candidates = find_race_candidates(clean_map)[:3]
-
-    assert [cache.get_races(label, paths) for label, paths
-            in reads.items()] == [None, None]
-    assert cache.misses == 2 and cache.hits == 0
-
-    for label, paths in reads.items():
-        cache.put_races(label, paths, candidates)
-    for label, paths in reads.items():
-        assert cache.get_races(label, paths) is not None
-    assert cache.hits == 2 and cache.misses == 2
-
-    # Edit b: only the entry that read b misses.
-    mod_b.write_text("B = 2\n")
-    assert cache.get_races("a", reads["a"]) is not None
-    assert cache.get_races("ab", reads["ab"]) is None
-    assert cache.hits == 3 and cache.misses == 3
-
-    # And the re-put result is itself cached.
-    cache.put_races("ab", reads["ab"], candidates)
-    for label, paths in reads.items():
-        warmed = cache.get_races(label, paths)
-        assert [c.key() for c in warmed] == [c.key() for c in candidates]
-    assert cache.hits == 5 and cache.misses == 3
-
-
-def test_file_digest_flips_on_edit(tmp_path):
-    target = tmp_path / "f.txt"
-    target.write_text("one")
-    before = file_digest(str(target))
-    target.write_text("two")
-    assert file_digest(str(target)) != before
-    assert file_digest(str(tmp_path / "missing.txt")) == ""
-
-
-def test_access_map_cache_roundtrip(tmp_path, clean_map, index):
-    cache = AnalysisCache(str(tmp_path))
-    paths = sorted(info.path for info in index.modules.values())
-    cache.put_access_map("fixed", paths, clean_map)
-    warmed = cache.get_access_map("fixed", paths)
-    assert warmed is not None
-    assert set(warmed.entries()) == set(clean_map.entries())
-    assert [str(a) for a in warmed.syscalls["mount"].accesses] \
-        == [str(a) for a in clean_map.syscalls["mount"].accesses]
-    assert find_race_candidates(warmed)[0].render() \
-        == find_race_candidates(clean_map)[0].render()

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the on-disk corpus store."""
 
+import json
 import os
 import re
 
@@ -199,11 +200,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert index.read_bytes() == bytes(data)
 
-    @pytest.mark.parametrize("option", ["--nondet-cache", "--profile-cache"])
-    def test_retired_cache_options_are_rejected(self, option, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--nondet-cache", "DIR"], id="--nondet-cache"),
+        pytest.param(["run", "--profile-cache", "DIR"], id="--profile-cache"),
+        pytest.param(["analyze", "--cache-dir", "DIR"], id="--cache-dir"),
+        pytest.param(["analyze", "--no-cache"], id="--no-cache"),
+    ])
+    def test_retired_cache_options_are_rejected(self, argv, tmp_path):
+        argv = [str(tmp_path / "cache") if arg == "DIR" else arg
+                for arg in argv]
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", option, str(tmp_path / "cache")])
+            main(argv)
         assert excinfo.value.code == 2
+
+    def test_analyze_writes_a_json_report(self, tmp_path, capsys):
+        """5.13 has unsuppressed escape findings, so ``analyze`` exits 1
+        after writing its report."""
+        out = tmp_path / "report.json"
+        assert main(["--kernel", "5.13", "analyze", "--races", "--json",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert json.loads(out.read_text())["races"]
 
     def test_run_cache_is_warm_the_second_time(self, tmp_path, capsys):
         argv = ["run", "--corpus-size", "12", "--cache", str(tmp_path)]
@@ -223,6 +240,22 @@ class TestCli:
         output = capsys.readouterr().out
         assert "sockets: used" in output
 
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        (b"\xff getpid()\n", "can't decode byte 0xff"),
+        (b"!!! not a program !!!\n", "unparseable program line"),
+    ], ids=["missing-file", "not-utf8", "unparseable"])
+    def test_show_rejects_bad_input(self, tmp_path, content, reason):
+        path = tmp_path / "probe.prog"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["show", str(path)])
+        message = str(excinfo.value)
+        assert message.startswith(f"show error: {path}: ")
+        assert reason in message
+        assert "\n" not in message
+
     def test_unknown_kernel_preset_exits(self):
         with pytest.raises(SystemExit):
             main(["--kernel", "windows", "run"])
@@ -237,6 +270,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["inspect", out]) == 0
         output = capsys.readouterr().out
+        assert output.startswith("kernel 5.13, df-ia campaign, ")
         assert "bugs found:" in output and "'1'" in output
         assert os.listdir(str(tmp_path)) == ["campaign.json"]
 
@@ -315,6 +349,19 @@ class TestCli:
                 assert "100001 torn byte(s) repaired" in resumed
             assert re.search(r"bugs found: .*", resumed).group() \
                 == re.search(r"bugs found: .*", first).group()
+
+    def test_run_store_on_a_regular_file_is_a_store_error(self, tmp_path):
+        """A store root that is a regular file cannot hold a campaign
+        directory: ``run`` exits with one store error line."""
+        root = tmp_path / "store"
+        root.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--corpus-size", "5", "--store", str(root)])
+        message = str(excinfo.value)
+        assert message.startswith("store error: campaign ")
+        assert f"cannot create {root}{os.sep}" in message
+        assert "\n" not in message
+        assert root.read_text() == ""
 
     def test_store_reads_leave_a_missing_root_missing(self, tmp_path,
                                                       capsys):
